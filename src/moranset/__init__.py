@@ -10,7 +10,7 @@ parametric increasing maps.
 from .specs import (GapPolicy, MoranSpec, SequenceRule, constant, preset,
                     preset_names, presets, spec_from_config, validate_spec)
 from .tree import LevelSet, Node, build_level, iter_level, level_stats
-from .reconstruct import StarState, first_reconstruct, star_stats
+from .reconstruct import StarState, first_reconstruct
 from .dimension import (ConditionCert, DimSeries, box_count, check_conditions,
                         cover_sum, dim_formula_seq)
 from .branchtree import BranchTree, Schedule, build_T, choose_M
@@ -25,7 +25,7 @@ __all__ = [
     "GapPolicy", "MoranSpec", "SequenceRule", "constant", "preset",
     "preset_names", "presets", "spec_from_config", "validate_spec",
     "LevelSet", "Node", "build_level", "iter_level", "level_stats",
-    "StarState", "first_reconstruct", "star_stats",
+    "StarState", "first_reconstruct",
     "ConditionCert", "DimSeries", "box_count", "check_conditions",
     "cover_sum", "dim_formula_seq",
     "BranchTree", "Schedule", "build_T", "choose_M",

@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .dimension import ConditionCert, check_conditions
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError, InvalidSpecError)
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
-from .tree import DEFAULT_NODE_BUDGET
+from .tree import DEFAULT_NODE_BUDGET, root
 
 
 @dataclass
@@ -60,11 +60,15 @@ class Schedule:
 
     @property
     def spread_bound(self) -> Fraction:
-        """The branch-length comparability factor: 2*omega under condition A,
-        2*(omega+1) under condition B."""
-        if self.condition == "A":
-            return 2 * self.omega
-        return 2 * (self.omega + 1)
+        return spread_bound(self.condition, self.omega)
+
+
+def spread_bound(condition: str, omega: Fraction) -> Fraction:
+    """The branch-length comparability factor: 2*omega under condition A,
+    2*(omega+1) under condition B."""
+    if condition == "A":
+        return 2 * omega
+    return 2 * (omega + 1)
 
 
 def choose_M(spec: MoranSpec, condition: str, K: int,
@@ -80,7 +84,7 @@ def choose_M(spec: MoranSpec, condition: str, K: int,
     if omega is None:
         raise ConditionInapplicableError(
             "condition A is inapplicable (a level has a zero interior gap)")
-    bound = 2 * omega if condition == "A" else 2 * (omega + 1)
+    bound = spread_bound(condition, omega)
     M = int(bound) + 1 if bound == int(bound) else math.ceil(bound)
     i = []
     m = [0]
@@ -147,13 +151,33 @@ class GapRecord:
     multiplicity: int = 1
 
 
+def refine_stage(runs: list[tuple[int, int]], steps: int, M: int,
+                 hull: Callable[[int, int], tuple[Fraction, Fraction]]
+                 ) -> Iterator[list[Branch]]:
+    """The `steps` levels of one stage, coarsest first.
+
+    Each run [a, b) of trimmed-interval indices splits into M balanced
+    groups, except at the stage's last step, where every trimmed interval
+    becomes its own branch.  `hull(a, b)` gives the endpoints of the branch
+    spanning intervals a..b-1; a branch's parent is the index of its run.
+    """
+    for t in range(1, steps + 1):
+        branches = []
+        for pi, (a, b) in enumerate(runs):
+            sizes = [1] * (b - a) if t == steps else balanced_groups(b - a, M)
+            for size in sizes:
+                lo, hi = hull(a, a + size)
+                branches.append(Branch(lo, hi, a, a + size, pi))
+                a += size
+        yield branches
+        runs = [(br.a, br.b) for br in branches]
+
+
 class StageTemplate:
     """Geometry of one stage inside a single (node-independent) parent."""
 
-    def __init__(self, star: StarState, k: int, steps: int):
+    def __init__(self, star: StarState, k: int, steps: int, M: int):
         spec = star.spec
-        self.k = k
-        self.steps = steps
         self.n = spec.n(k)
         self.parent_len = star.delta_star(k - 1)
         self.child_len = star.delta_star(k)
@@ -166,8 +190,7 @@ class StageTemplate:
             if j < self.n - 1:
                 off += delta_k + gaps[j]
         self.offsets = offsets
-        self.levels: list[list[Branch]] = []
-        self._runs0 = [(0, self.n, 0)]
+        self.levels = list(refine_stage([(0, self.n)], steps, M, self.hull))
 
     def hull(self, a: int, b: int) -> tuple[Fraction, Fraction]:
         return self.offsets[a], self.offsets[b - 1] + self.child_len
@@ -176,28 +199,13 @@ class StageTemplate:
         """Trimmed gap between child j and j+1 (0-based)."""
         return self.offsets[j + 1] - (self.offsets[j] + self.child_len)
 
-    def build(self, M: int) -> None:
-        runs = self._runs0
-        for t in range(1, self.steps + 1):
-            branches = []
-            if t == self.steps:
-                for pi, (a, b, _) in enumerate(runs):
-                    for j in range(a, b):
-                        lo, hi = self.hull(j, j + 1)
-                        branches.append(Branch(lo, hi, j, j + 1, pi))
-            else:
-                for pi, (a, b, _) in enumerate(runs):
-                    start = a
-                    for size in balanced_groups(b - a, M):
-                        lo, hi = self.hull(start, start + size)
-                        branches.append(Branch(lo, hi, start, start + size, pi))
-                        start += size
-            self.levels.append(branches)
-            runs = [(br.a, br.b, i) for i, br in enumerate(branches)]
-
 
 class BranchTree:
-    """The interpolated refinement hierarchy through level m_max."""
+    """The interpolated refinement hierarchy through level m_max.
+
+    Level 0 is the trimmed root interval; in explicit mode it is stored as
+    `explicit[0]`.
+    """
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
                  m_max: int, mode: str,
@@ -214,15 +222,16 @@ class BranchTree:
 
     # -- shared helpers -----------------------------------------------------
 
-    def _template_level(self, m: int) -> tuple[StageTemplate, list[Branch]]:
+    def _level(self, m: int) -> tuple[list[Branch], int]:
+        """The level-m branches and how many times they repeat: template
+        mode holds one parent cell's worth, repeated in every parent of the
+        stage."""
+        if self.mode == "explicit":
+            return self.explicit[m], 1
+        if m == 0:
+            return [Branch(Fraction(0), self.star.delta_star(0), 0, 1, 0)], 1
         k, t = self.schedule.step_of(m)
-        tpl = self.templates[k]
-        return tpl, tpl.levels[t - 1]
-
-    def parents_at(self, m: int) -> int:
-        """Number of identical parent cells a template level repeats in."""
-        k = self.schedule.stage_of(m)
-        return self.spec.count(k - 1)
+        return self.templates[k].levels[t - 1], self.spec.count(k - 1)
 
     def level_branches(self, m: int) -> list[Branch]:
         """Explicit branches at level m (explicit mode only)."""
@@ -231,48 +240,27 @@ class BranchTree:
         return self.explicit[m]
 
     def branch_count(self, m: int) -> int:
-        if m == 0:
-            return 1
-        if self.mode == "explicit":
-            return len(self.explicit[m])
-        tpl, level = self._template_level(m)
-        return self.parents_at(m) * len(level)
+        level, reps = self._level(m)
+        return reps * len(level)
 
     def branch_lengths(self, m: int) -> list[Fraction]:
         """Distinct branch lengths are whatever the level holds; template
         mode returns one parent's worth (the global multiset repeats it)."""
-        if m == 0:
-            return [self.star.delta_star(0)]
-        if self.mode == "explicit":
-            return [br.length for br in self.explicit[m]]
-        _, level = self._template_level(m)
+        level, _ = self._level(m)
         return [br.length for br in level]
 
     def branch_stats(self, m: int) -> BranchStats:
-        if m == 0:
-            d0 = self.star.delta_star(0)
-            psi = self.spec.n(1) if self.schedule.K >= 1 else 1
-            return BranchStats(0, 1, d0, d0, d0, psi, psi)
-        if self.mode == "explicit":
-            level = self.explicit[m]
-            lens = [br.length for br in level]
-            spans = [br.span for br in level]
-            count = len(level)
-            total = sum(lens)
-        else:
-            tpl, level = self._template_level(m)
-            lens = [br.length for br in level]
-            spans = [br.span for br in level]
-            reps = self.parents_at(m)
-            count = reps * len(level)
-            total = reps * sum(lens)
+        level, reps = self._level(m)
+        lens = [br.length for br in level]
+        milestones = self.schedule.m
         # At a milestone the span resets: psi points at the *next* milestone.
-        k = self.schedule.stage_of(m)
-        if m == self.schedule.m[k] and k < self.schedule.K:
-            psi_max = psi_min = self.spec.n(k + 1)
+        if m in milestones[:-1]:
+            psi_max = psi_min = self.spec.n(milestones.index(m) + 1)
         else:
+            spans = [br.span for br in level]
             psi_max, psi_min = max(spans), min(spans)
-        return BranchStats(m, count, max(lens), min(lens), total, psi_max, psi_min)
+        return BranchStats(m, reps * len(level), max(lens), min(lens),
+                           reps * sum(lens), psi_max, psi_min)
 
     def children_per_branch(self, m: int) -> tuple[int, int]:
         """(max, min) number of level-(m+1) branches inside a level-m branch."""
@@ -291,97 +279,52 @@ class BranchTree:
             if m >= self.m_max:
                 raise DomainError(
                     f"explicit gap structure needs m < m_max = {self.m_max}")
-            yield from self._gap_structure_explicit(m)
-        else:
-            if (m + 1 > self.schedule.m_max
-                    or self.schedule.stage_of(m + 1) not in self.templates):
-                raise DomainError(
-                    f"gap structure at level {m} needs the stage of level "
-                    f"{m + 1}; rebuild with a larger depth")
-            yield from self._gap_structure_template(m)
-
-    def _milestone_record(self, tpl_next: StageTemplate, reps: int) -> GapRecord:
-        """A milestone branch is a single trimmed interval; its children are
-        the first-step branches of the next stage."""
-        children = tpl_next.levels[0]
-        length = tpl_next.parent_len
-        child_lengths = [br.length for br in children]
-        gap_lengths = [children[0].lo]
-        for prev, nxt in zip(children, children[1:]):
-            gap_lengths.append(nxt.lo - prev.hi)
-        gap_lengths.append(length - children[-1].hi)
-        star_gaps = [tpl_next.star_gap(j) for j in range(tpl_next.n - 1)]
-        return GapRecord(length, child_lengths, gap_lengths, star_gaps,
-                         multiplicity=reps)
-
-    def _gap_structure_template(self, m: int) -> Iterator[GapRecord]:
-        sched = self.schedule
-        k_next, t_next = sched.step_of(m + 1)
-        if t_next == 1:
-            # m is the milestone m_{k_next - 1}
-            yield self._milestone_record(self.templates[k_next],
-                                         self.spec.count(k_next - 1))
+            nodes = self._star_cache[self.schedule.stage_of(m + 1)]
+            yield from _gap_records(self.explicit[m], self.explicit[m + 1],
+                                    lambda j: nodes[j + 1].lo - nodes[j].hi, 1)
             return
+        if (m + 1 > self.schedule.m_max
+                or self.schedule.stage_of(m + 1) not in self.templates):
+            raise DomainError(
+                f"gap structure at level {m} needs the stage of level "
+                f"{m + 1}; rebuild with a larger depth")
+        k_next, t_next = self.schedule.step_of(m + 1)
         tpl = self.templates[k_next]
-        level = tpl.levels[t_next - 2]
-        children = tpl.levels[t_next - 1]
-        reps = self.spec.count(k_next - 1)
-        by_parent: dict[int, list[Branch]] = {}
-        for br in children:
-            by_parent.setdefault(br.parent, []).append(br)
-        for i, br in enumerate(level):
-            kids = by_parent[i]
-            gap_lengths = [kids[0].lo - br.lo]
-            for prev, nxt in zip(kids, kids[1:]):
-                gap_lengths.append(nxt.lo - prev.hi)
-            gap_lengths.append(br.hi - kids[-1].hi)
-            star_gaps = [tpl.star_gap(j) for j in range(br.a, br.b - 1)]
-            yield GapRecord(br.length, [c.length for c in kids],
-                            gap_lengths, star_gaps, multiplicity=reps)
-
-    def _gap_structure_explicit(self, m: int) -> Iterator[GapRecord]:
-        level = self.explicit[m] if m > 0 else [Branch(
-            self.star.spec.interval[0] + self.star.spec.L(1),
-            self.star.spec.interval[1] - self.star.spec.R(1), 0, 1, 0)]
-        children = self.explicit[m + 1]
-        by_parent: dict[int, list[Branch]] = {}
-        for br in children:
-            by_parent.setdefault(br.parent, []).append(br)
-        k_next = self.schedule.stage_of(m + 1)
-        star_nodes = self._star_cache[k_next]
-        for i, br in enumerate(level):
-            kids = by_parent[i]
-            gap_lengths = [kids[0].lo - br.lo]
-            for prev, nxt in zip(kids, kids[1:]):
-                gap_lengths.append(nxt.lo - prev.hi)
-            gap_lengths.append(br.hi - kids[-1].hi)
-            a, b = kids[0].a, kids[-1].b
-            star_gaps = [star_nodes[j + 1].lo - star_nodes[j].hi
-                         for j in range(a, b - 1)]
-            yield GapRecord(br.length, [c.length for c in kids],
-                            gap_lengths, star_gaps)
+        if t_next == 1:
+            # m is the milestone m_{k_next - 1}: one trimmed interval, whose
+            # children are the first-step branches of the next stage
+            level = [Branch(Fraction(0), tpl.parent_len, 0, tpl.n, 0)]
+        else:
+            level = tpl.levels[t_next - 2]
+        yield from _gap_records(level, tpl.levels[t_next - 1], tpl.star_gap,
+                                self.spec.count(k_next - 1))
 
     def chi(self, m: int) -> Fraction:
         """Largest branch/parent length ratio at level m (m >= 1), exact."""
         if m < 1:
             raise DomainError("chi is defined for m >= 1")
-        if self.mode == "explicit":
-            level = self.explicit[m]
-            parents = self.explicit[m - 1] if m - 1 >= 1 else None
-            best = None
-            for br in level:
-                plen = parents[br.parent].length if parents else self.star.delta_star(0)
-                r = br.length / plen
-                if best is None or r > best:
-                    best = r
-            return best
-        k, t = self.schedule.step_of(m)
-        tpl = self.templates[k]
-        level = tpl.levels[t - 1]
-        if t == 1:
-            return max(br.length for br in level) / tpl.parent_len
-        prev = tpl.levels[t - 2]
-        return max(br.length / prev[br.parent].length for br in level)
+        level, _ = self._level(m)
+        parents, _ = self._level(m - 1)
+        return max(br.length / parents[br.parent].length for br in level)
+
+
+def _gap_records(level: list[Branch], children: list[Branch],
+                 star_gap: Callable[[int], Fraction],
+                 reps: int) -> Iterator[GapRecord]:
+    """One record per branch of `level`: its children's lengths, the gaps
+    removed between and around them, and the trimmed gaps inside it."""
+    by_parent: dict[int, list[Branch]] = {}
+    for br in children:
+        by_parent.setdefault(br.parent, []).append(br)
+    for i, br in enumerate(level):
+        kids = by_parent[i]
+        gap_lengths = [kids[0].lo - br.lo]
+        for prev, nxt in zip(kids, kids[1:]):
+            gap_lengths.append(nxt.lo - prev.hi)
+        gap_lengths.append(br.hi - kids[-1].hi)
+        star_gaps = [star_gap(j) for j in range(kids[0].a, kids[-1].b - 1)]
+        yield GapRecord(br.length, [c.length for c in kids], gap_lengths,
+                        star_gaps, multiplicity=reps)
 
 
 def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
@@ -410,19 +353,15 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         if not spec.gaps.node_independent:
             raise InvalidSpecError(
                 "template mode requires a node-independent gap policy")
-        templates = {}
-        for k in range(1, k_build + 1):
-            tpl = StageTemplate(star, k, schedule.i[k - 1])
-            tpl.build(schedule.M)
-            templates[k] = tpl
+        templates = {k: StageTemplate(star, k, schedule.i[k - 1], schedule.M)
+                     for k in range(1, k_build + 1)}
         return BranchTree(spec, schedule, star, m_max, "template",
                           templates=templates)
-    # explicit
-    levels: list[list[Branch]] = [[]]
+    top = star.trim(root(spec), 0)
+    levels = [[Branch(top.lo, top.hi, 0, 1, 0)]]
     star_cache: dict[int, list] = {}
-    m = 0
     for k in range(1, k_build + 1):
-        if m >= m_max:
+        if len(levels) > m_max:
             break
         if spec.count(k) > budget:
             raise BudgetExceededError(
@@ -431,29 +370,18 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         nodes = star.level(k, budget=budget).nodes
         star_cache[k] = nodes
         n_k = spec.n(k)
-        runs = [(p * n_k, (p + 1) * n_k, p) for p in range(spec.count(k - 1))]
-        for t in range(1, schedule.i[k - 1] + 1):
-            m += 1
-            branches = []
-            if t == schedule.i[k - 1]:
-                for pi, (a, b, parent) in enumerate(runs):
-                    for j in range(a, b):
-                        branches.append(Branch(nodes[j].lo, nodes[j].hi,
-                                               j, j + 1, pi))
-            else:
-                for pi, (a, b, parent) in enumerate(runs):
-                    start = a
-                    for size in balanced_groups(b - a, schedule.M):
-                        branches.append(Branch(nodes[start].lo,
-                                               nodes[start + size - 1].hi,
-                                               start, start + size, pi))
-                        start += size
+        runs = [(p * n_k, (p + 1) * n_k) for p in range(spec.count(k - 1))]
+
+        def hull(a: int, b: int, nodes=nodes) -> tuple[Fraction, Fraction]:
+            return nodes[a].lo, nodes[b - 1].hi
+
+        for branches in refine_stage(runs, schedule.i[k - 1], schedule.M, hull):
             levels.append(branches)
-            runs = [(br.a, br.b, i) for i, br in enumerate(branches)]
-            if m >= m_max:
+            if len(levels) > m_max:
                 break
-    if m < m_max:
-        raise DomainError(f"could not reach level {m_max} (stopped at {m})")
+    if len(levels) <= m_max:
+        raise DomainError(
+            f"could not reach level {m_max} (stopped at {len(levels) - 1})")
     tree = BranchTree(spec, schedule, star, m_max, "explicit", explicit=levels)
     tree._star_cache = star_cache
     return tree

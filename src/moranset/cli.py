@@ -166,10 +166,8 @@ def build(preset, config_path, out_dir, depth, budget):
 @click.option("--depth", type=int, default=20, show_default=True)
 @click.option("--t", "t_probe", type=float, default=None,
               help="Also write the canonical cover t-sums at this exponent.")
-@click.option("--oracle", is_flag=True, hidden=True,
-              help="Print closed-form reference values for built-in presets.")
 @handle_errors
-def dim(preset, config_path, out_dir, depth, t_probe, oracle):
+def dim(preset, config_path, out_dir, depth, t_probe):
     """Dimension-formula series (and optional cover sums)."""
     spec, source = _load_spec(preset, config_path)
     out = Path(out_dir)
@@ -184,12 +182,6 @@ def dim(preset, config_path, out_dir, depth, t_probe, oracle):
         sums = dimension.cover_sum(star, t_probe, depth)
         _write_csv(out / "cover.csv", ["k", "cover_sum"],
                    [(k, v) for k, v in enumerate(sums, start=1)])
-    if oracle:
-        from . import oracle as orc
-        if preset == "cantor3":
-            click.echo(f"oracle: constant series {orc.cantor3_dim():.10f}")
-        elif preset == "dim1_binary":
-            click.echo(f"oracle: s_{depth} = {orc.dim1_binary_s(depth)[-1]:.10f}")
 
 
 @main.command()

@@ -8,9 +8,9 @@ since they feed integer threshold selection downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .reconstruct import StarState, first_reconstruct
@@ -43,20 +43,43 @@ class DimSeries:
         return self.s[k - 1]
 
 
+def log_series(star: StarState, K: int) -> Iterator[tuple[float, float]]:
+    """(log N_k, log delta*_k) for k = 1..K, the two logarithms behind the
+    dimension formula, cover sums and threshold levels.
+
+    log N_k accumulates log n_1 + ... + log n_k in level order, so every
+    caller sees the same floats.
+    """
+    if K < 1:
+        raise DomainError(f"depth {K} is out of range: the series needs depth >= 1")
+    log_count = 0.0
+    for k in range(1, K + 1):
+        log_count += math.log(star.spec.n(k))
+        yield log_count, log_fraction(star.delta_star(k))
+
+
+def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs."""
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    if sxx == 0:
+        raise DomainError("need at least two distinct abscissae for a slope fit")
+    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+
+
 def dim_formula_seq(spec: MoranSpec, K: int) -> DimSeries:
     """s_k = log(n_1...n_k) / -log(trimmed level length) for k = 1..K."""
     star = first_reconstruct(spec, K)
     unit = spec.interval[1] - spec.interval[0]
     s = []
-    log_count = 0.0
-    for k in range(1, K + 1):
-        log_count += math.log(spec.n(k))
+    for k, (log_count, log_len) in enumerate(log_series(star, K), start=1):
         dk = star.delta_star(k)
         if dk >= unit:
             raise DomainError(
                 f"trimmed length {dk} at level {k} does not contract below "
                 f"the initial interval length {unit}")
-        s.append(log_count / -log_fraction(dk))
+        s.append(log_count / -log_len)
     tail_start = max(1, K // 2)
     return DimSeries(K, s, tail_start, min(s[tail_start - 1:]))
 
@@ -109,6 +132,8 @@ class ConditionCert:
 
 def check_conditions(spec: MoranSpec, K: int) -> ConditionCert:
     """Exact certificates over levels 1..K, with tightness witnesses."""
+    if K < 1:
+        raise DomainError(f"depth {K} is out of range: certificates need depth >= 1")
     omega1 = omega2 = omega3 = None
     w1 = w2 = w3 = None
     zero_gap = False
@@ -143,12 +168,8 @@ def cover_sum(star: StarState, t: float, K: int) -> list[float]:
     the t-sum of the canonical trimmed cover."""
     if not 0 < t <= 1:
         raise DomainError(f"cover exponent t={t} outside (0, 1]")
-    out = []
-    log_count = 0.0
-    for k in range(1, K + 1):
-        log_count += math.log(star.spec.n(k))
-        out.append(math.exp(log_count + t * log_fraction(star.delta_star(k))))
-    return out
+    return [math.exp(log_count + t * log_len)
+            for log_count, log_len in log_series(star, K)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +220,4 @@ def box_count(intervals: Iterable[Node | tuple[Fraction, Fraction]],
         raise DomainError("empty interval list")
     xs = [-log_fraction(e) for e in eps_list]
     ys = [math.log(c) for c in counts]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    if sxx == 0:
-        raise DomainError("need at least two distinct cell widths for a slope")
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
-    return BoxCountResult(eps_list, counts, slope)
+    return BoxCountResult(eps_list, counts, fit_slope(xs, ys))

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .dimension import ConditionCert, check_conditions, dim_formula_seq
+from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
+                        log_series)
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError, RegimeError)
 from .reconstruct import StarState
@@ -33,12 +33,6 @@ class MassMeasure:
     def __init__(self, star: StarState):
         self.star = star
         self.spec = star.spec
-
-    def level_mass(self, k: int) -> Fraction:
-        return Fraction(1, self.spec.count(k))
-
-    def window(self, a: Fraction, b: Fraction, k: int) -> Fraction:
-        return mu_window(self, (a, b), k)
 
 
 def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
@@ -65,10 +59,6 @@ def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
 # ---------------------------------------------------------------------------
 # Frostman-type audits
 # ---------------------------------------------------------------------------
-
-_CONSTANT_NAMES = {"A": "32*omega1", "B": "32*(4*omega2+1)",
-                   "C": "8*max(1, 1/omega3)"}
-
 
 def bound_constant(cert: ConditionCert, condition: str) -> Fraction:
     """The per-condition Frostman constant."""
@@ -120,12 +110,8 @@ class WindowAudit:
 
 def threshold_level(star: StarState, t: float, k_max: int) -> int:
     """Smallest k with (interval count at k) * (trimmed length at k)^t > 1."""
-    from .dimension import log_fraction
-    import math
-    log_count = 0.0
-    for k in range(1, k_max + 1):
-        log_count += math.log(star.spec.n(k))
-        if log_count + t * log_fraction(star.delta_star(k)) > 0:
+    for k, (log_count, log_len) in enumerate(log_series(star, k_max), start=1):
+        if log_count + t * log_len > 0:
             return k
     raise RegimeError(
         f"no level k <= {k_max} has interval-count * length^t above 1 "
@@ -158,6 +144,10 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
     depth-(k+1) trimmed-interval endpoints in that size regime, where the
     ratio is locally maximized; sampled mode draws seeded random windows.
     """
+    if not t > 0:
+        raise DomainError(f"Frostman exponent t={t} must be positive")
+    if threads < 1:
+        raise DomainError(f"thread count {threads} must be >= 1")
     star = measure.star
     spec = measure.spec
     k_lo, k_hi = k_range

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import mpmath
 
-from .branchtree import Branch, BranchTree
+from .branchtree import BranchTree
+from .dimension import fit_slope, log_series
 from .errors import (ConfigError, DegenerateSpecError, DomainError,
                      InvalidSpecError, PrecisionError)
 from .reconstruct import StarState
@@ -317,11 +318,6 @@ def image_tree(fmap: QsMap, tree: BranchTree,
     endpoints round up, so each image branch contains the true image."""
     if tree.mode != "explicit":
         raise DomainError("image trees need an explicitly built branch hierarchy")
-    spec = tree.spec
-    root_lo = spec.interval[0] + spec.L(1)
-    root_hi = spec.interval[1] - spec.R(1)
-    source_levels: list[list[Branch]] = (
-        [[Branch(root_lo, root_hi, 0, 1, 0)]] + tree.explicit[1:])
     cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
 
     def enclose(x: Fraction) -> tuple[Fraction, Fraction]:
@@ -330,7 +326,7 @@ def image_tree(fmap: QsMap, tree: BranchTree,
         return cache[x]
 
     levels = []
-    for m, branches in enumerate(source_levels):
+    for m, branches in enumerate(tree.explicit):
         out = []
         for i, br in enumerate(branches):
             lo_lo, lo_hi = enclose(br.lo)
@@ -415,15 +411,6 @@ class RatioSeries:
         return max(self.ratios)
 
 
-def _fit_slope(xs: list[float], ys: list[float]) -> float:
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    if sxx == 0:
-        raise DomainError("need at least two levels for a growth fit")
-    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
-
-
 def prop1_ratio_series(measure: ImageMeasure, K: int | None = None) -> RatioSeries:
     """Per-level max of mass / length^d over the image branches, with the
     log-growth rate; boundedness of this series is the audited claim."""
@@ -437,24 +424,20 @@ def prop1_ratio_series(measure: ImageMeasure, K: int | None = None) -> RatioSeri
                    for br, mass in zip(image.levels[m], measure.masses[m]))
         ratios.append(best)
     return RatioSeries(levels, ratios,
-                       _fit_slope([float(m) for m in levels],
-                                  [math.log(r) for r in ratios]))
+                       fit_slope([float(m) for m in levels],
+                                 [math.log(r) for r in ratios]))
 
 
 def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries:
     """Closed form of the ratio series for the identity map on a construction
     whose siblings all share one length: every level-k branch then carries
     mass 1/(interval count), so the max ratio is count^-1 * length^-d."""
-    from .dimension import log_fraction
+    ratios = [math.exp(-log_count - d * log_len)
+              for log_count, log_len in log_series(star, K)]
     levels = list(range(1, K + 1))
-    ratios = []
-    log_count = 0.0
-    for k in levels:
-        log_count += math.log(star.spec.n(k))
-        ratios.append(math.exp(-log_count - d * log_fraction(star.delta_star(k))))
     return RatioSeries(levels, ratios,
-                       _fit_slope([float(m) for m in levels],
-                                  [math.log(r) for r in ratios]))
+                       fit_slope([float(m) for m in levels],
+                                 [math.log(r) for r in ratios]))
 
 
 # ---------------------------------------------------------------------------

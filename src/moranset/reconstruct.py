@@ -11,21 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DegenerateSpecError
+from .errors import DegenerateSpecError, DomainError
 from .specs import MoranSpec
-from .tree import (DEFAULT_NODE_BUDGET, LevelSet, Node, build_level, iter_level,
-                   level_stats)
+from .tree import (DEFAULT_NODE_BUDGET, LevelSet, LevelStats, Node, build_level,
+                   iter_level, level_stats)
 
 
 @dataclass
-class StarStats:
-    k: int
-    count: int                  # unchanged by trimming
-    length: Fraction            # trimmed interval length at level k
-    total_length: Fraction
-    max_gap: Fraction | None    # trimmed-gap extremes (None at k = 0)
-    min_gap: Fraction | None
-    slack: Fraction | None
+class StarStats(LevelStats):
+    """Level statistics of the trimmed level k (the count is unchanged by
+    trimming; the gap extremes and slack are None at k = 0)."""
     L: Fraction                 # boundary gap inherited from level k+1
     R: Fraction
 
@@ -38,6 +33,8 @@ class StarState:
     """
 
     def __init__(self, spec: MoranSpec, K: int):
+        if K < 0:
+            raise DomainError(f"depth {K} is out of range: trimming needs depth >= 0")
         self.spec = spec
         self.K = K
         self._stats: dict[int, StarStats] = {}
@@ -106,7 +103,3 @@ def first_reconstruct(spec: MoranSpec, K: int) -> StarState:
     """Trim levels 0..K.  Level-K trimmed gaps reference the L/R rules at
     K+1, so the rules must be evaluable through K+1."""
     return StarState(spec, K)
-
-
-def star_stats(state: StarState, k: int) -> StarStats:
-    return state.stats(k)

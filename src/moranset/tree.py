@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator
 
-from .errors import BudgetExceededError, ParseError
+from .errors import BudgetExceededError, DomainError, ParseError
 from .specs import MoranSpec, format_rational, parse_rational
 
 Address = tuple[int, ...]
@@ -82,8 +82,15 @@ def root(spec: MoranSpec) -> Node:
     return Node((), spec.interval[0], spec.interval[1])
 
 
+def _check_level(k: int) -> None:
+    if k < 0:
+        raise DomainError(f"depth {k} is out of range: levels start at depth 0")
+
+
 def iter_level(spec: MoranSpec, k: int) -> Iterator[Node]:
     """Stream the level-k intervals left to right without materializing the level."""
+    _check_level(k)
+
     def walk(node: Node, depth: int) -> Iterator[Node]:
         if depth == k:
             yield node
@@ -96,6 +103,7 @@ def iter_level(spec: MoranSpec, k: int) -> Iterator[Node]:
 def build_level(spec: MoranSpec, k: int,
                 budget: int = DEFAULT_NODE_BUDGET) -> LevelSet:
     """Materialize level k as an ordered list of exact intervals."""
+    _check_level(k)
     if spec.count(k) > budget:
         raise BudgetExceededError(
             f"level {k} has {spec.count(k)} intervals (> budget {budget}); "

@@ -164,3 +164,25 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
         data.pop("mode", None)
         outs.append(data)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["dim", "--depth", "0"], "depth 0"),
+    (["dim", "--depth", "-1"], "depth -1"),
+    (["report", "--depth", "0"], "depth 0"),
+    (["build", "--depth", "-1"], "depth -1"),
+    (["conditions", "--depth", "0"], "depth 0"),
+    (["branches", "--depth", "0"], "depth 0"),
+    (["qs", "--depth", "0"], "depth 0"),
+    (["reconstruct", "--depth", "-1"], "depth -1"),
+    (["measure-audit", "--t", "-1"], "t=-1"),
+    (["measure-audit", "--t", "0"], "t=0"),
+    (["measure-audit", "--t", "0.6", "--threads", "0"], "thread count 0"),
+])
+def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
+    res = runner.invoke(main, args + ["--preset", "cantor3",
+                                      "--out", str(tmp_path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 10
+    assert needle in res.output
+    assert "Traceback" not in res.output

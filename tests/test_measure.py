@@ -117,6 +117,17 @@ def test_frostman_regime_error():
         frostman_audit(mm, "A", 0.95, (1, 3))
 
 
+@pytest.mark.parametrize("t", [-1.0, 0.0, float("nan")])
+def test_frostman_rejects_nonpositive_exponent(t):
+    with pytest.raises(DomainError, match="exponent"):
+        frostman_audit(_measure("cantor3"), "A", t, (1, 3))
+
+
+def test_frostman_rejects_zero_threads():
+    with pytest.raises(DomainError, match="thread count 0"):
+        frostman_audit(_measure("cantor3"), "A", 0.6, (1, 3), threads=0)
+
+
 def test_sampled_mode_deterministic_and_thread_independent():
     mm = _measure("cantor3")
     kwargs = dict(mode="sampled", samples=300, seed=7)

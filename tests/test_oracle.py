@@ -1,7 +1,9 @@
 """Sanity checks on the slow reference implementations themselves."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +71,37 @@ def test_closed_forms():
     assert len(s) == 3
     assert all(0 < v < 1 for v in s)
     assert s[0] < s[1] < s[2]
+
+
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "moranset"
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Names of the moranset modules a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".", 1)[1] for a in node.names
+                         if a.name.startswith("moranset."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not (module == "moranset"
+                                        or module.startswith("moranset.")):
+                continue
+            module = module.removeprefix("moranset").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_oracle_stays_independent():
+    """The oracle is a cross-check only if it shares no code with the fast
+    paths: nothing imports it, and it imports only errors and specs."""
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert any(p.name == "oracle.py" for p in sources)
+    importers = [p.name for p in sources
+                 if p.name != "oracle.py" and "oracle" in _package_imports(p)]
+    assert importers == []
+    assert _package_imports(PACKAGE_DIR / "oracle.py") <= {"errors", "specs"}
