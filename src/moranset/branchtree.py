@@ -181,15 +181,10 @@ class StageTemplate:
         self.n = spec.n(k)
         self.parent_len = star.delta_star(k - 1)
         self.child_len = star.delta_star(k)
-        gaps = spec.interior_gaps((), k)
-        delta_k = spec.delta(k)
-        off = spec.L(k + 1)
-        offsets = []
-        for j in range(self.n):
-            offsets.append(off)
-            if j < self.n - 1:
-                off += delta_k + gaps[j]
-        self.offsets = offsets
+        # trimmed children start L_{k+1} into their base intervals, and the
+        # trimmed parent starts L_k into its own
+        shift = spec.L(k + 1) - spec.L(k)
+        self.offsets = [off + shift for off in spec.child_offsets((), k)]
         self.levels = list(refine_stage([(0, self.n)], steps, M, self.hull))
 
     def hull(self, a: int, b: int) -> tuple[Fraction, Fraction]:

@@ -183,14 +183,6 @@ class BoxCountResult:
     slope: float
 
 
-def _cell_range(lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[int, int]:
-    """Grid cells (aligned at 0, width eps) with positive-length overlap
-    against [lo, hi]: indices j with j*eps < hi and (j+1)*eps > lo."""
-    j_lo = lo // eps
-    j_hi = -((-hi) // eps) - 1        # ceil(hi/eps) - 1
-    return int(j_lo), int(j_hi)
-
-
 def box_count(intervals: Iterable[Node | tuple[Fraction, Fraction]],
               epsilons: Sequence[Fraction]) -> BoxCountResult:
     """Count grid cells meeting the union of sorted disjoint-interior
@@ -203,14 +195,22 @@ def box_count(intervals: Iterable[Node | tuple[Fraction, Fraction]],
     eps_list = [Fraction(e) for e in epsilons]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise DomainError("cell widths must be positive")
+    # x / eps = x * p / q with p, q > 0, so cell indices are integer floor
+    # divisions of numerators by denominators
+    grid = [(e.denominator, e.numerator) for e in eps_list]
     counts = [0] * len(eps_list)
     last = [None] * len(eps_list)
     seen = False
     for item in intervals:
         seen = True
         lo, hi = (item.lo, item.hi) if isinstance(item, Node) else item
-        for i, eps in enumerate(eps_list):
-            j_lo, j_hi = _cell_range(lo, hi, eps)
+        lo_num, lo_den = lo.numerator, lo.denominator
+        hi_num, hi_den = hi.numerator, hi.denominator
+        for i, (p, q) in enumerate(grid):
+            # cells j with j*eps < hi and (j+1)*eps > lo:
+            # floor(lo/eps) <= j <= ceil(hi/eps) - 1
+            j_lo = (lo_num * p) // (lo_den * q)
+            j_hi = -((-hi_num * p) // (hi_den * q)) - 1
             if last[i] is not None:
                 j_lo = max(j_lo, last[i] + 1)
             if j_hi >= j_lo:

@@ -171,18 +171,25 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
     witness = None
     total = 0
     levels = list(range(k_lo, k_hi + 1))
-
-    def audit_level(k: int):
-        nonlocal_best = (-1.0, None, 0)
-        lo_w = star.delta_star(k + 1)
-        hi_w = star.delta_star(k)
-        if mode == "exhaustive":
+    if mode == "exhaustive":
+        # every level's budget is checked before any window is measured
+        endpoints = {}
+        for k in levels:
             pts = sorted(set(_window_endpoints(star, k + 1)))
             m = len(pts)
             if m * (m - 1) // 2 > window_budget:
                 raise BudgetExceededError(
                     f"level {k} exhaustive audit needs {m * (m - 1) // 2} "
                     f"windows (> budget {window_budget})")
+            endpoints[k] = pts
+
+    def audit_level(k: int):
+        nonlocal_best = (-1.0, None, 0)
+        lo_w = star.delta_star(k + 1)
+        hi_w = star.delta_star(k)
+        if mode == "exhaustive":
+            pts = endpoints[k]
+            m = len(pts)
             best, wit, cnt = nonlocal_best
             for i in range(m):
                 for j in range(i + 1, m):

@@ -85,12 +85,10 @@ class StarState:
                     node.hi - self.spec.R(k + 1))
 
     def level(self, k: int, budget: int = DEFAULT_NODE_BUDGET) -> LevelSet:
-        base = build_level(self.spec, k, budget=budget)
-        return LevelSet(k, [self.trim(n, k) for n in base.nodes])
+        return build_level(self.spec, k, budget, (self.L_star(k), self.R_star(k)))
 
     def iter_level(self, k: int) -> Iterator[Node]:
-        for node in iter_level(self.spec, k):
-            yield self.trim(node, k)
+        return iter_level(self.spec, k, (self.L_star(k), self.R_star(k)))
 
     def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
         """Trimmed interior gaps of parent sigma at level k: each base gap

@@ -132,6 +132,10 @@ class GapPolicy:
             rng = random.Random(f"{self.seed}|{k}|{','.join(map(str, sigma))}")
             w = [rng.randint(1, WEIGHT_SPAN) for _ in range(count)]
         total = sum(w)
+        if total == 0:
+            raise InvalidSpecError(
+                f"gap weights {', '.join(map(str, w))} for the {count} interior "
+                f"gaps at level {k} sum to zero")
         # Exact proportional split; the sum telescopes back to `slack`.
         return tuple(slack * wi / total for wi in w)
 
@@ -159,6 +163,7 @@ class MoranSpec:
         self.name = name
         self._delta = {0: self.interval[1] - self.interval[0]}
         self._count = {0: 1}
+        self._offsets: dict[int, tuple[Fraction, ...]] = {}
 
     def n(self, k: int) -> int:
         v = self.n_rule(k)
@@ -216,6 +221,29 @@ class MoranSpec:
 
     def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
         return self.gaps.interior_gaps(sigma, k, self.n(k) - 1, self.slack(k))
+
+    def child_offsets(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
+        """Where the n_k children of parent sigma start, relative to the
+        parent's left endpoint: L_k, then after each child its length delta_k
+        and the interior gap that follows it.
+
+        This is the one copy of child placement.  For a node-independent gap
+        policy the offsets are the same for every parent and are computed
+        once per level.
+        """
+        cached = self._offsets.get(k)
+        if cached is not None:
+            return cached
+        step = self.delta(k)
+        off = self.L(k)
+        offsets = [off]
+        for gap in self.interior_gaps(sigma, k):
+            off += step + gap
+            offsets.append(off)
+        offsets = tuple(offsets)
+        if self.gaps.node_independent:
+            self._offsets[k] = offsets
+        return offsets
 
     def __repr__(self):
         return f"MoranSpec({self.name!r})"
@@ -292,9 +320,13 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
                 except InconsistentSpecError as exc:
                     lc.problems.append(str(exc))
             if lc.ok and spec.gaps.node_independent:
-                gaps = spec.interior_gaps((), k)
-                if any(g < 0 for g in gaps):
-                    lc.problems.append(f"negative interior gap at level {k}")
+                try:
+                    gaps = spec.interior_gaps((), k)
+                except InvalidSpecError as exc:
+                    lc.problems.append(str(exc))
+                else:
+                    if any(g < 0 for g in gaps):
+                        lc.problems.append(f"negative interior gap at level {k}")
         except RuleEvalError as exc:
             levels.append(lc)
             return ValidationReport(spec.name, K, levels, error=str(exc))

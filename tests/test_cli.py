@@ -1,12 +1,16 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moranset
-from moranset.cli import main
+from moranset import measure
+from moranset.cli import EXIT_CODES, main
 
 
 @pytest.fixture
@@ -186,3 +190,77 @@ def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     assert res.exit_code == 10
     assert needle in res.output
     assert "Traceback" not in res.output
+
+
+def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
+    # level 1 fits the window budget and level 2 does not: the run stops
+    # before measuring a single window of level 1
+    def no_windows(*args, **kwargs):
+        raise AssertionError("mu_window called before the budget check")
+    monkeypatch.setattr(measure, "mu_window", no_windows)
+    res = runner.invoke(main, ["measure-audit", "--preset", "skew10",
+                               "--t", "0.3", "--k-hi", "3",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 7, res.output
+    assert ("level 2 exhaustive audit needs 1999000 windows "
+            "(> budget 1000000)") in res.output
+
+
+_PRESETS = ["cantor3", "dim1_binary", "wide10", "skew10", "padded2"]
+_DEPTH = st.integers(-1, 3)
+_SMALL_DEPTH = st.integers(-1, 2)
+_CONDITION = st.sampled_from(["A", "B"])
+# Per subcommand: options always given (the sizes, kept small so that every
+# run is quick), then options given or left at their defaults.
+_SUBCOMMANDS = {
+    "validate": ({"--depth": _DEPTH}, {}),
+    "build": ({"--depth": _DEPTH},
+              {"--budget": st.sampled_from([10, 10**4])}),
+    "dim": ({"--depth": _DEPTH}, {"--t": st.sampled_from([-1, 0.5, 1, 2])}),
+    "conditions": ({"--depth": _DEPTH}, {}),
+    "reconstruct": ({"--depth": _DEPTH}, {}),
+    "branches": ({"--depth": _SMALL_DEPTH},
+                 {"--m-max": st.integers(-1, 4), "--condition": _CONDITION,
+                  "--mode": st.sampled_from(["auto", "template", "explicit"])}),
+    "measure-audit": ({"--t": st.sampled_from([-1, 0, 0.3, 0.6, 0.95]),
+                       "--k-hi": st.integers(0, 3),
+                       "--samples": st.integers(0, 20)},
+                      {"--condition": st.sampled_from(["A", "B", "C"]),
+                       "--k-lo": st.integers(0, 2),
+                       "--mode": st.sampled_from(["exhaustive", "sampled"]),
+                       "--threads": st.integers(0, 2)}),
+    "qs": ({"--depth": _SMALL_DEPTH, "--samples": st.integers(0, 20)},
+           {"--m-max": st.integers(-1, 3), "--condition": _CONDITION,
+            "--map": st.sampled_from(["identity", "power:2", "power:1/2",
+                                      "affine:3,-1", "pl:0,0;1,2",
+                                      "power:2+affine:3,-1", "affine:-1,0",
+                                      "bogus"]),
+            "--d": st.sampled_from([0.5, 1.0, -1.0])}),
+    "report": ({"--depth": _SMALL_DEPTH},
+               {"--qs": st.sampled_from(["identity", "power:2"]),
+                "--condition": _CONDITION}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command, "--preset", draw(st.sampled_from(_PRESETS))]
+    always, maybe = _SUBCOMMANDS[command]
+    for option, values in always.items():
+        argv += [option, str(draw(values))]
+    for option, values in maybe.items():
+        if draw(st.booleans()):
+            argv += [option, str(draw(values))]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_exits_with_documented_codes(argv):
+    with tempfile.TemporaryDirectory() as out:
+        args = argv if argv[0] == "validate" else argv + ["--out", out]
+        res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        f"{argv}: {res.exception!r}")
+    assert res.exit_code in {0, 1, *EXIT_CODES.values()}, (argv, res.output)

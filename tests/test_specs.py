@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranset.errors import ConfigError, InconsistentSpecError, RuleEvalError
+from moranset.errors import (ConfigError, InconsistentSpecError,
+                             InvalidSpecError, RuleEvalError)
 from moranset.specs import (GapPolicy, MoranSpec, SequenceRule, constant,
                             format_rational, parse_rational, preset,
                             preset_names, spec_from_config, validate_spec)
@@ -120,6 +121,19 @@ def test_validate_pass_and_fail():
     rep = validate_spec(bad, 3)
     assert not rep.ok
     assert not rep.levels[0].ok
+
+
+def test_weights_zero_over_the_used_gaps():
+    # the weight cycle has a positive sum, but a parent with two children
+    # uses only the first weight
+    policy = GapPolicy("weighted", weights=(Fraction(0), Fraction(1)))
+    with pytest.raises(InvalidSpecError, match="level 1 sum to zero"):
+        policy.interior_gaps((), 1, 1, Fraction(1, 3))
+    spec = MoranSpec(constant(2), constant(Fraction(1, 3)),
+                     constant(Fraction(0)), constant(Fraction(0)), policy)
+    rep = validate_spec(spec, 2)
+    assert not rep.ok
+    assert "sum to zero" in rep.levels[0].problems[0]
 
 
 def test_validate_reports_rule_failure_level():

@@ -1,16 +1,22 @@
 """Level enumeration, statistics, and serialization."""
 
 import io
+import json
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranset.errors import BudgetExceededError, ParseError
-from moranset.specs import preset
-from moranset.tree import (build_level, export_level, import_level,
-                           iter_addresses, iter_level, level_stats, root)
+from moranset.oracle import oracle_level
+from moranset.reconstruct import StarState
+from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
+from moranset.tree import (DEFAULT_NODE_BUDGET, build_level, export_level,
+                           import_level, iter_addresses, iter_level,
+                           level_stats, root)
 
 
 def test_cantor3_level2_exact():
@@ -133,3 +139,92 @@ def test_iter_addresses_order():
     spec = preset("cantor3")
     assert list(iter_addresses(spec, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert root(spec).address == ()
+
+
+@st.composite
+def node_independent_specs(draw):
+    """Node-independent constructions with rational boundary gaps on both
+    sides, a periodic contraction and an initial interval off the unit one,
+    so every level denominator mixes several primes."""
+    n = draw(st.integers(2, 4))
+    cs = []
+    for _ in range(draw(st.integers(1, 2))):
+        b = draw(st.integers(n + 1, 4 * n + 3))
+        cs.append(Fraction(draw(st.integers(1, (b - 1) // n)), b))
+    lo = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+    width = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 5)))
+    l_share = Fraction(draw(st.integers(0, 3)), 10)
+    r_share = Fraction(draw(st.integers(0, 3)), 10)
+
+    def free(k):
+        # what the n_k children leave of a level-(k-1) interval
+        parent = width
+        for j in range(1, k):
+            parent *= cs[(j - 1) % len(cs)]
+        return parent * (1 - n * cs[(k - 1) % len(cs)])
+
+    if draw(st.booleans()):
+        gaps = GapPolicy("uniform")
+    else:
+        # zero weights allowed, so touching neighbours occur, but not on
+        # every one of the n - 1 interior gaps
+        weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)
+                       .filter(lambda w: sum(w[i % len(w)] for i in range(n - 1)) > 0))
+        gaps = GapPolicy("weighted", weights=tuple(map(Fraction, weights)))
+    return MoranSpec(
+        constant(n, "n"), SequenceRule("periodic", tuple(cs), name="c"),
+        SequenceRule("table-function", func=lambda k: l_share * free(k), name="L"),
+        SequenceRule("table-function", func=lambda k: r_share * free(k), name="R"),
+        gaps, interval=(lo, lo + width))
+
+
+@given(node_independent_specs(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_lattice_levels_match_oracle(spec, k):
+    addresses = list(iter_addresses(spec, k))
+    star = StarState(spec, k)
+    for want, levels in (
+            (oracle_level(spec, k),
+             (build_level(spec, k).nodes, list(iter_level(spec, k)))),
+            (oracle_level(spec, k, trimmed=True),
+             (star.level(k).nodes, list(star.iter_level(k))))):
+        for nodes in levels:
+            assert [(nd.lo, nd.hi) for nd in nodes] == want
+            assert [nd.address for nd in nodes] == addresses
+
+
+def test_deep_level_streams_in_little_memory():
+    spec = preset("cantor3")
+    assert spec.count(30) > DEFAULT_NODE_BUDGET
+    star = StarState(spec, 30)
+    tracemalloc.start()
+    try:
+        plain = list(islice(iter_level(spec, 30), 1000))
+        trimmed = list(islice(star.iter_level(30), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak} bytes while streaming"
+    assert plain == trimmed                       # cantor3 trims nothing
+    assert plain[0].address == (1,) * 30
+    assert (plain[0].lo, plain[0].hi) == (0, Fraction(1, 3**30))
+    assert plain[1].lo == Fraction(2, 3**30)
+    assert [nd.address for nd in plain] == list(islice(iter_addresses(spec, 30), 1000))
+    # on a small level with boundary gaps, streamed equals materialized
+    padded = preset("padded2")
+    star = StarState(padded, 4)
+    assert list(iter_level(padded, 4)) == build_level(padded, 4).nodes
+    assert list(star.iter_level(4)) == star.level(4).nodes
+
+
+def test_export_matches_json_dumps():
+    spec = preset("padded2")
+    for k in (0, 3):
+        lv = build_level(spec, k)
+        buf = io.StringIO()
+        export_level(lv, buf)
+        assert buf.getvalue() == "".join(
+            json.dumps({"level": k, "address": list(nd.address),
+                        "lo": f"{nd.lo.numerator}/{nd.lo.denominator}",
+                        "hi": f"{nd.hi.numerator}/{nd.hi.denominator}"}) + "\n"
+            for nd in lv.nodes)
