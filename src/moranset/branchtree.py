@@ -8,9 +8,10 @@ a stage which may multiply by up to M^2.  Each intermediate branch is the
 hull of a contiguous run of trimmed intervals; runs are split into M balanced
 contiguous groups (sizes differing by at most 1, larger groups leftmost).
 
-Two representations are supported: a per-parent template (valid whenever the
-gap policy is node-independent, so every parent is a translate of every
-other) and an explicit enumeration of all branches.
+One builder serves both modes.  Explicit mode refines every parent of each
+stage.  Template mode refines only the first parent: when the gap policy is
+node-independent every parent is a translate of the first, so one parent's
+cell, counted count(k-1) times, gives every statistic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError, InvalidSpecError)
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
-from .tree import DEFAULT_NODE_BUDGET, root
+from .tree import DEFAULT_NODE_BUDGET, Node, children_of, root
 
 
 @dataclass
@@ -111,8 +112,7 @@ def balanced_groups(q: int, M: int) -> list[int]:
 @dataclass(frozen=True)
 class Branch:
     """One branch: hull of the trimmed intervals with indices [a, b) of its
-    stage, positioned by exact endpoints (template mode: offsets within the
-    enclosing parent interval)."""
+    stage, positioned by exact endpoints."""
     lo: Fraction
     hi: Fraction
     a: int
@@ -173,76 +173,42 @@ def refine_stage(runs: list[tuple[int, int]], steps: int, M: int,
         runs = [(br.a, br.b) for br in branches]
 
 
-class StageTemplate:
-    """Geometry of one stage inside a single (node-independent) parent."""
-
-    def __init__(self, star: StarState, k: int, steps: int, M: int):
-        spec = star.spec
-        self.n = spec.n(k)
-        self.parent_len = star.delta_star(k - 1)
-        self.child_len = star.delta_star(k)
-        # trimmed children start L_{k+1} into their base intervals, and the
-        # trimmed parent starts L_k into its own
-        shift = spec.L(k + 1) - spec.L(k)
-        self.offsets = [off + shift for off in spec.child_offsets((), k)]
-        self.levels = list(refine_stage([(0, self.n)], steps, M, self.hull))
-
-    def hull(self, a: int, b: int) -> tuple[Fraction, Fraction]:
-        return self.offsets[a], self.offsets[b - 1] + self.child_len
-
-    def star_gap(self, j: int) -> Fraction:
-        """Trimmed gap between child j and j+1 (0-based)."""
-        return self.offsets[j + 1] - (self.offsets[j] + self.child_len)
-
-
 class BranchTree:
-    """The interpolated refinement hierarchy through level m_max.
+    """The interpolated refinement hierarchy.
 
-    Level 0 is the trimmed root interval; in explicit mode it is stored as
-    `explicit[0]`.
+    `levels[m]` holds the level-m branches (level 0: the trimmed root) and
+    `stages[k]` the trimmed level-k intervals whose hulls the stage-k
+    branches are; in template mode both cover only the first parent of
+    each stage.
     """
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
-                 m_max: int, mode: str,
-                 templates: dict[int, StageTemplate] | None = None,
-                 explicit: list[list[Branch]] | None = None):
+                 m_max: int, mode: str, levels: list[list[Branch]],
+                 stages: dict[int, list[Node]]):
         self.spec = spec
         self.schedule = schedule
         self.star = star
         self.m_max = m_max
         self.mode = mode
-        self.templates = templates or {}
-        self.explicit = explicit
-        self._star_cache: dict[int, list] = {}
+        self.levels = levels
+        self.stages = stages
 
-    # -- shared helpers -----------------------------------------------------
+    @property
+    def explicit(self) -> list[list[Branch]] | None:
+        """Every branch of levels 0..m_max (explicit mode only, else None)."""
+        return self.levels if self.mode == "explicit" else None
 
     def _level(self, m: int) -> tuple[list[Branch], int]:
-        """The level-m branches and how many times they repeat: template
-        mode holds one parent cell's worth, repeated in every parent of the
-        stage."""
-        if self.mode == "explicit":
-            return self.explicit[m], 1
-        if m == 0:
-            return [Branch(Fraction(0), self.star.delta_star(0), 0, 1, 0)], 1
-        k, t = self.schedule.step_of(m)
-        return self.templates[k].levels[t - 1], self.spec.count(k - 1)
+        """The level-m branches and how many times they repeat."""
+        if self.mode == "explicit" or m == 0:
+            return self.levels[m], 1
+        return self.levels[m], self.spec.count(self.schedule.stage_of(m) - 1)
 
     def level_branches(self, m: int) -> list[Branch]:
         """Explicit branches at level m (explicit mode only)."""
         if self.mode != "explicit":
             raise DomainError("explicit branch lists require mode='explicit'")
-        return self.explicit[m]
-
-    def branch_count(self, m: int) -> int:
-        level, reps = self._level(m)
-        return reps * len(level)
-
-    def branch_lengths(self, m: int) -> list[Fraction]:
-        """Distinct branch lengths are whatever the level holds; template
-        mode returns one parent's worth (the global multiset repeats it)."""
-        level, _ = self._level(m)
-        return [br.length for br in level]
+        return self.levels[m]
 
     def branch_stats(self, m: int) -> BranchStats:
         level, reps = self._level(m)
@@ -262,57 +228,39 @@ class BranchTree:
         counts = {len(rec.child_lengths) for rec in self.gap_structure(m)}
         return max(counts), min(counts)
 
-    # -- refinement structure ------------------------------------------------
-
     def gap_structure(self, m: int) -> Iterator[GapRecord]:
-        """One record per level-m branch (template mode: per distinct branch
-        of one parent cell, with multiplicities) describing its level-(m+1)
-        children and removed gaps."""
-        if m < 0:
-            raise DomainError("gap structure needs m >= 0")
-        if self.mode == "explicit":
-            if m >= self.m_max:
-                raise DomainError(
-                    f"explicit gap structure needs m < m_max = {self.m_max}")
-            nodes = self._star_cache[self.schedule.stage_of(m + 1)]
-            yield from _gap_records(self.explicit[m], self.explicit[m + 1],
-                                    lambda j: nodes[j + 1].lo - nodes[j].hi, 1)
-            return
-        if (m + 1 > self.schedule.m_max
-                or self.schedule.stage_of(m + 1) not in self.templates):
+        """One record per level-m branch that the build refined, describing
+        its level-(m+1) children and removed gaps; the multiplicity is the
+        repeat count of level m+1."""
+        if not 0 <= m < len(self.levels) - 1:
             raise DomainError(
-                f"gap structure at level {m} needs the stage of level "
-                f"{m + 1}; rebuild with a larger depth")
-        k_next, t_next = self.schedule.step_of(m + 1)
-        tpl = self.templates[k_next]
-        if t_next == 1:
-            # m is the milestone m_{k_next - 1}: one trimmed interval, whose
-            # children are the first-step branches of the next stage
-            level = [Branch(Fraction(0), tpl.parent_len, 0, tpl.n, 0)]
-        else:
-            level = tpl.levels[t_next - 2]
-        yield from _gap_records(level, tpl.levels[t_next - 1], tpl.star_gap,
-                                self.spec.count(k_next - 1))
+                f"gap structure at level {m} needs levels {m} and {m + 1}; "
+                f"built through level {len(self.levels) - 1}")
+        children, reps = self._level(m + 1)
+        nodes = self.stages[self.schedule.stage_of(m + 1)]
+        yield from _gap_records(self.levels[m], children,
+                                lambda j: nodes[j + 1].lo - nodes[j].hi, reps)
 
     def chi(self, m: int) -> Fraction:
         """Largest branch/parent length ratio at level m (m >= 1), exact."""
         if m < 1:
             raise DomainError("chi is defined for m >= 1")
-        level, _ = self._level(m)
-        parents, _ = self._level(m - 1)
-        return max(br.length / parents[br.parent].length for br in level)
+        parents = self.levels[m - 1]
+        return max(br.length / parents[br.parent].length
+                   for br in self.levels[m])
 
 
 def _gap_records(level: list[Branch], children: list[Branch],
                  star_gap: Callable[[int], Fraction],
                  reps: int) -> Iterator[GapRecord]:
-    """One record per branch of `level`: its children's lengths, the gaps
-    removed between and around them, and the trimmed gaps inside it."""
+    """One record per branch of `level` that has children: their lengths,
+    the gaps removed between and around them, and the trimmed gaps inside
+    the branch."""
     by_parent: dict[int, list[Branch]] = {}
     for br in children:
         by_parent.setdefault(br.parent, []).append(br)
-    for i, br in enumerate(level):
-        kids = by_parent[i]
+    for i, kids in by_parent.items():
+        br = level[i]
         gap_lengths = [kids[0].lo - br.lo]
         for prev, nxt in zip(kids, kids[1:]):
             gap_lengths.append(nxt.lo - prev.hi)
@@ -326,10 +274,14 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
             mode: str = "auto", budget: int = DEFAULT_NODE_BUDGET) -> BranchTree:
     """Build the refinement hierarchy through level m_max.
 
-    mode "template" exploits node-independent gap policies (one parent cell
-    represents every level); "explicit" enumerates every branch and is
-    required for per-node (seeded) gap policies and for mapping the branches
-    through a homeomorphism.  "auto" picks template whenever legal.
+    Each stage k refines its parents' trimmed level-k children.  Mode
+    "explicit" refines every parent and stops at level m_max; it is
+    required for per-node (seeded) gap policies and for mapping the
+    branches through a homeomorphism.  Mode "template" refines only the
+    first parent of each stage (valid for node-independent gap policies)
+    and builds one more stage than m_max needs, when the schedule has it,
+    so that the gap structure at m_max is available.  "auto" picks
+    template whenever legal.
     """
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
@@ -337,46 +289,42 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         raise DomainError(
             f"schedule covers levels up to {schedule.m_max} < m_max = {m_max}; "
             "extend the schedule depth")
-    # stages needed: through the stage containing m_max (plus one more stage
-    # for gap structures at m_max, when the schedule has it)
-    k_top = schedule.stage_of(m_max)
-    k_build = min(schedule.K, k_top + 1)
+    k_build = min(schedule.K, schedule.stage_of(m_max) + 1)
     star = first_reconstruct(spec, k_build)
     if mode == "auto":
         mode = "template" if spec.gaps.node_independent else "explicit"
-    if mode == "template":
-        if not spec.gaps.node_independent:
-            raise InvalidSpecError(
-                "template mode requires a node-independent gap policy")
-        templates = {k: StageTemplate(star, k, schedule.i[k - 1], schedule.M)
-                     for k in range(1, k_build + 1)}
-        return BranchTree(spec, schedule, star, m_max, "template",
-                          templates=templates)
-    top = star.trim(root(spec), 0)
+    template = mode == "template"
+    if template and not spec.gaps.node_independent:
+        raise InvalidSpecError(
+            "template mode requires a node-independent gap policy")
+    stop = schedule.m[k_build] if template else m_max
+    parent = root(spec)
+    top = star.trim(parent, 0)
     levels = [[Branch(top.lo, top.hi, 0, 1, 0)]]
-    star_cache: dict[int, list] = {}
+    stages: dict[int, list[Node]] = {}
     for k in range(1, k_build + 1):
-        if len(levels) > m_max:
+        if len(levels) > stop:
             break
-        if spec.count(k) > budget:
-            raise BudgetExceededError(
-                f"explicit refinement at stage {k} needs {spec.count(k)} "
-                f"trimmed intervals (> budget {budget})")
-        nodes = star.level(k, budget=budget).nodes
-        star_cache[k] = nodes
+        if template:
+            kids = children_of(spec, parent, k)
+            nodes = [star.trim(c, k) for c in kids]
+            parent = kids[0]
+        else:
+            if spec.count(k) > budget:
+                raise BudgetExceededError(
+                    f"explicit refinement at stage {k} needs {spec.count(k)} "
+                    f"trimmed intervals (> budget {budget})")
+            nodes = star.level(k, budget=budget).nodes
+        stages[k] = nodes
         n_k = spec.n(k)
-        runs = [(p * n_k, (p + 1) * n_k) for p in range(spec.count(k - 1))]
+        runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]
 
         def hull(a: int, b: int, nodes=nodes) -> tuple[Fraction, Fraction]:
             return nodes[a].lo, nodes[b - 1].hi
 
         for branches in refine_stage(runs, schedule.i[k - 1], schedule.M, hull):
             levels.append(branches)
-            if len(levels) > m_max:
+            if len(levels) > stop:
                 break
-    if len(levels) <= m_max:
-        raise DomainError(
-            f"could not reach level {m_max} (stopped at {len(levels) - 1})")
-    tree = BranchTree(spec, schedule, star, m_max, "explicit", explicit=levels)
-    tree._star_cache = star_cache
-    return tree
+    return BranchTree(spec, schedule, star, m_max,
+                      "template" if template else "explicit", levels, stages)

@@ -397,8 +397,10 @@ def report(preset, config_path, out_dir, depth, map_text, d_exp, condition):
     if isinstance(fmap, qsmap.IdentityMap) and spec.gaps.kind == "uniform":
         ratios = qsmap.prop1_ratio_series_uniform(star, d_exp, depth)
     else:
-        image = qsmap.image_tree(fmap, branchtree.build_T(
-            spec, schedule, schedule.m_max, mode="explicit"))
+        if built.mode != "explicit":
+            built = branchtree.build_T(spec, schedule, schedule.m_max,
+                                       mode="explicit")
+        image = qsmap.image_tree(fmap, built)
         ratios = qsmap.prop1_ratio_series(qsmap.build_mu_d(image, d_exp))
     bundle = {
         "spec": spec.name,

@@ -148,6 +148,8 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         raise DomainError(f"Frostman exponent t={t} must be positive")
     if threads < 1:
         raise DomainError(f"thread count {threads} must be >= 1")
+    if mode == "sampled" and samples < 1:
+        raise DomainError(f"sample count {samples} must be >= 1 in sampled mode")
     star = measure.star
     spec = measure.spec
     k_lo, k_hi = k_range

@@ -361,9 +361,6 @@ class ImageMeasure:
         self.d = d
         self.masses = masses
 
-    def level_masses(self, m: int) -> list[Fraction]:
-        return self.masses[m]
-
 
 def _power_weights(lengths: list[Fraction], d: Fraction,
                    prec: int) -> list[Fraction]:
@@ -463,9 +460,6 @@ class QsStats:
     gamma_star: list[Fraction]
     gamma_under: list[Fraction]
     l_T: list[Fraction]          # total branch length, levels 0..m_top
-
-    def beta_at(self, m: int) -> Fraction:
-        return self.beta[m]
 
     def chi_at(self, m: int) -> Fraction:
         return self.chi[m - 1]

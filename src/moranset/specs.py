@@ -406,18 +406,35 @@ def preset(name: str, **kwargs) -> MoranSpec:
 # Config-file loading
 # ---------------------------------------------------------------------------
 
+def _config_rational(value, where: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _config_list(node: dict, key: str, where: str) -> list:
+    raw = node.get(key, [])
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where} {key!r} must be a list, got {raw!r}")
+    return raw
+
+
 def _rule_from_config(node: dict, name: str, integer: bool) -> SequenceRule:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"rule {name!r} must be an object with a 'kind'")
     kind = node["kind"]
-    raw = node.get("values", [])
     if kind == "table-function":
         raise ConfigError("table-function rules are API-only, not loadable from config")
-    if integer:
-        values = tuple(int(v) for v in raw)
-    else:
-        values = tuple(parse_rational(v) for v in raw)
-    return SequenceRule(kind, values, name=name)
+    values = []
+    for v in _config_list(node, "values", f"rule {name!r}"):
+        q = _config_rational(v, f"rule {name!r}")
+        if integer:
+            if q.denominator != 1:
+                raise ConfigError(f"rule {name!r} value {v!r} is not an integer")
+            q = int(q)
+        values.append(q)
+    return SequenceRule(kind, tuple(values), name=name)
 
 
 def spec_from_config(cfg: dict, name: str = "custom") -> MoranSpec:
@@ -427,20 +444,34 @@ def spec_from_config(cfg: dict, name: str = "custom") -> MoranSpec:
              "gaps": {"kind": ..., "seed": int | "weights": [rationals]},
              "interval": {"lo": "p/q", "hi": "p/q"}}   (interval optional)
     """
+    if not isinstance(cfg, dict):
+        raise ConfigError("spec config must be an object with keys 'n', 'c', "
+                          f"'L', 'R' and 'gaps', got {type(cfg).__name__}")
     for key in ("n", "c", "L", "R", "gaps"):
         if key not in cfg:
             raise ConfigError(f"spec config missing key {key!r}")
     gp = cfg["gaps"]
+    if not isinstance(gp, dict):
+        raise ConfigError(f"'gaps' must be an object with a 'kind', got {gp!r}")
+    seed = gp.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        # the seed enters the gap draws as text, so 7.0 would not draw as 7
+        raise ConfigError(f"gap 'seed' must be an integer, got {seed!r}")
     policy = GapPolicy(
         gp.get("kind", "uniform"),
-        weights=tuple(parse_rational(w) for w in gp.get("weights", [])),
-        seed=gp.get("seed"))
+        weights=tuple(_config_rational(w, "gap 'weights'")
+                      for w in _config_list(gp, "weights", "gap")),
+        seed=seed)
     iv = cfg.get("interval", {"lo": "0", "hi": "1"})
+    if not isinstance(iv, dict) or not {"lo", "hi"} <= iv.keys():
+        raise ConfigError(
+            f"'interval' must be an object with keys 'lo' and 'hi', got {iv!r}")
     return MoranSpec(
         _rule_from_config(cfg["n"], "n", integer=True),
         _rule_from_config(cfg["c"], "c", integer=False),
         _rule_from_config(cfg["L"], "L", integer=False),
         _rule_from_config(cfg["R"], "R", integer=False),
         policy,
-        interval=(parse_rational(iv["lo"]), parse_rational(iv["hi"])),
+        interval=(_config_rational(iv["lo"], "interval 'lo'"),
+                  _config_rational(iv["hi"], "interval 'hi'")),
         name=name)

@@ -1,5 +1,6 @@
 """Refinement schedules, balanced splitting, and the branch hierarchy."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from moranset.branchtree import balanced_groups, build_T, choose_M
 from moranset.dimension import check_conditions
 from moranset.errors import ConditionInapplicableError, DomainError
-from moranset.specs import GapPolicy, MoranSpec, constant, preset
+from moranset.specs import (GapPolicy, MoranSpec, SequenceRule, constant,
+                            preset)
 
 
 def test_choose_M_cantor3():
@@ -90,26 +92,42 @@ def test_cantor3_levels_equal_trimmed_levels():
         assert bs.max_len == bs.min_len == Fraction(1, 3 ** m)
 
 
-@pytest.mark.parametrize("mode", ["template", "explicit"])
-def test_modes_agree_on_wide10(mode):
-    spec = preset("wide10")
-    sched = choose_M(spec, "A", 3)
-    tree = build_T(spec, sched, 5, mode=mode)
-    tmpl = build_T(spec, sched, 5, mode="template")
-    for m in range(6):
-        a, b = tree.branch_stats(m), tmpl.branch_stats(m)
-        assert (a.count, a.max_len, a.min_len, a.total_len,
-                a.psi_max, a.psi_min) == \
-               (b.count, b.max_len, b.min_len, b.total_len,
-                b.psi_max, b.psi_min)
-    for m in range(5):
-        recs_a = sorted(((r.length, tuple(r.child_lengths), tuple(r.gap_lengths))
-                         for r in tree.gap_structure(m)))
-        recs_b = sorted(set((r.length, tuple(r.child_lengths), tuple(r.gap_lengths))
-                            for r in tmpl.gap_structure(m)))
-        assert sorted(set(recs_a)) == recs_b
-    for m in range(1, 6):
-        assert tree.chi(m) == tmpl.chi(m)
+def _weighted9() -> MoranSpec:
+    """Unequal interior gaps, and boundary gaps that shrink with the level."""
+    def pad(den):
+        return SequenceRule("table-function",
+                            func=lambda k: Fraction(1, den * 18 ** (k - 1)))
+    return MoranSpec(constant(9), constant(Fraction(1, 18)), pad(40), pad(60),
+                     GapPolicy("weighted", weights=(Fraction(3), Fraction(4))),
+                     name="weighted9")
+
+
+def _gap_multiset(tree, m) -> Counter:
+    """The level-m gap records, each counted as often as it repeats."""
+    out = Counter()
+    for r in tree.gap_structure(m):
+        out[(r.length, tuple(r.child_lengths), tuple(r.gap_lengths),
+             tuple(r.interior_star_gaps))] += r.multiplicity
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    preset("wide10"), preset("cantor3"), preset("dim1_binary"),
+    preset("padded2"), _weighted9()], ids=lambda spec: spec.name)
+def test_modes_agree(spec):
+    # padded2 and weighted9 have nonzero boundary gaps, so the trimmed
+    # children do not start where their trimmed parent does
+    sched = choose_M(spec, "A", 4)
+    top = sched.m_max - 1
+    expl = build_T(spec, sched, top, mode="explicit")
+    tmpl = build_T(spec, sched, top, mode="template")
+    assert (expl.mode, tmpl.mode) == ("explicit", "template")
+    for m in range(top + 1):
+        assert expl.branch_stats(m) == tmpl.branch_stats(m)
+    for m in range(top):
+        assert _gap_multiset(expl, m) == _gap_multiset(tmpl, m)
+    for m in range(1, top + 1):
+        assert expl.chi(m) == tmpl.chi(m)
 
 
 def test_explicit_mode_for_seeded_gaps():

@@ -54,6 +54,39 @@ def test_spec_source_is_exclusive(runner, tmp_path):
     assert res.exit_code == 3
 
 
+_GOOD_CONFIG = {"n": {"kind": "constant", "values": [2]},
+                "c": {"kind": "constant", "values": ["1/3"]},
+                "L": {"kind": "constant", "values": ["0"]},
+                "R": {"kind": "constant", "values": ["0"]},
+                "gaps": {"kind": "uniform"}}
+
+
+@pytest.mark.parametrize("config,needle", [
+    ({**_GOOD_CONFIG, "n": {"kind": "constant", "values": ["abc"]}},
+     "rule 'n'"),
+    ({**_GOOD_CONFIG, "interval": {"lo": "0"}}, "'interval'"),
+    (json.dumps(_GOOD_CONFIG), "spec config must be an object"),
+    ({**_GOOD_CONFIG, "gaps": "uniform"}, "'gaps'"),
+    ({**_GOOD_CONFIG, "n": {"kind": "constant", "values": [2.7]}},
+     "rule 'n' value 2.7 is not an integer"),
+    ({**_GOOD_CONFIG, "c": {"kind": "constant", "values": "1/3"}},
+     "rule 'c' 'values' must be a list"),
+    ({**_GOOD_CONFIG, "gaps": {"kind": "seeded-random", "seed": 7.0}},
+     "gap 'seed' must be an integer"),
+], ids=["n-not-a-number", "interval-without-hi", "config-is-a-string",
+        "gaps-is-a-string", "n-not-integral", "values-not-a-list",
+        "seed-not-integer"])
+def test_malformed_config_exit_code(runner, tmp_path, config, needle):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["build", "--config", str(cfg), "--depth", "2",
+                               "--out", str(tmp_path / "out")])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 3
+    assert needle in res.output
+    assert "Traceback" not in res.output
+
+
 def test_unknown_preset_exit_code(runner):
     res = runner.invoke(main, ["build", "--preset", "nope"])
     assert res.exit_code == 3
@@ -182,6 +215,8 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["measure-audit", "--t", "-1"], "t=-1"),
     (["measure-audit", "--t", "0"], "t=0"),
     (["measure-audit", "--t", "0.6", "--threads", "0"], "thread count 0"),
+    (["measure-audit", "--t", "0.6", "--mode", "sampled", "--samples", "0"],
+     "sample count 0"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     res = runner.invoke(main, args + ["--preset", "cantor3",

@@ -29,6 +29,9 @@ COMMANDS = {
     "reconstruct": ["reconstruct", "--depth", "4"],
     "branches-explicit": ["branches", "--depth", "3", "--mode", "explicit"],
     "branches-auto": ["branches", "--depth", "3"],
+    "branches-explicit-m2": ["branches", "--depth", "3", "--m-max", "2",
+                             "--mode", "explicit"],
+    "branches-auto-m2": ["branches", "--depth", "3", "--m-max", "2"],
     "qs-power": ["qs", "--depth", "3", "--map", "power:1/2", "--samples", "200"],
     "qs-pl": ["qs", "--depth", "3", "--map", PL_MAP, "--samples", "200"],
     "report-identity": ["report", "--depth", "3"],
@@ -93,6 +96,16 @@ GOLDEN = {
     ('branches-auto', 'padded2'): (0, {'branch_stats.csv': '97610f95219cf36a', 'schedule.csv': '5434cdb4c3c20003'}),
     ('branches-auto', 'skew10'): (0, {'branch_stats.csv': '15ac8b5a5534abeb', 'branches.jsonl': 'd3ccf86717fec279', 'schedule.csv': 'f4202b5307810ac7'}),
     ('branches-auto', 'wide10'): (0, {'branch_stats.csv': '05b64be39529f827', 'schedule.csv': '592841c0aec38f96'}),
+    ('branches-explicit-m2', 'cantor3'): (0, {'branch_stats.csv': '5439222d5657c7ea', 'branches.jsonl': '65dbcdd2e5fa0170', 'schedule.csv': '5434cdb4c3c20003'}),
+    ('branches-explicit-m2', 'dim1_binary'): (0, {'branch_stats.csv': 'cdefb2e112ac38ca', 'branches.jsonl': 'b7df94284f537da0', 'schedule.csv': '5434cdb4c3c20003'}),
+    ('branches-explicit-m2', 'padded2'): (0, {'branch_stats.csv': 'dd6319707a32e501', 'branches.jsonl': '123e243bab13a94d', 'schedule.csv': '5434cdb4c3c20003'}),
+    ('branches-explicit-m2', 'skew10'): (0, {'branch_stats.csv': 'a92b3a42a66d5416', 'branches.jsonl': 'e2921315b57c2850', 'schedule.csv': 'f4202b5307810ac7'}),
+    ('branches-explicit-m2', 'wide10'): (0, {'branch_stats.csv': '7d674eea2e8a4461', 'branches.jsonl': 'a99d26b78c061450', 'schedule.csv': '592841c0aec38f96'}),
+    ('branches-auto-m2', 'cantor3'): (0, {'branch_stats.csv': '5439222d5657c7ea', 'schedule.csv': '5434cdb4c3c20003'}),
+    ('branches-auto-m2', 'dim1_binary'): (0, {'branch_stats.csv': 'cdefb2e112ac38ca', 'schedule.csv': '5434cdb4c3c20003'}),
+    ('branches-auto-m2', 'padded2'): (0, {'branch_stats.csv': 'dd6319707a32e501', 'schedule.csv': '5434cdb4c3c20003'}),
+    ('branches-auto-m2', 'skew10'): (0, {'branch_stats.csv': 'a92b3a42a66d5416', 'branches.jsonl': 'e2921315b57c2850', 'schedule.csv': 'f4202b5307810ac7'}),
+    ('branches-auto-m2', 'wide10'): (0, {'branch_stats.csv': '7d674eea2e8a4461', 'schedule.csv': '592841c0aec38f96'}),
     ('qs-power', 'cantor3'): (0, {'qs.json': '91357fa820098fbf', 'ratio.csv': '1e10efcaff17222f', 'stats.csv': '5e84a03c3b3576cf'}),
     ('qs-power', 'dim1_binary'): (0, {'qs.json': 'e1f776e69c7eb6de', 'ratio.csv': 'c81ffe863a8edf2c', 'stats.csv': '816727398d65f5c1'}),
     ('qs-power', 'padded2'): (0, {'qs.json': '07ed8b4f3634d08d', 'ratio.csv': '5c4d73380198eec6', 'stats.csv': 'a68443ca8946e0c5'}),
