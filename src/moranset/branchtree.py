@@ -55,10 +55,6 @@ class Schedule:
                 return k
         raise AssertionError
 
-    def step_of(self, level: int) -> tuple[int, int]:
-        k = self.stage_of(level)
-        return k, level - self.m[k - 1]
-
     @property
     def spread_bound(self) -> Fraction:
         return spread_bound(self.condition, self.omega)
@@ -203,12 +199,6 @@ class BranchTree:
         if self.mode == "explicit" or m == 0:
             return self.levels[m], 1
         return self.levels[m], self.spec.count(self.schedule.stage_of(m) - 1)
-
-    def level_branches(self, m: int) -> list[Branch]:
-        """Explicit branches at level m (explicit mode only)."""
-        if self.mode != "explicit":
-            raise DomainError("explicit branch lists require mode='explicit'")
-        return self.levels[m]
 
     def branch_stats(self, m: int) -> BranchStats:
         level, reps = self._level(m)

@@ -24,7 +24,7 @@ from . import (__version__, branchtree, dimension, measure, qsmap, reconstruct,
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      ConfigError, DegenerateSpecError, DomainError,
                      InconsistentSpecError, InvalidSpecError, MoranError,
-                     ParseError, PrecisionError, RegimeError, RuleEvalError)
+                     PrecisionError, RegimeError, RuleEvalError)
 
 EXIT_CODES = {
     ConfigError: 3,
@@ -37,7 +37,6 @@ EXIT_CODES = {
     DomainError: 10,
     RegimeError: 11,
     PrecisionError: 12,
-    ParseError: 13,
     MoranError: 20,
 }
 
@@ -260,8 +259,7 @@ def branches(preset, config_path, out_dir, depth, m_max, condition, mode, budget
     if built.mode == "explicit":
         with (out / "branches.jsonl").open("w") as fp:
             for m in range(1, m_max + 1):
-                st = built.branch_stats(m)
-                for i, br in enumerate(built.level_branches(m)):
+                for i, br in enumerate(built.explicit[m]):
                     fp.write(json.dumps({
                         "m": m, "index": i, "lo": _fmt(br.lo),
                         "hi": _fmt(br.hi), "psi": br.span}) + "\n")

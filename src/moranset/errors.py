@@ -55,12 +55,3 @@ class RegimeError(MoranError):
 class PrecisionError(MoranError):
     """Floating-point precision too low to represent a nondegenerate quantity."""
 
-
-class ParseError(MoranError):
-    """Malformed serialized record."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

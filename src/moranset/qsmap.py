@@ -1,5 +1,6 @@
 """Parametric increasing map families, image branch hierarchies, the
-length-power measure on images, refinement statistics, and sampling audits.
+length-power measure on images, refinement statistics, and the sampled
+sandwich audit.
 
 Maps are restricted to families with known increasing structure (identity,
 affine, signed power, piecewise linear, compositions).  Image endpoints are
@@ -14,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 
@@ -316,6 +317,8 @@ def image_tree(fmap: QsMap, tree: BranchTree,
                precision_bits: int = DEFAULT_PRECISION_BITS) -> ImageTree:
     """Map every branch through fmap.  Lower endpoints round down, upper
     endpoints round up, so each image branch contains the true image."""
+    if precision_bits < 1:
+        raise DomainError(f"precision {precision_bits} bits must be >= 1")
     if tree.mode != "explicit":
         raise DomainError("image trees need an explicitly built branch hierarchy")
     cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
@@ -377,10 +380,14 @@ def _power_weights(lengths: list[Fraction], d: Fraction,
                 for l in lengths]
 
 
-def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
-    d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
+def _check_length_power(d: float | Fraction) -> None:
     if not 0 < d < 1:
         raise DomainError(f"length-power exponent d={float(d)} outside (0, 1)")
+
+
+def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
+    _check_length_power(d)
+    d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
     masses: list[list[Fraction]] = [[Fraction(1)]]
     for m in range(1, image.m_max + 1):
         by_parent: dict[int, list[int]] = {}
@@ -429,6 +436,7 @@ def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries
     """Closed form of the ratio series for the identity map on a construction
     whose siblings all share one length: every level-k branch then carries
     mass 1/(interval count), so the max ratio is count^-1 * length^-d."""
+    _check_length_power(d)
     ratios = [math.exp(-log_count - d * log_len)
               for log_count, log_len in log_series(star, K)]
     levels = list(range(1, K + 1))
@@ -460,21 +468,6 @@ class QsStats:
     gamma_star: list[Fraction]
     gamma_under: list[Fraction]
     l_T: list[Fraction]          # total branch length, levels 0..m_top
-
-    def chi_at(self, m: int) -> Fraction:
-        return self.chi[m - 1]
-
-    def P(self, m: int, eps: Fraction) -> int:
-        """#{0 <= j <= m-1 : beta_j < eps}."""
-        return sum(1 for j in range(m) if self.beta[j] < eps)
-
-    def R(self, m: int, alpha: Fraction) -> int:
-        """#{1 <= j <= m : chi_j < alpha}; also the size of S(m, alpha)."""
-        return sum(1 for j in range(1, m + 1) if self.chi_at(j) < alpha)
-
-    def PR(self, m: int, eps: Fraction, alpha: Fraction) -> int:
-        return sum(1 for j in range(1, m + 1)
-                   if self.beta[j - 1] < eps and self.chi_at(j) < alpha)
 
     def rows(self):
         """CSV-ready rows (m, beta, theta, chi, kappa, lambda_star,
@@ -532,96 +525,9 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
                    [s.total_len for s in stats])
 
 
-@dataclass
-class CountSeries:
-    V: list[int]                 # V[m-1] = #{0 <= i <= m-1 : w_i < eps}
-    averages: list[float]        # averages[m-1] = (1/m) sum_{i<m} w_i
-
-
-def lemma9_counts(w: Sequence[float | Fraction], eps: float | Fraction) -> CountSeries:
-    """Below-threshold counts and running averages of a nonnegative series."""
-    if any(x < 0 for x in w):
-        raise DomainError("count series needs nonnegative terms")
-    V, avg = [], []
-    count = 0
-    total = 0.0
-    for m, x in enumerate(w, start=1):
-        if x < eps:
-            count += 1
-        total += float(x)
-        V.append(count)
-        avg.append(total / m)
-    return CountSeries(V, avg)
-
-
 # ---------------------------------------------------------------------------
 # Sampling audits
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TripleAudit:
-    worst_ratio: float
-    samples: int
-    skipped: int
-    witness: tuple[float, float, float] | None
-
-
-def default_eta(fmap: QsMap) -> Callable[[float], float]:
-    """Control modulus for families where one is known in closed form."""
-    if isinstance(fmap, (IdentityMap, AffineMap)):
-        return lambda t: t
-    if isinstance(fmap, PiecewiseLinearMap):
-        C = float(max(fmap.slopes) / min(fmap.slopes))
-        return lambda t: C * t
-    raise DomainError(
-        f"no default modulus for {fmap.describe()}; fit one with power_eta "
-        "or supply a callable")
-
-
-def power_eta(a: float, C: float = 1.0) -> Callable[[float], float]:
-    """Candidate modulus for the signed power family: C * max(t^a, t^(1/a))."""
-    return lambda t: C * max(t ** a, t ** (1.0 / a))
-
-
-def fit_eta_constant(fmap: QsMap, domain: tuple[float, float],
-                     eta: Callable[[float], float],
-                     samples: int, seed: int) -> float:
-    """Phase one of the fit/verify protocol: the smallest scale factor making
-    eta dominate the distortion ratios over a dense seeded sweep.  Verify the
-    scaled modulus on fresh seeds afterwards."""
-    audit = qs_triple_audit(fmap, domain, samples, seed, eta)
-    return audit.worst_ratio
-
-
-def qs_triple_audit(fmap: QsMap, domain: tuple[float, float], samples: int,
-                    seed: int, eta: Callable[[float], float]) -> TripleAudit:
-    """Worst distortion-over-modulus ratio over seeded random triples
-    (x, a, b): [ |f(x)-f(a)| / |f(x)-f(b)| ] / eta(|x-a| / |x-b|).
-    At most 1 means no violation found."""
-    lo, hi = float(domain[0]), float(domain[1])
-    if not hi > lo:
-        raise DomainError("empty audit domain")
-    rng = random.Random(f"{seed}|triples")
-    worst = 0.0
-    witness = None
-    skipped = 0
-    for _ in range(samples):
-        x = rng.uniform(lo, hi)
-        a = rng.uniform(lo, hi)
-        b = rng.uniform(lo, hi)
-        if x == a or x == b or a == b:
-            skipped += 1
-            continue
-        fx, fa, fb = (fmap.float_eval(v) for v in (x, a, b))
-        denom = abs(fx - fb)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        ratio = (abs(fx - fa) / denom) / eta(abs(x - a) / abs(x - b))
-        if ratio > worst:
-            worst, witness = ratio, (x, a, b)
-    return TripleAudit(worst, samples, skipped, witness)
-
 
 @dataclass
 class SandwichFit:
@@ -636,6 +542,8 @@ def sandwich_audit(fmap: QsMap, domain: tuple[float, float], samples: int,
     """Empirical envelope exponents over sampled nested interval pairs
     I' inside I: the largest p and smallest q with
     lam * r^q <= |f(I')| / |f(I)| <= 4 * r^p, r = |I'|/|I|, lam = 1."""
+    if samples < 1:
+        raise DomainError(f"sample count {samples} must be >= 1")
     lo, hi = float(domain[0]), float(domain[1])
     rng = random.Random(f"{seed}|pairs")
     p_fit = math.inf
@@ -661,36 +569,3 @@ def sandwich_audit(fmap: QsMap, domain: tuple[float, float], samples: int,
         raise DomainError("no valid nested pairs sampled")
     return SandwichFit(min(p_fit, 1.0), q_fit, 1.0, n)
 
-
-@dataclass
-class BallAudit:
-    radii: list[float]
-    ratios: list[float]
-    sup_ratio: float
-    clamped: int
-
-
-def ball_audit(measure: ImageMeasure, x: Fraction,
-               r_grid: Sequence[Fraction], d: float) -> BallAudit:
-    """mass(B(x, r)) / r^d over a radius grid, using the deepest built level;
-    radii beyond the hull are clamped (full mass) and counted."""
-    image = measure.image
-    m = image.m_max
-    branches = image.levels[m]
-    masses = measure.masses[m]
-    hull_lo, hull_hi = image.hull()
-    diameter = hull_hi - hull_lo
-    radii, ratios = [], []
-    clamped = 0
-    for r in r_grid:
-        r = Fraction(r)
-        if r <= 0:
-            raise DomainError("ball radii must be positive")
-        if r >= diameter:
-            clamped += 1
-        a, b = x - r, x + r
-        mass = sum(mass for br, mass in zip(branches, masses)
-                   if br.hi >= a and br.lo <= b)
-        radii.append(float(r))
-        ratios.append(float(mass) / float(r) ** d)
-    return BallAudit(radii, ratios, max(ratios), clamped)

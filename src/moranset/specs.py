@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError, InconsistentSpecError, InvalidSpecError, RuleEvalError
 

@@ -15,15 +15,14 @@ and are placed by walking the parents with `children_of`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 from typing import IO, Iterator
 
-from .errors import BudgetExceededError, DomainError, ParseError
-from .specs import MoranSpec, format_rational, parse_rational
+from .errors import BudgetExceededError, DomainError
+from .specs import MoranSpec, format_rational
 
 Address = tuple[int, ...]
 
@@ -229,29 +228,3 @@ def export_level(level: LevelSet, fp: IO[str]) -> None:
         f'"lo": "{format_rational(node.lo)}", "hi": "{format_rational(node.hi)}"}}\n'
         for node in level.nodes)
 
-
-def import_level(fp: IO[str]) -> LevelSet:
-    nodes = []
-    level = None
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            k = int(rec["level"])
-            address = tuple(int(i) for i in rec["address"])
-            lo = parse_rational(rec["lo"])
-            hi = parse_rational(rec["hi"])
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"bad interval record: {exc}", line=lineno)
-        if lo > hi:
-            raise ParseError(f"lo {lo} > hi {hi}", line=lineno)
-        if level is None:
-            level = k
-        elif k != level:
-            raise ParseError(f"mixed levels {level} and {k}", line=lineno)
-        nodes.append(Node(address, lo, hi))
-    if level is None:
-        raise ParseError("empty interval file")
-    return LevelSet(level, nodes)

@@ -217,6 +217,13 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["measure-audit", "--t", "0.6", "--threads", "0"], "thread count 0"),
     (["measure-audit", "--t", "0.6", "--mode", "sampled", "--samples", "0"],
      "sample count 0"),
+    (["report", "--depth", "2", "--d", "-1"], "d=-1.0"),
+    (["report", "--depth", "2", "--d", "1.5"], "d=1.5"),
+    (["qs", "--depth", "2", "--d", "nan"], "d=nan"),
+    (["qs", "--depth", "2", "--map", "power:1/2", "--precision-bits", "-5"],
+     "precision -5"),
+    (["qs", "--depth", "2", "--precision-bits", "0"], "precision 0"),
+    (["qs", "--depth", "2", "--samples", "0"], "sample count 0"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     res = runner.invoke(main, args + ["--preset", "cantor3",

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from moranset.branchtree import build_T, choose_M
 from moranset.errors import ConfigError, DomainError, InvalidSpecError
 from moranset.oracle import dim1_binary_prop1_log_ratios
-from moranset.qsmap import (AffineMap, CompositionMap, IdentityMap,
-                            PiecewiseLinearMap, PowerMap, ball_audit,
-                            build_mu_d, default_eta, fit_eta_constant,
-                            image_tree, lemma9_counts, parse_map, power_eta,
+from moranset.qsmap import (AffineMap, IdentityMap, PiecewiseLinearMap,
+                            PowerMap, build_mu_d, image_tree, parse_map,
                             prop1_ratio_series, prop1_ratio_series_uniform,
-                            qs_triple_audit, rational_pow, sandwich_audit,
-                            stats_series)
+                            rational_pow, sandwich_audit, stats_series)
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import preset
 
@@ -78,7 +75,7 @@ def test_identity_image_exact():
     tree = _tree("cantor3", 3)
     img = image_tree(IdentityMap(), tree)
     for m in range(1, 4):
-        for src, dst in zip(tree.level_branches(m), img.levels[m]):
+        for src, dst in zip(tree.explicit[m], img.levels[m]):
             assert (dst.lo, dst.hi) == (src.lo, src.hi)
             assert dst.exact
 
@@ -203,7 +200,7 @@ def test_wide10_intermediate_chi_bound():
     star = tree.star
     st1 = star.stats(1)
     bound = (4 * star.delta_star(1) + 3 * st1.max_gap) / star.delta_star(0)
-    assert stats.chi_at(1) <= bound
+    assert stats.chi[0] <= bound
     assert all(c < 1 for c in stats.chi)
 
 
@@ -218,44 +215,7 @@ def test_refinement_length_bound():
                 assert t >= 1 - (M2 + 1) * b
 
 
-def test_count_helpers():
-    cs = lemma9_counts([0.0] * 10, 0.5)
-    assert cs.V[-1] == 10
-    w = [1.0] * 10 + [0.0] * 90
-    assert lemma9_counts(w, 0.5).V[-1] == 90
-    w = [1.0 / (i + 1) for i in range(100)]
-    assert lemma9_counts(w, 0.1).V[-1] == 90
-    with pytest.raises(DomainError):
-        lemma9_counts([-1.0], 0.5)
-
-
-def test_counts_from_stats():
-    stats = stats_series(_tree("cantor3", 6, mode="template"), 5)
-    eps, alpha = Fraction(1, 2), Fraction(1, 2)
-    assert stats.P(5, eps) == 5
-    assert stats.R(5, alpha) == 5
-    assert stats.PR(5, eps, alpha) == 5
-
-
 # -- sampling audits --------------------------------------------------------
-
-def test_triple_audit_identity_and_affine():
-    for fmap in (IdentityMap(), AffineMap(Fraction(2), Fraction(1))):
-        audit = qs_triple_audit(fmap, (0, 1), 800, 3, default_eta(fmap))
-        assert audit.worst_ratio <= 1.0 + 1e-12
-
-
-def test_triple_audit_power_two_phase():
-    fmap = PowerMap(Fraction(2))
-    base = power_eta(2.0)
-    C = fit_eta_constant(fmap, (0, 1), base, 4000, seed=11)
-    assert C > 1  # the unscaled modulus is violated somewhere
-    # verify the scaled modulus (with a safety margin) on fresh seeds
-    for seed in (101, 202, 303):
-        audit = qs_triple_audit(fmap, (0, 1), 2000, seed,
-                                power_eta(2.0, C * 1.25))
-        assert audit.worst_ratio <= 1.0
-
 
 def test_sandwich_identity_and_affine():
     for fmap in (IdentityMap(), AffineMap(Fraction(3), Fraction(-1))):
@@ -270,20 +230,3 @@ def test_sandwich_power2():
     assert fit.q <= 2.0 + 0.05
     assert fit.p >= 0.5 - 0.05
 
-
-def test_ball_audit_left_edge():
-    img = image_tree(IdentityMap(), _tree("cantor3", 6))
-    mu = build_mu_d(img, 0.5)
-    radii = [Fraction(1, 3 ** k) for k in range(1, 6)]
-    audit = ball_audit(mu, Fraction(0), radii, 0.5)
-    for k, ratio in enumerate(audit.ratios, start=1):
-        assert abs(ratio - (3 ** 0.5 / 2) ** k) < 1e-12
-    assert audit.sup_ratio <= 1
-
-
-def test_ball_audit_full_mass_when_huge():
-    img = image_tree(IdentityMap(), _tree("cantor3", 3))
-    mu = build_mu_d(img, 0.5)
-    audit = ball_audit(mu, Fraction(1, 2), [Fraction(2)], 0.5)
-    assert audit.clamped == 1
-    assert abs(audit.ratios[0] - 1 / 2 ** 0.5) < 1e-12
