@@ -88,14 +88,18 @@ def _load_spec(preset: str | None, config_path: str | None):
     return specs.spec_from_config(cfg, name=Path(config_path).stem), {"config": cfg}
 
 
+def _run_dir(out_dir: str) -> Path:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_manifest(out_dir: Path, command: str, source: dict, params: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Called last, so that a run directory holding a manifest is finished."""
     payload = {"command": command, "source": source, "params": params}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "command": command,
-        "source": source,
-        "params": params,
+        **payload,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "package_version": __version__,
         "python_version": platform.python_version(),
@@ -143,8 +147,7 @@ def validate(preset, config_path, depth):
 def build(preset, config_path, out_dir, depth, budget):
     """Materialize a level and export it with level statistics."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "build", source, {"depth": depth, "budget": budget})
+    out = _run_dir(out_dir)
     level = tree.build_level(spec, depth, budget=budget)
     with (out / "intervals.jsonl").open("w") as fp:
         tree.export_level(level, fp)
@@ -156,6 +159,7 @@ def build(preset, config_path, out_dir, depth, budget):
     _write_csv(out / "levels.csv",
                ["k", "N_k", "delta_k", "alpha_bar", "alpha_under", "e_k", "l_Ek"],
                rows)
+    _write_manifest(out, "build", source, {"depth": depth, "budget": budget})
     click.echo(f"wrote {len(level)} intervals and {depth} stat rows to {out}")
 
 
@@ -169,8 +173,7 @@ def build(preset, config_path, out_dir, depth, budget):
 def dim(preset, config_path, out_dir, depth, t_probe):
     """Dimension-formula series (and optional cover sums)."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "dim", source, {"depth": depth, "t": t_probe})
+    out = _run_dir(out_dir)
     series = dimension.dim_formula_seq(spec, depth)
     _write_csv(out / "dim.csv", ["k", "s_k"],
                [(k, series.value(k)) for k in range(1, depth + 1)])
@@ -181,6 +184,7 @@ def dim(preset, config_path, out_dir, depth, t_probe):
         sums = dimension.cover_sum(star, t_probe, depth)
         _write_csv(out / "cover.csv", ["k", "cover_sum"],
                    [(k, v) for k, v in enumerate(sums, start=1)])
+    _write_manifest(out, "dim", source, {"depth": depth, "t": t_probe})
 
 
 @main.command()
@@ -191,10 +195,10 @@ def dim(preset, config_path, out_dir, depth, t_probe):
 def conditions(preset, config_path, out_dir, depth):
     """Exact certificates for the three dimension conditions."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "conditions", source, {"depth": depth})
+    out = _run_dir(out_dir)
     cert = dimension.check_conditions(spec, depth)
     (out / "conditions.json").write_text(json.dumps(cert.to_dict(), indent=2) + "\n")
+    _write_manifest(out, "conditions", source, {"depth": depth})
     click.echo(json.dumps(cert.to_dict(), indent=2))
 
 
@@ -206,8 +210,7 @@ def conditions(preset, config_path, out_dir, depth):
 def reconstruct_cmd(preset, config_path, out_dir, depth):
     """Trimmed-hierarchy statistics (the first reconstruction)."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "reconstruct", source, {"depth": depth})
+    out = _run_dir(out_dir)
     star = reconstruct.first_reconstruct(spec, depth)
     rows = []
     for k in range(1, depth + 1):
@@ -217,6 +220,7 @@ def reconstruct_cmd(preset, config_path, out_dir, depth):
     _write_csv(out / "star.csv",
                ["k", "delta_star", "alpha_bar_star", "alpha_under_star",
                 "e_star", "L_star", "R_star"], rows)
+    _write_manifest(out, "reconstruct", source, {"depth": depth})
     click.echo(f"wrote trimmed stats for levels 1..{depth} to {out}")
 
 
@@ -237,13 +241,10 @@ def reconstruct_cmd(preset, config_path, out_dir, depth):
 def branches(preset, config_path, out_dir, depth, m_max, condition, mode, budget):
     """The interpolated branch hierarchy (second reconstruction)."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
+    out = _run_dir(out_dir)
     schedule = branchtree.choose_M(spec, condition, depth)
     if m_max is None:
         m_max = schedule.m_max
-    _write_manifest(out, "branches", source,
-                    {"depth": depth, "m_max": m_max, "condition": condition,
-                     "mode": mode, "budget": budget})
     _write_csv(out / "schedule.csv", ["k", "i_k", "m_k", "M"],
                [(k, schedule.i[k - 1], schedule.m[k], schedule.M)
                 for k in range(1, depth + 1)])
@@ -263,6 +264,9 @@ def branches(preset, config_path, out_dir, depth, m_max, condition, mode, budget
                     fp.write(json.dumps({
                         "m": m, "index": i, "lo": _fmt(br.lo),
                         "hi": _fmt(br.hi), "psi": br.span}) + "\n")
+    _write_manifest(out, "branches", source,
+                    {"depth": depth, "m_max": m_max, "condition": condition,
+                     "mode": mode, "budget": budget})
     click.echo(f"M = {schedule.M}; built {built.mode} hierarchy to level "
                f"{m_max}; artifacts in {out}")
 
@@ -286,17 +290,17 @@ def measure_audit(preset, config_path, out_dir, condition, t_exp, k_lo, k_hi,
                   mode, samples, seed, threads):
     """Audit the mass-versus-window-size bound for the uniform measure."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "measure-audit", source,
-                    {"condition": condition, "t": t_exp, "k_lo": k_lo,
-                     "k_hi": k_hi, "mode": mode, "samples": samples,
-                     "seed": seed, "threads": threads})
+    out = _run_dir(out_dir)
     star = reconstruct.first_reconstruct(spec, k_hi + 2)
     mm = measure.MassMeasure(star)
     audit = measure.frostman_audit(mm, condition, t_exp, (k_lo, k_hi),
                                    mode=mode, samples=samples, seed=seed,
                                    threads=threads)
     (out / "audit.json").write_text(json.dumps(audit.to_dict(), indent=2) + "\n")
+    _write_manifest(out, "measure-audit", source,
+                    {"condition": condition, "t": t_exp, "k_lo": k_lo,
+                     "k_hi": k_hi, "mode": mode, "samples": samples,
+                     "seed": seed, "threads": threads})
     status = "PASS" if audit.passed else "FAIL"
     click.echo(f"{status}: worst ratio {audit.worst_ratio:.6f} vs constant "
                f"{float(audit.constant):.6f} over {audit.windows} windows")
@@ -323,12 +327,7 @@ def qs(preset, config_path, out_dir, map_text, d_exp, depth, m_max, condition,
        precision_bits, samples, seed):
     """Map the branch hierarchy and audit the image-side quantities."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "qs", source,
-                    {"map": map_text, "d": d_exp, "depth": depth,
-                     "m_max": m_max, "condition": condition,
-                     "precision_bits": precision_bits, "samples": samples,
-                     "seed": seed})
+    out = _run_dir(out_dir)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
     top = schedule.m_max if m_max is None else m_max
@@ -354,6 +353,11 @@ def qs(preset, config_path, out_dir, map_text, d_exp, depth, m_max, condition,
         "sandwich": {"p": sandwich.p, "q": sandwich.q, "lam": sandwich.lam},
     }
     (out / "qs.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_manifest(out, "qs", source,
+                    {"map": map_text, "d": d_exp, "depth": depth,
+                     "m_max": m_max, "condition": condition,
+                     "precision_bits": precision_bits, "samples": samples,
+                     "seed": seed})
     click.echo(json.dumps(summary, indent=2))
 
 
@@ -369,10 +373,7 @@ def qs(preset, config_path, out_dir, map_text, d_exp, depth, m_max, condition,
 def report(preset, config_path, out_dir, depth, map_text, d_exp, condition):
     """One JSON bundling the dimension series, certificates, and audits."""
     spec, source = _load_spec(preset, config_path)
-    out = Path(out_dir)
-    _write_manifest(out, "report", source,
-                    {"depth": depth, "qs": map_text, "d": d_exp,
-                     "condition": condition})
+    out = _run_dir(out_dir)
     series = dimension.dim_formula_seq(spec, depth)
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)
@@ -411,6 +412,9 @@ def report(preset, config_path, out_dir, depth, map_text, d_exp, condition):
                          "growth_rate": ratios.growth_rate},
     }
     (out / "report.json").write_text(json.dumps(bundle, indent=2) + "\n")
+    _write_manifest(out, "report", source,
+                    {"depth": depth, "qs": map_text, "d": d_exp,
+                     "condition": condition})
     click.echo(f"report written to {out / 'report.json'}")
 
 

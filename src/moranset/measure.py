@@ -1,14 +1,16 @@
 """Uniform-branching mass distribution and Frostman-type window audits.
 
-The measure gives every trimmed level-k interval mass 1/(n_1...n_k); window
-measures are exact rationals computed by descent.  The audits check that
-mu(U) <= C |U|^t for windows U in the per-level size regime, with C the
+The measure gives every trimmed level-k interval mass 1/(n_1...n_k).  The
+trimmed level is sorted, so the exact mass of a closed window [a, b] is a
+difference of two ranks, (#{lo <= b} - #{hi < a}) / N_k.  The audits check
+that mu(U) <= C |U|^t for windows U in the per-level size regime, with C the
 constant tied to whichever dimension condition holds.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,8 +19,7 @@ from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError, RegimeError)
 from .reconstruct import StarState
-from .specs import format_rational
-from .tree import Node, children_of, root
+from .specs import MoranSpec, format_rational
 
 #: Cap on exhaustively enumerated windows per audited level.
 DEFAULT_WINDOW_BUDGET = 10**6
@@ -35,25 +36,35 @@ class MassMeasure:
         self.spec = star.spec
 
 
+def _rank(spec: MoranSpec, k: int, y: Fraction, find) -> int:
+    """`find(xs, y)` (`bisect_right` or `bisect_left`) for the sorted list xs
+    of untrimmed level-k left endpoints, by one root-to-leaf path: at each
+    level j the children left of the one holding y add N_k / N_j each."""
+    sigma, lo, rank = (), spec.interval[0], 0
+    for j in range(1, k + 1):
+        offsets = spec.child_offsets(sigma, j)
+        i = find(offsets, y - lo)
+        if i == 0:
+            return rank
+        rank += (i - 1) * (spec.count(k) // spec.count(j))
+        sigma, lo = sigma + (i,), lo + offsets[i - 1]
+    return rank + find((lo,), y)
+
+
 def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
               k: int) -> Fraction:
-    """Exact mass of the closed window U at resolution depth k: the fraction
-    of trimmed level-k intervals meeting U, counting whole contained subtrees
-    at their level and descending only through boundary overlaps."""
+    """Exact mass of the closed window U = [a, b] at resolution depth k, the
+    fraction of trimmed level-k intervals meeting U: (#{lo <= b} - #{hi < a})
+    / N_k, each count one rank descent, so any depth works."""
     a, b = Fraction(U[0]), Fraction(U[1])
     if a > b:
         raise DomainError(f"window [{a}, {b}] is empty")
-    spec, star = measure.spec, measure.star
-
-    def descend(node: Node, j: int) -> Fraction:
-        s = star.trim(node, j)
-        if s.hi < a or s.lo > b:
-            return Fraction(0)
-        if j == k or (a <= s.lo and s.hi <= b):
-            return Fraction(1, spec.count(j))
-        return sum(descend(c, j + 1) for c in children_of(spec, node, j + 1))
-
-    return descend(root(spec), 0)
+    spec = measure.spec
+    # a trimmed interval [x + L_{k+1}, x + delta_k - R_{k+1}] with untrimmed
+    # left endpoint x starts at or before b, or ends before a
+    starts = _rank(spec, k, b - spec.L(k + 1), bisect_right)
+    ends = _rank(spec, k, a + spec.R(k + 1) - spec.delta(k), bisect_left)
+    return Fraction(starts - ends, spec.count(k))
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +129,6 @@ def threshold_level(star: StarState, t: float, k_max: int) -> int:
         f"for t = {t}")
 
 
-def _window_endpoints(star: StarState, k: int) -> list[Fraction]:
-    pts = []
-    for node in star.iter_level(k):
-        pts.append(node.lo)
-        pts.append(node.hi)
-    return pts
-
-
 def _ratio(mu: Fraction, width: Fraction, t: float) -> float:
     if mu == 0 or width == 0:
         return 0.0
@@ -150,8 +153,7 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         raise DomainError(f"thread count {threads} must be >= 1")
     if mode == "sampled" and samples < 1:
         raise DomainError(f"sample count {samples} must be >= 1 in sampled mode")
-    star = measure.star
-    spec = measure.spec
+    star, spec = measure.star, measure.spec
     k_lo, k_hi = k_range
     if k_lo < 1 or k_hi < k_lo:
         raise DomainError(f"bad level range {k_range}")
@@ -169,59 +171,55 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         raise RegimeError(
             f"threshold level {k0} exceeds the top of the range {k_hi}")
 
-    worst = -1.0
-    witness = None
-    total = 0
     levels = list(range(k_lo, k_hi + 1))
     if mode == "exhaustive":
-        # every level's budget is checked before any window is measured
-        endpoints = {}
+        # every level's budget is checked before any window is measured; a
+        # window [pts[i], pts[j]] then has mass (starts[j] - ends[i]) / N
+        sweeps = {}
         for k in levels:
-            pts = sorted(set(_window_endpoints(star, k + 1)))
+            los, his = zip(*((n.lo, n.hi) for n in star.iter_level(k + 1)))
+            pts = sorted(set(los + his))
             m = len(pts)
             if m * (m - 1) // 2 > window_budget:
                 raise BudgetExceededError(
                     f"level {k} exhaustive audit needs {m * (m - 1) // 2} "
                     f"windows (> budget {window_budget})")
-            endpoints[k] = pts
+            starts = [bisect_right(los, p) for p in pts]
+            ends = [bisect_left(his, p) for p in pts]
+            sweeps[k] = pts, starts, ends, len(los)
 
-    def audit_level(k: int):
-        nonlocal_best = (-1.0, None, 0)
+    def windows(k: int):
+        """(a, b, mass) of each audited level-k window, in audit order."""
         lo_w = star.delta_star(k + 1)
         hi_w = star.delta_star(k)
         if mode == "exhaustive":
-            pts = endpoints[k]
-            m = len(pts)
-            best, wit, cnt = nonlocal_best
-            for i in range(m):
-                for j in range(i + 1, m):
-                    width = pts[j] - pts[i]
-                    if width < lo_w or width >= hi_w:
-                        continue
-                    cnt += 1
-                    mu = mu_window(measure, (pts[i], pts[j]), k + 1)
-                    r = _ratio(mu, width, t)
-                    if r > best:
-                        best, wit = r, (pts[i], pts[j], k)
-            return best, wit, cnt
-        if mode == "sampled":
+            pts, starts, ends, count = sweeps[k]
+            for i, a in enumerate(pts):
+                for j in range(bisect_left(pts, a + lo_w), len(pts)):
+                    if pts[j] - a >= hi_w:
+                        break
+                    yield a, pts[j], Fraction(starts[j] - ends[i], count)
+        elif mode == "sampled":
             rng = random.Random(f"{seed}|{k}")
-            hull_lo = spec.interval[0]
-            hull_hi = spec.interval[1]
-            best, wit, cnt = nonlocal_best
+            hull_lo, hull_hi = spec.interval
             for _ in range(samples):
                 u = Fraction(rng.randrange(_SAMPLE_SPAN), _SAMPLE_SPAN)
                 width = lo_w + (hi_w - lo_w) * u
                 span = hull_hi - hull_lo - width
                 v = Fraction(rng.randrange(_SAMPLE_SPAN), _SAMPLE_SPAN)
                 a = hull_lo + span * v
-                cnt += 1
-                mu = mu_window(measure, (a, a + width), k + 1)
-                r = _ratio(mu, width, t)
-                if r > best:
-                    best, wit = r, (a, a + width, k)
-            return best, wit, cnt
-        raise DomainError(f"unknown audit mode {mode!r}")
+                yield a, a + width, mu_window(measure, (a, a + width), k + 1)
+        else:
+            raise DomainError(f"unknown audit mode {mode!r}")
+
+    def audit_level(k: int):
+        best, wit, cnt = -1.0, None, 0
+        for a, b, mu in windows(k):
+            cnt += 1
+            r = _ratio(mu, b - a, t)
+            if r > best:
+                best, wit = r, (a, b, k)
+        return best, wit, cnt
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -229,11 +227,9 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
             results = list(pool.map(audit_level, levels))
     else:
         results = [audit_level(k) for k in levels]
-    # deterministic reduction in level order; strict > keeps the first
+    # deterministic reduction in level order; max keeps the first
     # (leftmost, lowest-level) witness among ties
-    for best, wit, cnt in results:
-        total += cnt
-        if best > worst:
-            worst, witness = best, wit
+    worst, witness, _ = max(results, key=lambda result: result[0])
+    total = sum(cnt for _, _, cnt in results)
     return WindowAudit(t, condition, constant, k0, (k_lo, k_hi),
                        max(worst, 0.0), witness, total, mode)

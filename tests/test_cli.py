@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -238,14 +239,41 @@ def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
     # level 1 fits the window budget and level 2 does not: the run stops
     # before measuring a single window of level 1
     def no_windows(*args, **kwargs):
-        raise AssertionError("mu_window called before the budget check")
-    monkeypatch.setattr(measure, "mu_window", no_windows)
+        raise AssertionError("a window was measured before the budget check")
+    monkeypatch.setattr(measure, "_ratio", no_windows)
     res = runner.invoke(main, ["measure-audit", "--preset", "skew10",
                                "--t", "0.3", "--k-hi", "3",
                                "--out", str(tmp_path)])
     assert res.exit_code == 7, res.output
     assert ("level 2 exhaustive audit needs 1999000 windows "
             "(> budget 1000000)") in res.output
+
+
+@pytest.mark.parametrize("args,code", [
+    (["measure-audit", "--t", "0.99"], 11),
+    (["qs", "--depth", "4", "--samples", "0"], 10),
+    (["report", "--depth", "2", "--d", "-1"], 10),
+])
+def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
+    # the manifest marks a finished run, so a run that fails after writing
+    # some artifacts must not leave one
+    res = runner.invoke(main, args + ["--preset", "cantor3",
+                                      "--out", str(tmp_path)])
+    assert res.exit_code == code, res.output
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_failed_audit_verdict_writes_manifest(runner, tmp_path, monkeypatch):
+    # an audit that completes with FAIL is a finished run: it exits 1 after
+    # writing audit.json and the manifest
+    monkeypatch.setattr(measure, "bound_constant", lambda *args: Fraction(0))
+    res = runner.invoke(main, ["measure-audit", "--preset", "cantor3",
+                               "--t", "0.6", "--k-hi", "2",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert res.output.startswith("FAIL")
+    assert (tmp_path / "audit.json").exists()
+    assert (tmp_path / "manifest.json").exists()
 
 
 _PRESETS = ["cantor3", "dim1_binary", "wide10", "skew10", "padded2"]

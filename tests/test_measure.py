@@ -1,6 +1,7 @@
 """Window masses and Frostman-type audits."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from moranset.measure import (MassMeasure, bound_constant, frostman_audit,
                               mu_window, threshold_level)
 from moranset.dimension import check_conditions
 from moranset.oracle import (cantor3_frostman_single_interval,
-                             exhaustive_mu_sweep)
+                             exhaustive_mu_sweep, oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
-from moranset.specs import preset
+from moranset.specs import preset, preset_names
 
 
 def _measure(name, depth=10):
@@ -43,6 +44,43 @@ def test_additivity_over_a_gap():
     assert left + right == both == 1
 
 
+#: Deepest level the oracle rebuilds per preset in the property test below.
+_ORACLE_DEPTH = {"cantor3": 6, "dim1_binary": 6, "padded2": 6,
+                 "wide10": 3, "skew10": 3}
+
+
+@lru_cache(maxsize=None)
+def _oracle_stars(name, k):
+    return oracle_level(preset(name), k, trimmed=True)
+
+
+@st.composite
+def _window_end(draw, stars):
+    """A trimmed endpoint, a gap midpoint or a random rational near the hull."""
+    gaps = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(stars, stars[1:])]
+    kind = draw(st.sampled_from(["endpoint", "midpoint", "random"]))
+    if kind == "endpoint":
+        return draw(st.sampled_from([p for iv in stars for p in iv]))
+    if kind == "midpoint" and gaps:
+        return draw(st.sampled_from(gaps))
+    return draw(st.fractions(Fraction(-1, 4), Fraction(5, 4),
+                             max_denominator=10**9))
+
+
+@pytest.mark.parametrize("name", preset_names())
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mu_window_matches_oracle(name, data):
+    k = data.draw(st.integers(0, _ORACLE_DEPTH[name]), label="k")
+    stars = _oracle_stars(name, k)
+    a = data.draw(_window_end(stars), label="a")
+    b = a if data.draw(st.booleans(), label="a == b") else \
+        data.draw(_window_end(stars), label="b")
+    a, b = min(a, b), max(a, b)
+    mm = MassMeasure(first_reconstruct(preset(name), _ORACLE_DEPTH[name]))
+    assert mu_window(mm, (a, b), k) == oracle_mu(stars, a, b)
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_depth_consistency(data):
@@ -61,7 +99,9 @@ def test_depth_consistency(data):
 def test_single_interval_ratio_closed_form():
     mm = _measure("cantor3")
     t = 0.6
-    for k in (2, 4, 6):
+    # at k = 30 the level has 2^30 intervals: the mass comes from two rank
+    # descents, never from the level itself
+    for k in (2, 4, 6, 30):
         lo = Fraction(0)
         hi = Fraction(1, 3 ** k)
         mu = mu_window(mm, (lo, hi), k)
@@ -96,13 +136,19 @@ def test_frostman_exhaustive_cantor3(condition):
 
 
 def test_frostman_matches_oracle_exactly():
-    mm = _measure("cantor3")
-    spec = preset("cantor3")
-    for k in range(1, 5):
-        audit = frostman_audit(mm, "A", 0.6, (k, k))
-        worst, witness = exhaustive_mu_sweep(spec, k, 0.6).value
-        assert audit.worst_ratio == worst
-        assert (audit.witness[0], audit.witness[1]) == witness
+    # per preset, t is below the trailing dimension-series minimum and the
+    # top level keeps the endpoint pairs within the window budget
+    cases = {"cantor3": (0.6, 4), "dim1_binary": (0.6, 4), "padded2": (0.4, 3),
+             "wide10": (0.6, 1), "skew10": (0.6, 1)}
+    for name, (t, k_top) in cases.items():
+        mm = _measure(name, depth=k_top + 2)
+        for k in range(1, k_top + 1):
+            audit = frostman_audit(mm, "A", t, (k, k))
+            sweep = exhaustive_mu_sweep(preset(name), k, t)
+            worst, witness = sweep.value
+            assert audit.worst_ratio == worst, (name, k)
+            assert (audit.witness[0], audit.witness[1]) == witness, (name, k)
+            assert audit.windows == sweep.size, (name, k)
 
 
 def test_frostman_nonzero_boundary_preset():
