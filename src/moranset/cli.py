@@ -1,21 +1,23 @@
 """Command-line front end: reproducible runs that tie the library together.
 
-Every subcommand writes its artifacts under a run directory with fixed file
-names, next to a manifest recording the configuration hash, package and
-interpreter versions, seeds, and precision settings.  Exact-arithmetic
-artifacts are byte-identical across reruns with the same configuration.
+Every subcommand is registered by `command`, which loads the spec, runs the
+body, maps library errors to exit codes and only then writes the artifacts
+the body returned under a run directory with fixed file names, next to a
+manifest recording the configuration hash, package and interpreter versions,
+seeds, and precision settings.  Exact-arithmetic artifacts are byte-identical
+across reruns with the same configuration.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import platform
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import IO, Callable
 
 import click
 
@@ -25,6 +27,7 @@ from .errors import (BudgetExceededError, ConditionInapplicableError,
                      ConfigError, DegenerateSpecError, DomainError,
                      InconsistentSpecError, InvalidSpecError, MoranError,
                      PrecisionError, RegimeError, RuleEvalError)
+from .specs import format_rational
 
 EXIT_CODES = {
     ConfigError: 3,
@@ -48,32 +51,6 @@ def _exit_code(exc: MoranError) -> int:
     return EXIT_CODES[MoranError]
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except MoranError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code(exc))
-    return wrapper
-
-
-def spec_options(fn):
-    fn = click.option("--preset", type=str, default=None,
-                      help="Built-in construction name.")(fn)
-    fn = click.option("--config", "config_path",
-                      type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="JSON construction description.")(fn)
-    return fn
-
-
-def out_option(fn):
-    return click.option("--out", "out_dir", type=click.Path(file_okay=False),
-                        default="moranset-out", show_default=True,
-                        help="Run directory for artifacts.")(fn)
-
-
 def _load_spec(preset: str | None, config_path: str | None):
     """Returns (spec, source descriptor used for the manifest hash)."""
     if (preset is None) == (config_path is None):
@@ -88,14 +65,7 @@ def _load_spec(preset: str | None, config_path: str | None):
     return specs.spec_from_config(cfg, name=Path(config_path).stem), {"config": cfg}
 
 
-def _run_dir(out_dir: str) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out_dir: Path, command: str, source: dict, params: dict):
-    """Called last, so that a run directory holding a manifest is finished."""
+def _manifest(command: str, source: dict, params: dict) -> str:
     payload = {"command": command, "source": source, "params": params}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -104,19 +74,28 @@ def _write_manifest(out_dir: Path, command: str, source: dict, params: dict):
         "package_version": __version__,
         "python_version": platform.python_version(),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    with path.open("w", newline="") as fp:
-        w = csv.writer(fp)
-        w.writerow(header)
-        w.writerows(rows)
+def _csv(header: list[str], rows: list) -> Callable[[IO[str]], None]:
+    return lambda fp: csv.writer(fp).writerows([header, *rows])
 
 
-def _fmt(x: Fraction) -> str:
-    return specs.format_rational(x)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_SPEC_OPTIONS = (
+    click.option("--config", "config_path",
+                 type=click.Path(exists=True, dir_okay=False),
+                 default=None, help="JSON construction description."),
+    click.option("--preset", type=str, default=None,
+                 help="Built-in construction name."),
+)
+_OUT_OPTION = click.option(
+    "--out", type=click.Path(file_okay=False, path_type=Path),
+    default="moranset-out", show_default=True,
+    help="Run directory for artifacts.")
 
 
 @click.group()
@@ -124,256 +103,243 @@ def main():
     """Build and audit homogeneous Moran constructions."""
 
 
-@main.command()
-@spec_options
-@click.option("--depth", type=int, default=10, show_default=True)
-@handle_errors
-def validate(preset, config_path, depth):
+def command(name: str, *options, out: bool = True):
+    """Register subcommand `name` with `--config`/`--preset`, `--out` (if
+    `out`) and `options`, in that order.
+
+    The body gets the spec, the run directory (if `out`) and the option
+    values.  It computes everything and returns its artifacts (file name to
+    text, or to a function that writes to an open file), its manifest params
+    and, for a finished run with a failing verdict, an exit status.  Only
+    then are the artifacts written, `manifest.json` last, so a run that
+    fails writes no file.  A `MoranError` exits with its `EXIT_CODES` code.
+    """
+    def register(body):
+        def run(preset, config_path, **values):
+            try:
+                spec, source = _load_spec(preset, config_path)
+                artifacts, params, *status = body(spec, **values)
+            except MoranError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(_exit_code(exc))
+            if out:
+                values["out"].mkdir(parents=True, exist_ok=True)
+                artifacts["manifest.json"] = _manifest(name, source, params)
+                for fname, content in artifacts.items():
+                    with (values["out"] / fname).open("w", newline="") as fp:
+                        if isinstance(content, str):
+                            fp.write(content)
+                        else:
+                            content(fp)
+            if status and status[0]:
+                sys.exit(status[0])
+        run_options = (*_SPEC_OPTIONS, *((_OUT_OPTION,) if out else ()), *options)
+        for option in reversed(run_options):
+            run = option(run)
+        return main.command(name, help=body.__doc__)(run)
+    return register
+
+
+@command("validate",
+         click.option("--depth", type=int, default=10, show_default=True),
+         out=False)
+def validate(spec, depth):
     """Check the structural constraints level by level."""
-    spec, _ = _load_spec(preset, config_path)
     report = specs.validate_spec(spec, depth)
-    click.echo(json.dumps(report.to_dict(), indent=2))
-    if not report.ok:
-        sys.exit(EXIT_CODES[InvalidSpecError])
+    click.echo(_json(report.to_dict()), nl=False)
+    return {}, {}, 0 if report.ok else EXIT_CODES[InvalidSpecError]
 
 
-@main.command()
-@spec_options
-@out_option
-@click.option("--depth", type=int, default=6, show_default=True)
-@click.option("--budget", type=int, default=tree.DEFAULT_NODE_BUDGET,
-              show_default=True, help="Cap on materialized intervals.")
-@handle_errors
-def build(preset, config_path, out_dir, depth, budget):
+@command("build",
+         click.option("--depth", type=int, default=6, show_default=True),
+         click.option("--budget", type=int, default=tree.DEFAULT_NODE_BUDGET,
+                      show_default=True, help="Cap on materialized intervals."))
+def build(spec, out, depth, budget):
     """Materialize a level and export it with level statistics."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     level = tree.build_level(spec, depth, budget=budget)
-    with (out / "intervals.jsonl").open("w") as fp:
-        tree.export_level(level, fp)
     rows = []
     for k in range(1, depth + 1):
         st = tree.level_stats(spec, k, budget=budget)
-        rows.append((k, st.count, _fmt(st.length), _fmt(st.max_gap),
-                     _fmt(st.min_gap), _fmt(st.slack), _fmt(st.total_length)))
-    _write_csv(out / "levels.csv",
-               ["k", "N_k", "delta_k", "alpha_bar", "alpha_under", "e_k", "l_Ek"],
-               rows)
-    _write_manifest(out, "build", source, {"depth": depth, "budget": budget})
+        rows.append((k, st.count, *map(format_rational, (
+            st.length, st.max_gap, st.min_gap, st.slack, st.total_length))))
     click.echo(f"wrote {len(level)} intervals and {depth} stat rows to {out}")
+    return ({"intervals.jsonl": lambda fp: tree.export_level(level, fp),
+             "levels.csv": _csv(["k", "N_k", "delta_k", "alpha_bar",
+                                 "alpha_under", "e_k", "l_Ek"], rows)},
+            {"depth": depth, "budget": budget})
 
 
-@main.command()
-@spec_options
-@out_option
-@click.option("--depth", type=int, default=20, show_default=True)
-@click.option("--t", "t_probe", type=float, default=None,
-              help="Also write the canonical cover t-sums at this exponent.")
-@handle_errors
-def dim(preset, config_path, out_dir, depth, t_probe):
+@command("dim",
+         click.option("--depth", type=int, default=20, show_default=True),
+         click.option("--t", "t_probe", type=float, default=None,
+                      help="Also write the canonical cover t-sums at this exponent."))
+def dim(spec, out, depth, t_probe):
     """Dimension-formula series (and optional cover sums)."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     series = dimension.dim_formula_seq(spec, depth)
-    _write_csv(out / "dim.csv", ["k", "s_k"],
-               [(k, series.value(k)) for k in range(1, depth + 1)])
-    click.echo(f"s_{depth} = {series.value(depth):.10f}; "
-               f"trailing-window minimum = {series.tail_min:.10f}")
+    artifacts = {"dim.csv": _csv(["k", "s_k"], [(k, series.value(k))
+                                                for k in range(1, depth + 1)])}
     if t_probe is not None:
         star = reconstruct.first_reconstruct(spec, depth)
         sums = dimension.cover_sum(star, t_probe, depth)
-        _write_csv(out / "cover.csv", ["k", "cover_sum"],
-                   [(k, v) for k, v in enumerate(sums, start=1)])
-    _write_manifest(out, "dim", source, {"depth": depth, "t": t_probe})
+        artifacts["cover.csv"] = _csv(["k", "cover_sum"],
+                                      list(enumerate(sums, start=1)))
+    click.echo(f"s_{depth} = {series.value(depth):.10f}; "
+               f"trailing-window minimum = {series.tail_min:.10f}")
+    return artifacts, {"depth": depth, "t": t_probe}
 
 
-@main.command()
-@spec_options
-@out_option
-@click.option("--depth", type=int, default=10, show_default=True)
-@handle_errors
-def conditions(preset, config_path, out_dir, depth):
+@command("conditions",
+         click.option("--depth", type=int, default=10, show_default=True))
+def conditions(spec, out, depth):
     """Exact certificates for the three dimension conditions."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
-    cert = dimension.check_conditions(spec, depth)
-    (out / "conditions.json").write_text(json.dumps(cert.to_dict(), indent=2) + "\n")
-    _write_manifest(out, "conditions", source, {"depth": depth})
-    click.echo(json.dumps(cert.to_dict(), indent=2))
+    text = _json(dimension.check_conditions(spec, depth).to_dict())
+    click.echo(text, nl=False)
+    return {"conditions.json": text}, {"depth": depth}
 
 
-@main.command("reconstruct")
-@spec_options
-@out_option
-@click.option("--depth", type=int, default=10, show_default=True)
-@handle_errors
-def reconstruct_cmd(preset, config_path, out_dir, depth):
+@command("reconstruct",
+         click.option("--depth", type=int, default=10, show_default=True))
+def reconstruct_cmd(spec, out, depth):
     """Trimmed-hierarchy statistics (the first reconstruction)."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     star = reconstruct.first_reconstruct(spec, depth)
     rows = []
     for k in range(1, depth + 1):
         st = star.stats(k)
-        rows.append((k, _fmt(st.length), _fmt(st.max_gap), _fmt(st.min_gap),
-                     _fmt(st.slack), _fmt(st.L), _fmt(st.R)))
-    _write_csv(out / "star.csv",
-               ["k", "delta_star", "alpha_bar_star", "alpha_under_star",
-                "e_star", "L_star", "R_star"], rows)
-    _write_manifest(out, "reconstruct", source, {"depth": depth})
+        rows.append((k, *map(format_rational, (
+            st.length, st.max_gap, st.min_gap, st.slack, st.L, st.R))))
     click.echo(f"wrote trimmed stats for levels 1..{depth} to {out}")
+    return ({"star.csv": _csv(["k", "delta_star", "alpha_bar_star",
+                               "alpha_under_star", "e_star", "L_star",
+                               "R_star"], rows)},
+            {"depth": depth})
 
 
-@main.command()
-@spec_options
-@out_option
-@click.option("--depth", type=int, default=8, show_default=True,
-              help="Construction depth covered by the schedule.")
-@click.option("--m-max", type=int, default=None,
-              help="Top refinement level (default: the full schedule).")
-@click.option("--condition", type=click.Choice(["A", "B"]), default="A",
-              show_default=True)
-@click.option("--mode", type=click.Choice(["auto", "template", "explicit"]),
-              default="auto", show_default=True)
-@click.option("--budget", type=int, default=tree.DEFAULT_NODE_BUDGET,
-              show_default=True)
-@handle_errors
-def branches(preset, config_path, out_dir, depth, m_max, condition, mode, budget):
+@command("branches",
+         click.option("--depth", type=int, default=8, show_default=True,
+                      help="Construction depth covered by the schedule."),
+         click.option("--m-max", type=int, default=None,
+                      help="Top refinement level (default: the full schedule)."),
+         click.option("--condition", type=click.Choice(["A", "B"]), default="A",
+                      show_default=True),
+         click.option("--mode", type=click.Choice(["auto", "template", "explicit"]),
+                      default="auto", show_default=True),
+         click.option("--budget", type=int, default=tree.DEFAULT_NODE_BUDGET,
+                      show_default=True))
+def branches(spec, out, depth, m_max, condition, mode, budget):
     """The interpolated branch hierarchy (second reconstruction)."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     schedule = branchtree.choose_M(spec, condition, depth)
     if m_max is None:
         m_max = schedule.m_max
-    _write_csv(out / "schedule.csv", ["k", "i_k", "m_k", "M"],
-               [(k, schedule.i[k - 1], schedule.m[k], schedule.M)
-                for k in range(1, depth + 1)])
     built = branchtree.build_T(spec, schedule, m_max, mode=mode, budget=budget)
     rows = []
     for m in range(m_max + 1):
         st = built.branch_stats(m)
-        rows.append((m, st.count, _fmt(st.max_len), _fmt(st.min_len),
-                     _fmt(st.total_len), st.psi_max, st.psi_min))
-    _write_csv(out / "branch_stats.csv",
-               ["m", "count", "max_len", "min_len", "l_Tm", "psi_max", "psi_min"],
-               rows)
+        rows.append((m, st.count, *map(format_rational, (
+            st.max_len, st.min_len, st.total_len)), st.psi_max, st.psi_min))
+    artifacts = {
+        "schedule.csv": _csv(["k", "i_k", "m_k", "M"],
+                             [(k, schedule.i[k - 1], schedule.m[k], schedule.M)
+                              for k in range(1, depth + 1)]),
+        "branch_stats.csv": _csv(["m", "count", "max_len", "min_len", "l_Tm",
+                                  "psi_max", "psi_min"], rows),
+    }
     if built.mode == "explicit":
-        with (out / "branches.jsonl").open("w") as fp:
-            for m in range(1, m_max + 1):
-                for i, br in enumerate(built.explicit[m]):
-                    fp.write(json.dumps({
-                        "m": m, "index": i, "lo": _fmt(br.lo),
-                        "hi": _fmt(br.hi), "psi": br.span}) + "\n")
-    _write_manifest(out, "branches", source,
-                    {"depth": depth, "m_max": m_max, "condition": condition,
-                     "mode": mode, "budget": budget})
+        artifacts["branches.jsonl"] = lambda fp: fp.writelines(
+            json.dumps({"m": m, "index": i, "lo": format_rational(br.lo),
+                        "hi": format_rational(br.hi), "psi": br.span}) + "\n"
+            for m in range(1, m_max + 1)
+            for i, br in enumerate(built.explicit[m]))
     click.echo(f"M = {schedule.M}; built {built.mode} hierarchy to level "
                f"{m_max}; artifacts in {out}")
+    return artifacts, {"depth": depth, "m_max": m_max, "condition": condition,
+                       "mode": mode, "budget": budget}
 
 
-@main.command("measure-audit")
-@spec_options
-@out_option
-@click.option("--condition", type=click.Choice(["A", "B", "C"]), default="A",
-              show_default=True)
-@click.option("--t", "t_exp", type=float, required=True,
-              help="Frostman exponent to audit.")
-@click.option("--k-lo", type=int, default=1, show_default=True)
-@click.option("--k-hi", type=int, default=4, show_default=True)
-@click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
-              default="exhaustive", show_default=True)
-@click.option("--samples", type=int, default=2000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-@handle_errors
-def measure_audit(preset, config_path, out_dir, condition, t_exp, k_lo, k_hi,
-                  mode, samples, seed, threads):
+@command("measure-audit",
+         click.option("--condition", type=click.Choice(["A", "B", "C"]),
+                      default="A", show_default=True),
+         click.option("--t", "t_exp", type=float, required=True,
+                      help="Frostman exponent to audit."),
+         click.option("--k-lo", type=int, default=1, show_default=True),
+         click.option("--k-hi", type=int, default=4, show_default=True),
+         click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
+                      default="exhaustive", show_default=True),
+         click.option("--samples", type=int, default=2000, show_default=True),
+         click.option("--seed", type=int, default=0, show_default=True),
+         click.option("--threads", type=int, default=1, show_default=True))
+def measure_audit(spec, out, condition, t_exp, k_lo, k_hi, mode, samples,
+                  seed, threads):
     """Audit the mass-versus-window-size bound for the uniform measure."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     star = reconstruct.first_reconstruct(spec, k_hi + 2)
     mm = measure.MassMeasure(star)
     audit = measure.frostman_audit(mm, condition, t_exp, (k_lo, k_hi),
                                    mode=mode, samples=samples, seed=seed,
                                    threads=threads)
-    (out / "audit.json").write_text(json.dumps(audit.to_dict(), indent=2) + "\n")
-    _write_manifest(out, "measure-audit", source,
-                    {"condition": condition, "t": t_exp, "k_lo": k_lo,
-                     "k_hi": k_hi, "mode": mode, "samples": samples,
-                     "seed": seed, "threads": threads})
     status = "PASS" if audit.passed else "FAIL"
     click.echo(f"{status}: worst ratio {audit.worst_ratio:.6f} vs constant "
                f"{float(audit.constant):.6f} over {audit.windows} windows")
-    if not audit.passed:
-        sys.exit(1)
+    return ({"audit.json": _json(audit.to_dict())},
+            {"condition": condition, "t": t_exp, "k_lo": k_lo, "k_hi": k_hi,
+             "mode": mode, "samples": samples, "seed": seed,
+             "threads": threads},
+            0 if audit.passed else 1)
 
 
-@main.command()
-@spec_options
-@out_option
-@click.option("--map", "map_text", type=str, default="identity",
-              show_default=True, help="Map family, e.g. power:2 or affine:3,-1.")
-@click.option("--d", "d_exp", type=float, default=0.5, show_default=True)
-@click.option("--depth", type=int, default=6, show_default=True)
-@click.option("--m-max", type=int, default=None)
-@click.option("--condition", type=click.Choice(["A", "B"]), default="A",
-              show_default=True)
-@click.option("--precision-bits", type=int, default=qsmap.DEFAULT_PRECISION_BITS,
-              show_default=True)
-@click.option("--samples", type=int, default=2000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@handle_errors
-def qs(preset, config_path, out_dir, map_text, d_exp, depth, m_max, condition,
-       precision_bits, samples, seed):
+@command("qs",
+         click.option("--map", "map_text", type=str, default="identity",
+                      show_default=True,
+                      help="Map family, e.g. power:2 or affine:3,-1."),
+         click.option("--d", "d_exp", type=float, default=0.5, show_default=True),
+         click.option("--depth", type=int, default=6, show_default=True),
+         click.option("--m-max", type=int, default=None),
+         click.option("--condition", type=click.Choice(["A", "B"]), default="A",
+                      show_default=True),
+         click.option("--precision-bits", type=int,
+                      default=qsmap.DEFAULT_PRECISION_BITS, show_default=True),
+         click.option("--samples", type=int, default=2000, show_default=True),
+         click.option("--seed", type=int, default=0, show_default=True))
+def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
+       samples, seed):
     """Map the branch hierarchy and audit the image-side quantities."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
     top = schedule.m_max if m_max is None else m_max
     built = branchtree.build_T(spec, schedule, top, mode="explicit")
     stats = qsmap.stats_series(built)
-    _write_csv(out / "stats.csv",
-               ["m", "beta", "theta", "chi", "kappa", "lambda_star",
-                "lambda_under", "gamma_star", "gamma_under", "l_Tm"],
-               stats.rows())
     image = qsmap.image_tree(fmap, built, precision_bits)
     mu = qsmap.build_mu_d(image, d_exp)
     ratios = qsmap.prop1_ratio_series(mu)
-    _write_csv(out / "ratio.csv", ["k", "max_ratio"],
-               list(zip(ratios.levels, ratios.ratios)))
     hull = image.hull()
     domain = (float(hull[0]), float(hull[1]))
     sandwich = qsmap.sandwich_audit(fmap, domain, samples, seed)
-    summary = {
+    summary = _json({
         "map": fmap.describe(),
         "d": d_exp,
         "ratio_growth_rate": ratios.growth_rate,
         "max_ratio": ratios.max_ratio(),
         "sandwich": {"p": sandwich.p, "q": sandwich.q, "lam": sandwich.lam},
-    }
-    (out / "qs.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out, "qs", source,
-                    {"map": map_text, "d": d_exp, "depth": depth,
-                     "m_max": m_max, "condition": condition,
-                     "precision_bits": precision_bits, "samples": samples,
-                     "seed": seed})
-    click.echo(json.dumps(summary, indent=2))
+    })
+    click.echo(summary, nl=False)
+    return ({"stats.csv": _csv(["m", "beta", "theta", "chi", "kappa",
+                                "lambda_star", "lambda_under", "gamma_star",
+                                "gamma_under", "l_Tm"], list(stats.rows())),
+             "ratio.csv": _csv(["k", "max_ratio"],
+                               list(zip(ratios.levels, ratios.ratios))),
+             "qs.json": summary},
+            {"map": map_text, "d": d_exp, "depth": depth, "m_max": m_max,
+             "condition": condition, "precision_bits": precision_bits,
+             "samples": samples, "seed": seed})
 
 
-@main.command()
-@spec_options
-@out_option
-@click.option("--depth", type=int, default=8, show_default=True)
-@click.option("--qs", "map_text", type=str, default="identity", show_default=True)
-@click.option("--d", "d_exp", type=float, default=0.5, show_default=True)
-@click.option("--condition", type=click.Choice(["A", "B"]), default="A",
-              show_default=True)
-@handle_errors
-def report(preset, config_path, out_dir, depth, map_text, d_exp, condition):
+@command("report",
+         click.option("--depth", type=int, default=8, show_default=True),
+         click.option("--qs", "map_text", type=str, default="identity",
+                      show_default=True),
+         click.option("--d", "d_exp", type=float, default=0.5, show_default=True),
+         click.option("--condition", type=click.Choice(["A", "B"]), default="A",
+                      show_default=True))
+def report(spec, out, depth, map_text, d_exp, condition):
     """One JSON bundling the dimension series, certificates, and audits."""
-    spec, source = _load_spec(preset, config_path)
-    out = _run_dir(out_dir)
     series = dimension.dim_formula_seq(spec, depth)
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)
@@ -384,8 +350,9 @@ def report(preset, config_path, out_dir, depth, map_text, d_exp, condition):
         st = built.branch_stats(schedule.m[k])
         lemma7.append({
             "k": k,
-            "l_Tmk": _fmt(st.total_len),
-            "expected": _fmt(Fraction(spec.count(k)) * star.delta_star(k)),
+            "l_Tmk": format_rational(st.total_len),
+            "expected": format_rational(
+                Fraction(spec.count(k)) * star.delta_star(k)),
         })
     stats = qsmap.stats_series(built, m_top=schedule.m_max - 1)
     lemma8_ok = all(
@@ -411,11 +378,10 @@ def report(preset, config_path, out_dir, depth, map_text, d_exp, condition):
         "ratio_series": {"levels": ratios.levels, "ratios": ratios.ratios,
                          "growth_rate": ratios.growth_rate},
     }
-    (out / "report.json").write_text(json.dumps(bundle, indent=2) + "\n")
-    _write_manifest(out, "report", source,
-                    {"depth": depth, "qs": map_text, "d": d_exp,
-                     "condition": condition})
     click.echo(f"report written to {out / 'report.json'}")
+    return ({"report.json": _json(bundle)},
+            {"depth": depth, "qs": map_text, "d": d_exp,
+             "condition": condition})
 
 
 if __name__ == "__main__":

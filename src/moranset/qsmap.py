@@ -5,8 +5,10 @@ sandwich audit.
 Maps are restricted to families with known increasing structure (identity,
 affine, signed power, piecewise linear, compositions).  Image endpoints are
 either exact rationals (when the map preserves rationality) or enclosures
-rounded outward at a configurable precision, so every reported branch
-contains the true image.
+computed round-to-nearest at `prec + 32` bits and widened by
+`max(|v|, 1)·2^-prec` on each side.  The widening is meant to make every
+reported branch contain the true image, but it is not certified by interval
+arithmetic (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -315,8 +317,11 @@ def _enclose(fmap: QsMap, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
 def image_tree(fmap: QsMap, tree: BranchTree,
                precision_bits: int = DEFAULT_PRECISION_BITS) -> ImageTree:
-    """Map every branch through fmap.  Lower endpoints round down, upper
-    endpoints round up, so each image branch contains the true image."""
+    """Map every branch through fmap.  An inexact endpoint is evaluated
+    round-to-nearest at `precision_bits + 32` bits and widened by
+    `max(|v|, 1)·2^-precision_bits` on each side; the branch spans the lower
+    end of its lower endpoint to the upper end of its upper one.  The
+    widening is not certified (ROADMAP item 4)."""
     if precision_bits < 1:
         raise DomainError(f"precision {precision_bits} bits must be >= 1")
     if tree.mode != "explicit":

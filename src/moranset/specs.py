@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ConfigError, InconsistentSpecError, InvalidSpecError, RuleEvalError
+from .errors import (ConfigError, DomainError, InconsistentSpecError,
+                     InvalidSpecError, RuleEvalError)
 
 Rational = Fraction
 
@@ -294,7 +295,7 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
     evaluation failures abort with a structured error naming the level.
     """
     if K < 1:
-        raise ConfigError("depth must be >= 1")
+        raise DomainError(f"depth {K} is out of range: validation needs depth >= 1")
     levels = []
     for k in range(1, K + 1):
         lc = LevelCheck(k)

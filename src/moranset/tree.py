@@ -181,7 +181,7 @@ def level_stats(spec: MoranSpec, k: int,
     parent suffices; otherwise all level-(k-1) addresses are enumerated.
     """
     if k < 1:
-        raise ValueError("level stats start at k = 1")
+        raise DomainError(f"level {k} is out of range: level stats start at k = 1")
     slack = spec.slack(k)
     if spec.gaps.node_independent:
         gaps = spec.interior_gaps((), k)

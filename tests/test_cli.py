@@ -3,6 +3,7 @@
 import json
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -225,10 +226,11 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
      "precision -5"),
     (["qs", "--depth", "2", "--precision-bits", "0"], "precision 0"),
     (["qs", "--depth", "2", "--samples", "0"], "sample count 0"),
+    (["validate", "--depth", "0"], "depth 0"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
-    res = runner.invoke(main, args + ["--preset", "cantor3",
-                                      "--out", str(tmp_path)])
+    out = [] if args[0] == "validate" else ["--out", str(tmp_path)]
+    res = runner.invoke(main, args + ["--preset", "cantor3"] + out)
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 10
     assert needle in res.output
@@ -253,14 +255,49 @@ def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
     (["measure-audit", "--t", "0.99"], 11),
     (["qs", "--depth", "4", "--samples", "0"], 10),
     (["report", "--depth", "2", "--d", "-1"], 10),
+    (["dim", "--t", "2"], 10),
+    (["branches", "--m-max", "99"], 10),
+    (["branches", "--preset", "wide10", "--depth", "8", "--mode", "explicit"], 7),
+    (["qs", "--d", "-1"], 10),
+    (["qs", "--precision-bits", "0"], 10),
+    (["qs", "--samples", "0"], 10),
 ])
 def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
-    # the manifest marks a finished run, so a run that fails after writing
-    # some artifacts must not leave one
-    res = runner.invoke(main, args + ["--preset", "cantor3",
-                                      "--out", str(tmp_path)])
+    # artifacts are written only after the whole computation, and the
+    # manifest last, so a run that fails leaves no file at all
+    preset = [] if "--preset" in args else ["--preset", "cantor3"]
+    res = runner.invoke(main, args + preset + ["--out", str(tmp_path)])
     assert res.exit_code == code, res.output
-    assert not (tmp_path / "manifest.json").exists()
+    assert not any(tmp_path.iterdir())
+
+
+#: A quick successful run of every subcommand that takes --out.
+_SMALL_RUNS = {
+    "build": ["--depth", "2"],
+    "dim": ["--depth", "2"],
+    "conditions": ["--depth", "2"],
+    "reconstruct": ["--depth", "2"],
+    "branches": ["--depth", "2"],
+    "measure-audit": ["--t", "0.6", "--k-hi", "1"],
+    "qs": ["--depth", "2", "--samples", "20"],
+    "report": ["--depth", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
+def test_manifest_records_every_option(runner, tmp_path, name):
+    # the params are built by hand in each subcommand: they must name every
+    # option except the spec source and the run directory
+    assert set(_SMALL_RUNS) == {
+        cmd for cmd, c in main.commands.items()
+        if any("--out" in p.opts for p in c.params)}
+    res = runner.invoke(main, [name, *_SMALL_RUNS[name], "--preset", "cantor3",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    flags = {opt[2:].replace("-", "_")
+             for p in main.commands[name].params for opt in p.opts}
+    params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+    assert set(params) == flags - {"preset", "config", "out"}
 
 
 def test_failed_audit_verdict_writes_manifest(runner, tmp_path, monkeypatch):
@@ -331,6 +368,9 @@ def test_cli_fuzz_exits_with_documented_codes(argv):
     with tempfile.TemporaryDirectory() as out:
         args = argv if argv[0] == "validate" else argv + ["--out", out]
         res = CliRunner().invoke(main, args)
+        left = sorted(p.name for p in Path(out).iterdir())
     assert res.exception is None or isinstance(res.exception, SystemExit), (
         f"{argv}: {res.exception!r}")
     assert res.exit_code in {0, 1, *EXIT_CODES.values()}, (argv, res.output)
+    # only a finished run (a PASS, or a FAIL verdict) writes files
+    assert res.exit_code in {0, 1} or not left, (argv, res.exit_code, left)

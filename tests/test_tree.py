@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranset.errors import BudgetExceededError
+from moranset.errors import BudgetExceededError, DomainError
 from moranset.oracle import oracle_level
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
@@ -87,6 +87,11 @@ def test_level_stats_wide10():
 def test_level_stats_cantor3_level2():
     st_ = level_stats(preset("cantor3"), 2)
     assert st_.max_gap == st_.min_gap == Fraction(1, 9)
+
+
+def test_level_stats_below_level_one_is_a_domain_error():
+    with pytest.raises(DomainError, match="level 0 is out of range"):
+        level_stats(preset("cantor3"), 0)
 
 
 def test_level_stats_skew10_enumerates_all_parents():
