@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator
 
 from .dimension import ConditionCert, check_conditions
 from .errors import (BudgetExceededError, ConditionInapplicableError,
-                     DomainError, InvalidSpecError)
+                     DomainError)
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
-from .tree import DEFAULT_NODE_BUDGET, Node, children_of, root
+from .tree import DEFAULT_NODE_BUDGET, Node, walk
 
 
 @dataclass
@@ -285,25 +286,26 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         mode = "template" if spec.gaps.node_independent else "explicit"
     template = mode == "template"
     if template and not spec.gaps.node_independent:
-        raise InvalidSpecError(
+        raise DomainError(
             "template mode requires a node-independent gap policy")
+    if not template:
+        for k in range(1, schedule.stage_of(m_max) + 1):
+            if spec.count(k) > budget:
+                raise BudgetExceededError(
+                    f"explicit refinement at stage {k} needs {spec.count(k)} "
+                    f"trimmed intervals (> budget {budget})")
     stop = schedule.m[k_build] if template else m_max
-    parent = root(spec)
-    top = star.trim(parent, 0)
+    top, = star.level(0)
     levels = [[Branch(top.lo, top.hi, 0, 1, 0)]]
     stages: dict[int, list[Node]] = {}
     for k in range(1, k_build + 1):
         if len(levels) > stop:
             break
         if template:
-            kids = children_of(spec, parent, k)
-            nodes = [star.trim(c, k) for c in kids]
-            parent = kids[0]
+            # the trimmed children of the first parent: one path of the walk
+            shrink = (star.L_star(k), star.R_star(k))
+            nodes = list(islice(walk(spec, k, shrink), spec.n(k)))
         else:
-            if spec.count(k) > budget:
-                raise BudgetExceededError(
-                    f"explicit refinement at stage {k} needs {spec.count(k)} "
-                    f"trimmed intervals (> budget {budget})")
             nodes = star.level(k, budget=budget).nodes
         stages[k] = nodes
         n_k = spec.n(k)

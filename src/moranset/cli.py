@@ -343,7 +343,13 @@ def report(spec, out, depth, map_text, d_exp, condition):
     series = dimension.dim_formula_seq(spec, depth)
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)
-    built = branchtree.build_T(spec, schedule, schedule.m_max)
+    fmap = qsmap.parse_map(map_text)
+    # the identity on uniform gaps has a closed-form ratio series; any other
+    # map is evaluated on the image of every branch, so it needs them all
+    closed_form = (isinstance(fmap, qsmap.IdentityMap)
+                   and spec.gaps.kind == "uniform")
+    built = branchtree.build_T(spec, schedule, schedule.m_max,
+                               mode="auto" if closed_form else "explicit")
     star = built.star
     lemma7 = []
     for k in range(1, depth + 1):
@@ -359,13 +365,9 @@ def report(spec, out, depth, map_text, d_exp, condition):
         th >= 1 - (schedule.M ** 2 + 1) * b
         for b, th in zip(stats.beta, stats.theta)
         if 1 - (schedule.M ** 2 + 1) * b > 0)
-    fmap = qsmap.parse_map(map_text)
-    if isinstance(fmap, qsmap.IdentityMap) and spec.gaps.kind == "uniform":
+    if closed_form:
         ratios = qsmap.prop1_ratio_series_uniform(star, d_exp, depth)
     else:
-        if built.mode != "explicit":
-            built = branchtree.build_T(spec, schedule, schedule.m_max,
-                                       mode="explicit")
         image = qsmap.image_tree(fmap, built)
         ratios = qsmap.prop1_ratio_series(qsmap.build_mu_d(image, d_exp))
     bundle = {

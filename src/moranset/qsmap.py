@@ -82,9 +82,6 @@ def _mpf_from_fraction(x: Fraction) -> mpmath.mpf:
 class QsMap:
     """Strictly increasing homeomorphism of the real line."""
 
-    #: True when the family maps rationals to rationals.
-    exact = False
-
     def exact_eval(self, x: Fraction) -> Fraction | None:
         """Exact image when representable, else None."""
         raise NotImplementedError
@@ -106,8 +103,6 @@ class QsMap:
 
 @dataclass(frozen=True)
 class IdentityMap(QsMap):
-    exact = True
-
     def exact_eval(self, x):
         return x
 
@@ -125,7 +120,6 @@ class IdentityMap(QsMap):
 class AffineMap(QsMap):
     a: Fraction
     b: Fraction
-    exact = True
 
     def __post_init__(self):
         if self.a <= 0:
@@ -175,7 +169,6 @@ class PowerMap(QsMap):
 class PiecewiseLinearMap(QsMap):
     """Increasing polyline through rational breakpoints, extended beyond the
     first/last breakpoint with the adjacent slope."""
-    exact = True
 
     def __init__(self, points: Sequence[tuple[Fraction, Fraction]]):
         if len(points) < 2:
@@ -223,7 +216,6 @@ class CompositionMap(QsMap):
         if not parts:
             raise InvalidSpecError("empty composition")
         self.parts = list(parts)
-        self.exact = all(p.exact for p in parts)
 
     def exact_eval(self, x):
         for p in self.parts:
@@ -496,7 +488,8 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
     if m_top is None:
         m_top = tree.m_max - 1
     if m_top < 1:
-        raise DomainError("stats need m_top >= 1")
+        raise DomainError(f"m_max = {m_top + 1} is out of range: refinement "
+                          "statistics need m_max >= 2")
     beta, theta, kappa = [], [], []
     for m in range(m_top):
         b = t = kp = None

@@ -79,11 +79,6 @@ class StarState:
 
     # -- trimmed intervals --------------------------------------------------
 
-    def trim(self, node: Node, k: int) -> Node:
-        return Node(node.address,
-                    node.lo + self.spec.L(k + 1),
-                    node.hi - self.spec.R(k + 1))
-
     def level(self, k: int, budget: int = DEFAULT_NODE_BUDGET) -> LevelSet:
         return build_level(self.spec, k, budget, (self.L_star(k), self.R_star(k)))
 

@@ -18,8 +18,6 @@ from typing import Callable, Sequence
 from .errors import (ConfigError, DomainError, InconsistentSpecError,
                      InvalidSpecError, RuleEvalError)
 
-Rational = Fraction
-
 #: Gaps drawn by the seeded policy are integer weights in [1, WEIGHT_SPAN],
 #: normalized exactly; the span bounds the denominators of generated gaps.
 WEIGHT_SPAN = 2**30

@@ -10,7 +10,8 @@ common denominator D_k: each left endpoint is the lo of the initial
 interval plus one child offset per level, all scaled by D_k, and every
 interval has the same length numerator.  `Node` endpoints are built from
 those integers once, at the edge.  Seeded-random gaps differ per parent
-and are placed by walking the parents with `children_of`.
+and are placed by `walk`, which carries each parent's address and left
+endpoint down the offsets of `MoranSpec.child_offsets`.
 """
 
 from __future__ import annotations
@@ -66,23 +67,6 @@ class LevelStats:
     slack: Fraction            # per-parent interior gap budget
 
 
-def children_of(spec: MoranSpec, node: Node, k: int) -> list[Node]:
-    """The level-k children of a level-(k-1) node, in order, placed at
-    `spec.child_offsets`: the left boundary gap L_k, then children of length
-    delta_k separated by the policy's interior gaps.  The right boundary gap
-    R_k closes exactly because the interior gaps sum to the slack."""
-    child_len = spec.delta(k)
-    out = []
-    for j, off in enumerate(spec.child_offsets(node.address, k), start=1):
-        lo = node.lo + off
-        out.append(Node(node.address + (j,), lo, lo + child_len))
-    return out
-
-
-def root(spec: MoranSpec) -> Node:
-    return Node((), spec.interval[0], spec.interval[1])
-
-
 def _check_level(k: int) -> None:
     if k < 0:
         raise DomainError(f"depth {k} is out of range: levels start at depth 0")
@@ -99,11 +83,7 @@ def iter_level(spec: MoranSpec, k: int,
     _check_level(k)
     if spec.gaps.node_independent:
         return _lattice_nodes(spec, k, shrink)
-    nodes = _walk(spec, root(spec), 0, k)
-    if shrink == NO_SHRINK:
-        return nodes
-    lo_pad, hi_pad = shrink
-    return (Node(n.address, n.lo + lo_pad, n.hi - hi_pad) for n in nodes)
+    return walk(spec, k, shrink)
 
 
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,
@@ -117,13 +97,28 @@ def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,
     return LevelSet(k, list(iter_level(spec, k, shrink)))
 
 
-def _walk(spec: MoranSpec, node: Node, depth: int, k: int) -> Iterator[Node]:
-    """Per-parent placement, for gaps that differ between parents."""
-    if depth == k:
-        yield node
-        return
-    for child in children_of(spec, node, depth + 1):
-        yield from _walk(spec, child, depth + 1, k)
+def walk(spec: MoranSpec, k: int,
+         shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> Iterator[Node]:
+    """Level k by placing every parent's children at its own offsets: the
+    left boundary gap L_j, then children of length delta_j separated by
+    the policy's interior gaps (`spec.child_offsets`).
+
+    Lazy and depth-first, so the first n_k intervals are the children of
+    the first parent and cost one root-to-leaf path.  Shrinking moves the
+    origin right by shrink[0] and drops both pads from the length.
+    """
+    _check_level(k)
+    lo_pad, hi_pad = shrink
+    length = spec.delta(k) - lo_pad - hi_pad
+
+    def place(address: Address, lo: Fraction) -> Iterator[Node]:
+        if len(address) == k:
+            yield Node(address, lo, lo + length)
+            return
+        for j, off in enumerate(spec.child_offsets(address, len(address) + 1), 1):
+            yield from place(address + (j,), lo + off)
+
+    return place((), spec.interval[0] + lo_pad)
 
 
 def _lattice_nodes(spec: MoranSpec, k: int,
@@ -147,8 +142,8 @@ def _lattice_nodes(spec: MoranSpec, k: int,
 
     steps = [tuple(map(scaled, level)) for level in offsets]
     length = scaled(length)
-    addresses = product(*(range(1, len(step) + 1) for step in steps))
-    for address, lo in zip(addresses, _lattice_sums(scaled(origin), steps)):
+    for address, lo in zip(iter_addresses(spec, k),
+                           _lattice_sums(scaled(origin), steps)):
         yield Node(address, Fraction(lo, den), Fraction(lo + length, den))
 
 
@@ -206,13 +201,7 @@ def level_stats(spec: MoranSpec, k: int,
 
 def iter_addresses(spec: MoranSpec, k: int) -> Iterator[Address]:
     """All level-k addresses in lexicographic order."""
-    def walk(prefix: Address, depth: int) -> Iterator[Address]:
-        if depth == k:
-            yield prefix
-            return
-        for j in range(1, spec.n(depth + 1) + 1):
-            yield from walk(prefix + (j,), depth + 1)
-    yield from walk((), 0)
+    return product(*(range(1, spec.n(j) + 1) for j in range(1, k + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import moranset
 from moranset import measure
 from moranset.cli import EXIT_CODES, main
+from moranset.reconstruct import StarState
 
 
 @pytest.fixture
@@ -227,6 +228,7 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["qs", "--depth", "2", "--precision-bits", "0"], "precision 0"),
     (["qs", "--depth", "2", "--samples", "0"], "sample count 0"),
     (["validate", "--depth", "0"], "depth 0"),
+    (["qs", "--depth", "2", "--m-max", "1"], "m_max = 1"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     out = [] if args[0] == "validate" else ["--out", str(tmp_path)]
@@ -261,6 +263,7 @@ def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
     (["qs", "--d", "-1"], 10),
     (["qs", "--precision-bits", "0"], 10),
     (["qs", "--samples", "0"], 10),
+    (["branches", "--preset", "skew10", "--depth", "2", "--mode", "template"], 10),
 ])
 def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
     # artifacts are written only after the whole computation, and the
@@ -269,6 +272,18 @@ def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
     res = runner.invoke(main, args + preset + ["--out", str(tmp_path)])
     assert res.exit_code == code, res.output
     assert not any(tmp_path.iterdir())
+
+
+def test_explicit_budget_checked_before_any_stage(runner, tmp_path, monkeypatch):
+    # stages 1-6 of wide10 fit the node budget and stage 7 does not: the
+    # run stops before building a single stage
+    def no_stages(*args, **kwargs):
+        raise AssertionError("a stage was built before the budget check")
+    monkeypatch.setattr(StarState, "level", no_stages)
+    res = runner.invoke(main, ["branches", "--preset", "wide10", "--depth", "8",
+                               "--mode", "explicit", "--out", str(tmp_path)])
+    assert res.exit_code == 7, res.output
+    assert "explicit refinement at stage 7 needs 10000000" in res.output
 
 
 #: A quick successful run of every subcommand that takes --out.

@@ -105,3 +105,24 @@ def test_oracle_stays_independent():
                  if p.name != "oracle.py" and "oracle" in _package_imports(p)]
     assert importers == []
     assert _package_imports(PACKAGE_DIR / "oracle.py") <= {"errors", "specs"}
+
+
+def _callers(name: str) -> set[str]:
+    """The package source files that call `name`, plain or as an attribute."""
+    found = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if called == name:
+                    found.add(path.name)
+    return found
+
+
+def test_tree_alone_places_intervals():
+    """Child offsets become intervals in one module: only `tree` builds a
+    `Node`, and only it and `measure._rank` read `child_offsets`."""
+    assert _callers("Node") == {"tree.py"}
+    assert _callers("child_offsets") == {"tree.py", "measure.py"}

@@ -15,7 +15,7 @@ from moranset.oracle import oracle_level
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
 from moranset.tree import (DEFAULT_NODE_BUDGET, build_level, export_level,
-                           iter_addresses, iter_level, level_stats, root)
+                           iter_addresses, iter_level, level_stats, walk)
 
 
 def test_cantor3_level2_exact():
@@ -137,14 +137,14 @@ def test_roundtrip_skew_levels(seed, k):
 def test_iter_addresses_order():
     spec = preset("cantor3")
     assert list(iter_addresses(spec, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert root(spec).address == ()
 
 
 @st.composite
-def node_independent_specs(draw):
-    """Node-independent constructions with rational boundary gaps on both
-    sides, a periodic contraction and an initial interval off the unit one,
-    so every level denominator mixes several primes."""
+def level_specs(draw):
+    """Constructions with rational boundary gaps on both sides, a periodic
+    contraction and an initial interval off the unit one, so every level
+    denominator mixes several primes; the gaps are uniform, weighted or
+    seeded-random."""
     n = draw(st.integers(2, 4))
     cs = []
     for _ in range(draw(st.integers(1, 2))):
@@ -162,8 +162,11 @@ def node_independent_specs(draw):
             parent *= cs[(j - 1) % len(cs)]
         return parent * (1 - n * cs[(k - 1) % len(cs)])
 
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "weighted", "seeded-random"]))
+    if kind == "uniform":
         gaps = GapPolicy("uniform")
+    elif kind == "seeded-random":
+        gaps = GapPolicy("seeded-random", seed=draw(st.integers(0, 2**31)))
     else:
         # zero weights allowed, so touching neighbours occur, but not on
         # every one of the n - 1 interior gaps
@@ -177,19 +180,27 @@ def node_independent_specs(draw):
         gaps, interval=(lo, lo + width))
 
 
-@given(node_independent_specs(), st.integers(0, 4))
+@given(level_specs(), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_lattice_levels_match_oracle(spec, k):
+    if not spec.gaps.node_independent:
+        k = min(k, 3)            # every parent draws its own gaps
     addresses = list(iter_addresses(spec, k))
     star = StarState(spec, k)
-    for want, levels in (
-            (oracle_level(spec, k),
+    first = spec.n(k) if k else 1
+    for want, shrink, levels in (
+            (oracle_level(spec, k), (0, 0),
              (build_level(spec, k).nodes, list(iter_level(spec, k)))),
             (oracle_level(spec, k, trimmed=True),
+             (star.L_star(k), star.R_star(k)),
              (star.level(k).nodes, list(star.iter_level(k))))):
         for nodes in levels:
             assert [(nd.lo, nd.hi) for nd in nodes] == want
             assert [nd.address for nd in nodes] == addresses
+        # the walk's first n_k intervals: the first parent's children
+        head = list(islice(walk(spec, k, shrink), first))
+        assert [(nd.lo, nd.hi) for nd in head] == want[:first]
+        assert [nd.address for nd in head] == addresses[:first]
 
 
 def test_deep_level_streams_in_little_memory():
