@@ -17,6 +17,7 @@ cell, counted count(k-1) times, gives every statistic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -51,10 +52,7 @@ class Schedule:
         """The stage k with m_{k-1} < level <= m_k."""
         if not 1 <= level <= self.m_max:
             raise DomainError(f"level {level} outside schedule range 1..{self.m_max}")
-        for k in range(1, self.K + 1):
-            if level <= self.m[k]:
-                return k
-        raise AssertionError
+        return bisect_left(self.m, level)
 
     @property
     def spread_bound(self) -> Fraction:

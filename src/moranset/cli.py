@@ -301,6 +301,9 @@ def measure_audit(spec, out, condition, t_exp, k_lo, k_hi, mode, samples,
 def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
        samples, seed):
     """Map the branch hierarchy and audit the image-side quantities."""
+    qsmap.check_length_power(d_exp)
+    qsmap.check_precision_bits(precision_bits)
+    qsmap.check_samples(samples)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
     top = schedule.m_max if m_max is None else m_max
@@ -340,6 +343,7 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
                       show_default=True))
 def report(spec, out, depth, map_text, d_exp, condition):
     """One JSON bundling the dimension series, certificates, and audits."""
+    qsmap.check_length_power(d_exp)
     series = dimension.dim_formula_seq(spec, depth)
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)

@@ -151,6 +151,8 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         raise DomainError(f"Frostman exponent t={t} must be positive")
     if threads < 1:
         raise DomainError(f"thread count {threads} must be >= 1")
+    if mode not in ("exhaustive", "sampled"):
+        raise DomainError(f"unknown audit mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise DomainError(f"sample count {samples} must be >= 1 in sampled mode")
     star, spec = measure.star, measure.spec
@@ -199,7 +201,7 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
                     if pts[j] - a >= hi_w:
                         break
                     yield a, pts[j], Fraction(starts[j] - ends[i], count)
-        elif mode == "sampled":
+        else:
             rng = random.Random(f"{seed}|{k}")
             hull_lo, hull_hi = spec.interval
             for _ in range(samples):
@@ -209,8 +211,6 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
                 v = Fraction(rng.randrange(_SAMPLE_SPAN), _SAMPLE_SPAN)
                 a = hull_lo + span * v
                 yield a, a + width, mu_window(measure, (a, a + width), k + 1)
-        else:
-            raise DomainError(f"unknown audit mode {mode!r}")
 
     def audit_level(k: int):
         best, wit, cnt = -1.0, None, 0

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import mpmath
@@ -29,6 +31,21 @@ from .reconstruct import StarState
 
 _GUARD_BITS = 32
 DEFAULT_PRECISION_BITS = 128
+
+
+def check_length_power(d: float | Fraction) -> None:
+    if not 0 < d < 1:
+        raise DomainError(f"length-power exponent d={float(d)} outside (0, 1)")
+
+
+def check_precision_bits(bits: int) -> None:
+    if bits < 1:
+        raise DomainError(f"precision {bits} bits must be >= 1")
+
+
+def check_samples(samples: int) -> None:
+    if samples < 1:
+        raise DomainError(f"sample count {samples} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +199,10 @@ class PiecewiseLinearMap(QsMap):
         self.slopes = [(y1 - y0) / (x1 - x0)
                        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])]
 
-    def _segment(self, x: Fraction) -> int:
-        lo, hi = 0, len(self.slopes) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.points[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     def exact_eval(self, x):
         x = Fraction(x)
-        i = self._segment(x)
+        i = bisect_right(self.points, x, key=itemgetter(0)) - 1
+        i = min(max(i, 0), len(self.slopes) - 1)
         x0, y0 = self.points[i]
         return y0 + self.slopes[i] * (x - x0)
 
@@ -314,8 +322,7 @@ def image_tree(fmap: QsMap, tree: BranchTree,
     `max(|v|, 1)·2^-precision_bits` on each side; the branch spans the lower
     end of its lower endpoint to the upper end of its upper one.  The
     widening is not certified (ROADMAP item 4)."""
-    if precision_bits < 1:
-        raise DomainError(f"precision {precision_bits} bits must be >= 1")
+    check_precision_bits(precision_bits)
     if tree.mode != "explicit":
         raise DomainError("image trees need an explicitly built branch hierarchy")
     cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
@@ -377,13 +384,8 @@ def _power_weights(lengths: list[Fraction], d: Fraction,
                 for l in lengths]
 
 
-def _check_length_power(d: float | Fraction) -> None:
-    if not 0 < d < 1:
-        raise DomainError(f"length-power exponent d={float(d)} outside (0, 1)")
-
-
 def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
-    _check_length_power(d)
+    check_length_power(d)
     d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
     masses: list[list[Fraction]] = [[Fraction(1)]]
     for m in range(1, image.m_max + 1):
@@ -433,7 +435,7 @@ def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries
     """Closed form of the ratio series for the identity map on a construction
     whose siblings all share one length: every level-k branch then carries
     mass 1/(interval count), so the max ratio is count^-1 * length^-d."""
-    _check_length_power(d)
+    check_length_power(d)
     ratios = [math.exp(-log_count - d * log_len)
               for log_count, log_len in log_series(star, K)]
     levels = list(range(1, K + 1))
@@ -540,8 +542,7 @@ def sandwich_audit(fmap: QsMap, domain: tuple[float, float], samples: int,
     """Empirical envelope exponents over sampled nested interval pairs
     I' inside I: the largest p and smallest q with
     lam * r^q <= |f(I')| / |f(I)| <= 4 * r^p, r = |I'|/|I|, lam = 1."""
-    if samples < 1:
-        raise DomainError(f"sample count {samples} must be >= 1")
+    check_samples(samples)
     lo, hi = float(domain[0]), float(domain[1])
     rng = random.Random(f"{seed}|pairs")
     p_fit = math.inf

@@ -19,8 +19,8 @@ from .tree import (DEFAULT_NODE_BUDGET, LevelSet, LevelStats, Node, build_level,
 
 @dataclass
 class StarStats(LevelStats):
-    """Level statistics of the trimmed level k (the count is unchanged by
-    trimming; the gap extremes and slack are None at k = 0)."""
+    """Level statistics of the trimmed level k >= 1 (the count is unchanged
+    by trimming)."""
     L: Fraction                 # boundary gap inherited from level k+1
     R: Fraction
 
@@ -61,20 +61,14 @@ class StarState:
 
     def stats(self, k: int) -> StarStats:
         if k not in self._stats:
-            count = self.spec.count(k)
+            base = level_stats(self.spec, k)
+            shift = self.boundary_shift(k)
             length = self.delta_star(k)
-            if k == 0:
-                self._stats[k] = StarStats(0, 1, length, length, None, None, None,
-                                           self.L_star(0), self.R_star(0))
-            else:
-                base = level_stats(self.spec, k)
-                shift = self.boundary_shift(k)
-                n = self.spec.n(k)
-                self._stats[k] = StarStats(
-                    k, count, length, count * length,
-                    base.max_gap + shift, base.min_gap + shift,
-                    base.slack + (n - 1) * shift,
-                    self.L_star(k), self.R_star(k))
+            self._stats[k] = StarStats(
+                k, base.count, length, base.count * length,
+                base.max_gap + shift, base.min_gap + shift,
+                base.slack + (self.spec.n(k) - 1) * shift,
+                self.L_star(k), self.R_star(k))
         return self._stats[k]
 
     # -- trimmed intervals --------------------------------------------------

@@ -87,12 +87,13 @@ class GapPolicy:
     """Distributes the interior slack of one parent over its interior gaps.
 
     Boundary gaps are never produced here; they are always the L/R rules.
-    kinds:
-      uniform       -- slack split equally
-      weighted      -- slack split proportionally to a fixed rational weight
-                       cycle (cycled when shorter than the gap count)
-      seeded-random -- positive pseudorandom weights drawn deterministically
-                       from (seed, sigma, k), normalized to the exact slack
+    Every kind is a weight vector, and the gaps split the slack in
+    proportion to it.  kinds:
+      uniform       -- all weights 1
+      weighted      -- a fixed rational weight cycle (cycled when shorter
+                       than the gap count)
+      seeded-random -- positive pseudorandom integer weights drawn
+                       deterministically from (seed, sigma, k)
     """
 
     kind: str
@@ -115,27 +116,31 @@ class GapPolicy:
         """True when every parent at a level receives identical gaps."""
         return self.kind != "seeded-random"
 
+    def gap_weights(self, sigma: tuple[int, ...], k: int,
+                    count: int) -> tuple[int | Fraction, ...]:
+        """The weights of the `count` interior gaps of parent sigma at level k."""
+        if self.kind == "seeded-random":
+            rng = random.Random(f"{self.seed}|{k}|{','.join(map(str, sigma))}")
+            w = tuple(rng.randint(1, WEIGHT_SPAN) for _ in range(count))
+        else:
+            cycle = self.weights if self.kind == "weighted" else (1,)
+            w = tuple(cycle[i % len(cycle)] for i in range(count))
+        if sum(w) == 0:
+            raise InvalidSpecError(
+                f"gap weights {', '.join(map(str, w))} for the {count} interior "
+                f"gaps at level {k} sum to zero")
+        return w
+
     def interior_gaps(self, sigma: tuple[int, ...], k: int, count: int,
                       slack: Fraction) -> tuple[Fraction, ...]:
-        """The `count` interior gaps of parent `sigma` at level k, summing to slack."""
+        """The `count` interior gaps of parent `sigma` at level k: the slack
+        split exactly in proportion to `gap_weights`."""
         if count < 1:
             raise InvalidSpecError(f"level {k} has {count + 1} children; need >= 2")
         if slack < 0:
             raise InconsistentSpecError(f"negative slack {slack} at level {k}")
-        if self.kind == "uniform":
-            share = slack / count
-            return (share,) * count
-        if self.kind == "weighted":
-            w = [self.weights[i % len(self.weights)] for i in range(count)]
-        else:
-            rng = random.Random(f"{self.seed}|{k}|{','.join(map(str, sigma))}")
-            w = [rng.randint(1, WEIGHT_SPAN) for _ in range(count)]
+        w = self.gap_weights(sigma, k, count)
         total = sum(w)
-        if total == 0:
-            raise InvalidSpecError(
-                f"gap weights {', '.join(map(str, w))} for the {count} interior "
-                f"gaps at level {k} sum to zero")
-        # Exact proportional split; the sum telescopes back to `slack`.
         return tuple(slack * wi / total for wi in w)
 
 
@@ -289,7 +294,7 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
     """Check the structural constraints on every level up to K.
 
     Per level: n_k >= 2 integer, n_k c_k < 1, L_k, R_k >= 0, slack e_k >= 0,
-    and (for node-independent policies) nonnegative interior gaps.  Rule
+    and (for node-independent policies) gap weights with a positive sum.  Rule
     evaluation failures abort with a structured error naming the level.
     """
     if K < 1:
@@ -320,12 +325,9 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
                     lc.problems.append(str(exc))
             if lc.ok and spec.gaps.node_independent:
                 try:
-                    gaps = spec.interior_gaps((), k)
+                    spec.gaps.gap_weights((), k, lc.n - 1)
                 except InvalidSpecError as exc:
                     lc.problems.append(str(exc))
-                else:
-                    if any(g < 0 for g in gaps):
-                        lc.problems.append(f"negative interior gap at level {k}")
         except RuleEvalError as exc:
             levels.append(lc)
             return ValidationReport(spec.name, K, levels, error=str(exc))

@@ -178,25 +178,28 @@ def level_stats(spec: MoranSpec, k: int,
     if k < 1:
         raise DomainError(f"level {k} is out of range: level stats start at k = 1")
     slack = spec.slack(k)
-    if spec.gaps.node_independent:
-        gaps = spec.interior_gaps((), k)
-        max_gap, min_gap = max(gaps), min(gaps)
-    else:
+    parents = [()]
+    if not spec.gaps.node_independent:
         if spec.count(k - 1) > budget:
             raise BudgetExceededError(
                 f"gap stats at level {k} need {spec.count(k - 1)} parents "
                 f"(> budget {budget})")
-        max_gap = min_gap = None
-        for sigma in iter_addresses(spec, k - 1):
-            gaps = spec.interior_gaps(sigma, k)
-            lo, hi = min(gaps), max(gaps)
-            if max_gap is None or hi > max_gap:
-                max_gap = hi
-            if min_gap is None or lo < min_gap:
-                min_gap = lo
+        parents = iter_addresses(spec, k - 1)
+    n_gaps = spec.n(k) - 1
+    widest = narrowest = None   # (w, total) pairs; a gap is slack * w / total
+    for sigma in parents:
+        weights = spec.gaps.gap_weights(sigma, k, n_gaps)
+        total = sum(weights)
+        hi, lo = max(weights), min(weights)
+        if widest is None or hi * widest[1] > widest[0] * total:
+            widest = hi, total
+        if narrowest is None or lo * narrowest[1] < narrowest[0] * total:
+            narrowest = lo, total
     count = spec.count(k)
     length = spec.delta(k)
-    return LevelStats(k, count, length, count * length, max_gap, min_gap, slack)
+    return LevelStats(k, count, length, count * length,
+                      slack * widest[0] / widest[1],
+                      slack * narrowest[0] / narrowest[1], slack)
 
 
 def iter_addresses(spec: MoranSpec, k: int) -> Iterator[Address]:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moranset
-from moranset import measure
+from moranset import branchtree, dimension, measure
 from moranset.cli import EXIT_CODES, main
 from moranset.reconstruct import StarState
 
@@ -284,6 +284,26 @@ def test_explicit_budget_checked_before_any_stage(runner, tmp_path, monkeypatch)
                                "--mode", "explicit", "--out", str(tmp_path)])
     assert res.exit_code == 7, res.output
     assert "explicit refinement at stage 7 needs 10000000" in res.output
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["qs", "--samples", "0"], "sample count 0"),
+    (["qs", "--d", "2"], "d=2.0"),
+    (["qs", "--precision-bits", "0"], "precision 0"),
+    (["report", "--qs", "power:2", "--d", "2"], "d=2.0"),
+])
+def test_run_parameters_checked_before_any_build(runner, tmp_path, monkeypatch,
+                                                 args, needle):
+    # the parameters are checked before the schedule or the dimension
+    # series, the first stage each run builds
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("a stage was built before the parameter check")
+    monkeypatch.setattr(branchtree, "choose_M", no_build)
+    monkeypatch.setattr(dimension, "dim_formula_seq", no_build)
+    res = runner.invoke(main, args + ["--preset", "wide10", "--depth", "4",
+                                      "--out", str(tmp_path)])
+    assert res.exit_code == 10, res.output
+    assert needle in res.output
 
 
 #: A quick successful run of every subcommand that takes --out.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranset import measure
 from moranset.errors import DomainError, RegimeError
 from moranset.measure import (MassMeasure, bound_constant, frostman_audit,
                               mu_window, threshold_level)
@@ -172,6 +173,14 @@ def test_frostman_rejects_nonpositive_exponent(t):
 def test_frostman_rejects_zero_threads():
     with pytest.raises(DomainError, match="thread count 0"):
         frostman_audit(_measure("cantor3"), "A", 0.6, (1, 3), threads=0)
+
+
+def test_frostman_rejects_unknown_mode_before_any_level(monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("the dimension series ran before the mode check")
+    monkeypatch.setattr(measure, "dim_formula_seq", no_series)
+    with pytest.raises(DomainError, match="unknown audit mode 'grid'"):
+        frostman_audit(_measure("cantor3"), "A", 0.6, (1, 3), mode="grid")
 
 
 def test_sampled_mode_deterministic_and_thread_independent():

@@ -123,6 +123,8 @@ def _callers(name: str) -> set[str]:
 
 def test_tree_alone_places_intervals():
     """Child offsets become intervals in one module: only `tree` builds a
-    `Node`, and only it and `measure._rank` read `child_offsets`."""
+    `Node`, and only it and `measure._rank` read `child_offsets`.  Gap
+    weights are split into gaps in `specs` and compared in `tree` only."""
     assert _callers("Node") == {"tree.py"}
     assert _callers("child_offsets") == {"tree.py", "measure.py"}
+    assert _callers("gap_weights") == {"specs.py", "tree.py"}

@@ -11,6 +11,7 @@ from moranset.errors import (ConfigError, InconsistentSpecError,
 from moranset.specs import (GapPolicy, MoranSpec, SequenceRule, constant,
                             format_rational, parse_rational, preset,
                             preset_names, spec_from_config, validate_spec)
+from moranset.tree import level_stats
 
 
 def test_parse_rational_forms():
@@ -134,6 +135,8 @@ def test_weights_zero_over_the_used_gaps():
     rep = validate_spec(spec, 2)
     assert not rep.ok
     assert "sum to zero" in rep.levels[0].problems[0]
+    with pytest.raises(InvalidSpecError, match="level 1 sum to zero"):
+        level_stats(spec, 1)
 
 
 def test_validate_reports_rule_failure_level():

@@ -203,6 +203,27 @@ def test_lattice_levels_match_oracle(spec, k):
         assert [nd.address for nd in head] == addresses[:first]
 
 
+@given(level_specs(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_level_stats_gap_extremes_match_oracle(spec, k):
+    # the sibling gaps lo_{i+1} - hi_i within each parent's run of n_k
+    # intervals of the independent level, plain and trimmed
+    n = spec.n(k)
+
+    def sibling_gaps(level):
+        return [b[0] - a[1] for i in range(0, len(level), n)
+                for a, b in zip(level[i:i + n], level[i + 1:i + n])]
+
+    base = sibling_gaps(oracle_level(spec, k))
+    trimmed = sibling_gaps(oracle_level(spec, k, trimmed=True))
+    st_ = level_stats(spec, k)
+    assert (st_.max_gap, st_.min_gap) == (max(base), min(base))
+    star = StarState(spec, k).stats(k)
+    assert (star.max_gap, star.min_gap) == (max(trimmed), min(trimmed))
+    shift = spec.L(k + 1) + spec.R(k + 1)
+    assert (star.max_gap, star.min_gap) == (max(base) + shift, min(base) + shift)
+
+
 def test_deep_level_streams_in_little_memory():
     spec = preset("cantor3")
     assert spec.count(30) > DEFAULT_NODE_BUDGET
