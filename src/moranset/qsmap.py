@@ -3,12 +3,16 @@ length-power measure on images, refinement statistics, and the sampled
 sandwich audit.
 
 Maps are restricted to families with known increasing structure (identity,
-affine, signed power, piecewise linear, compositions).  Image endpoints are
-either exact rationals (when the map preserves rationality) or enclosures
-computed round-to-nearest at `prec + 32` bits and widened by
-`max(|v|, 1)·2^-prec` on each side.  The widening is meant to make every
-reported branch contain the true image, but it is not certified by interval
-arithmetic (ROADMAP item 4).
+affine, signed power, piecewise linear, compositions).  An image endpoint is
+the exact rational when the map preserves rationality, and otherwise a
+certified enclosure `lo <= f(x) <= hi` computed in integer arithmetic:
+identity, affine and piecewise-linear maps are exact on rationals, a power
+`|x|^{p/q}` lies in `[r, r+1]/2^s` for the floor integer root `r` of
+`|x|^p·2^{q·s}`, and a composition pushes the lower bound through lower
+bounds and the upper bound through upper bounds, since every part is
+increasing (directed rounding; Moore, Kearfott & Cloud, *Introduction to
+Interval Analysis*, SIAM 2009).  Only the length-power weights of `build_mu_d`
+use floating point, at `prec + 32` bits, imported inside `_power_weights`.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
-import mpmath
-
 from .branchtree import BranchTree
 from .dimension import fit_slope, log_series
 from .errors import (ConfigError, DegenerateSpecError, DomainError,
@@ -31,6 +33,9 @@ from .reconstruct import StarState
 
 _GUARD_BITS = 32
 DEFAULT_PRECISION_BITS = 128
+#: Largest integer, in bits, whose root a power enclosure may take:
+#: `p·bits(x) + q·s` for `power:p/q` at 2^-s.  Past it `PrecisionError`.
+MAX_ROOT_BITS = 1 << 20
 
 
 def check_length_power(d: float | Fraction) -> None:
@@ -52,17 +57,30 @@ def check_samples(samples: int) -> None:
 # Exact rational powers
 # ---------------------------------------------------------------------------
 
-def _iroot(n: int, q: int) -> int | None:
-    """Exact integer q-th root of n >= 0, or None if n is not a q-th power."""
-    if q == 1 or n in (0, 1):
+def _floor_root(n: int, q: int) -> int:
+    """floor(n^(1/q)) for integers n >= 0 and q >= 1."""
+    if q == 1 or n < 2:
         return n
-    x = 1 << -(-n.bit_length() // q)
+    if q == 2:
+        return math.isqrt(n)
+    if n.bit_length() <= q:
+        return 1
+    # 2^t from floats, raised past its rounding error so the Newton steps
+    # start above the root; from there they decrease to its floor
+    t = math.log2(n) / q
+    k = max(int(t) - 52, 0)
+    x = (int(2.0 ** (t - k) * (1 + (t + 2) * 2.0 ** -48)) + 1) << k
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q
         if y >= x:
-            break
+            return x
         x = y
-    return x if x ** q == n else None
+
+
+def _iroot(n: int, q: int) -> int | None:
+    """Exact integer q-th root of n >= 0, or None if n is not a q-th power."""
+    r = _floor_root(n, q)
+    return r if r ** q == n else None
 
 
 def rational_pow(x: Fraction, a: Fraction) -> Fraction | None:
@@ -80,18 +98,6 @@ def rational_pow(x: Fraction, a: Fraction) -> Fraction | None:
     return base ** p
 
 
-def _mpf_to_fraction(y: mpmath.mpf) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(y)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
-def _mpf_from_fraction(x: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # Map families
 # ---------------------------------------------------------------------------
@@ -106,13 +112,11 @@ class QsMap:
     def float_eval(self, x: float) -> float:
         raise NotImplementedError
 
-    def approx_eval(self, x: Fraction, prec: int) -> Fraction:
-        """Round-to-nearest image at prec + guard bits, as a dyadic rational."""
-        with mpmath.workprec(prec + _GUARD_BITS):
-            return _mpf_to_fraction(self._mpf_eval(_mpf_from_fraction(x)))
-
-    def _mpf_eval(self, x: mpmath.mpf) -> mpmath.mpf:
-        raise NotImplementedError
+    def enclose(self, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+        """Certified (lo, hi) with lo <= f(x) <= hi; lo == hi exactly when
+        f(x) is the exact rational."""
+        v = self.exact_eval(x)
+        return v, v
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -124,9 +128,6 @@ class IdentityMap(QsMap):
         return x
 
     def float_eval(self, x):
-        return x
-
-    def _mpf_eval(self, x):
         return x
 
     def describe(self):
@@ -147,9 +148,6 @@ class AffineMap(QsMap):
 
     def float_eval(self, x):
         return float(self.a) * x + float(self.b)
-
-    def _mpf_eval(self, x):
-        return _mpf_from_fraction(self.a) * x + _mpf_from_fraction(self.b)
 
     def describe(self):
         return f"affine({self.a},{self.b})"
@@ -173,11 +171,32 @@ class PowerMap(QsMap):
     def float_eval(self, x):
         return math.copysign(abs(x) ** float(self.a), x) if x else 0.0
 
-    def _mpf_eval(self, x):
-        if x == 0:
-            return mpmath.mpf(0)
-        v = mpmath.power(abs(x), _mpf_from_fraction(self.a))
-        return -v if x < 0 else v
+    def enclose(self, x, prec):
+        """The exact image, or floor-root bounds at most
+        `max(|x|^a, 1)·2^-prec` apart."""
+        v = self.exact_eval(x)
+        if v is not None:
+            return v, v
+        p, q = self.a.numerator, self.a.denominator
+        num, den = abs(x.numerator), x.denominator
+        # s = prec - floor(log2 |v|) for |v| >= 1, from a lower bound on
+        # log2 |v|, so the width 2^-s stays within max(|v|, 1)·2^-prec
+        s = prec - max(p * (num.bit_length() - den.bit_length() - 1) // q, 0)
+        bits = p * max(num.bit_length(), den.bit_length()) + q * abs(s)
+        if bits > MAX_ROOT_BITS:
+            raise PrecisionError(
+                f"power exponent {self.a} needs a {bits}-bit integer root at "
+                f"{prec} bits of precision; the cap is {MAX_ROOT_BITS} bits")
+        num, den = num ** p, den ** p
+        if s >= 0:
+            num <<= q * s
+        else:
+            den <<= -q * s
+        r = _floor_root(num // den, q)
+        scale = 1 << abs(s)
+        lo, hi = ((Fraction(r, scale), Fraction(r + 1, scale)) if s >= 0 else
+                  (Fraction(r * scale), Fraction((r + 1) * scale)))
+        return (lo, hi) if x.numerator > 0 else (-hi, -lo)
 
     def describe(self):
         return f"power({self.a})"
@@ -209,9 +228,6 @@ class PiecewiseLinearMap(QsMap):
     def float_eval(self, x):
         return float(self.exact_eval(Fraction(x)))
 
-    def _mpf_eval(self, x):
-        return _mpf_from_fraction(self.exact_eval(_mpf_to_fraction(x)))
-
     def describe(self):
         pts = ";".join(f"{x},{y}" for x, y in self.points)
         return f"pl({pts})"
@@ -237,10 +253,17 @@ class CompositionMap(QsMap):
             x = p.float_eval(x)
         return x
 
-    def _mpf_eval(self, x):
-        for p in self.parts:
-            x = p._mpf_eval(x)
-        return x
+    def enclose(self, x, prec):
+        # every part is increasing: lower bounds go through lower bounds and
+        # upper through upper; inner parts carry guard bits
+        lo = hi = x
+        for i, part in enumerate(self.parts):
+            bits = prec if i == len(self.parts) - 1 else prec + _GUARD_BITS
+            if lo == hi:
+                lo, hi = part.enclose(lo, bits)
+            else:
+                lo, hi = part.enclose(lo, bits)[0], part.enclose(hi, bits)[1]
+        return lo, hi
 
     def describe(self):
         return "+".join(p.describe() for p in self.parts)
@@ -306,31 +329,28 @@ class ImageTree:
         return top.lo, top.hi
 
 
-def _enclose(fmap: QsMap, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    exact = fmap.exact_eval(x)
-    if exact is not None:
-        return exact, exact
-    v = fmap.approx_eval(x, prec)
-    pad = max(abs(v), Fraction(1)) * Fraction(2) ** -prec
-    return v - pad, v + pad
-
-
 def image_tree(fmap: QsMap, tree: BranchTree,
                precision_bits: int = DEFAULT_PRECISION_BITS) -> ImageTree:
-    """Map every branch through fmap.  An inexact endpoint is evaluated
-    round-to-nearest at `precision_bits + 32` bits and widened by
-    `max(|v|, 1)·2^-precision_bits` on each side; the branch spans the lower
-    end of its lower endpoint to the upper end of its upper one.  The
-    widening is not certified (ROADMAP item 4)."""
+    """Map every branch through fmap.  Each endpoint becomes its exact
+    image or the certified enclosure `fmap.enclose(x, precision_bits)` (for
+    a power map at most `max(|v|, 1)·2^-precision_bits` wide); the branch
+    spans the lower end of its lower endpoint to the upper end of its upper
+    one, so it contains the true image.  A power whose enclosure needs an
+    integer root past `MAX_ROOT_BITS` raises `PrecisionError`, naming the
+    exponent."""
     check_precision_bits(precision_bits)
     if tree.mode != "explicit":
         raise DomainError("image trees need an explicitly built branch hierarchy")
-    cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    # keyed by (numerator, denominator): hashing a Fraction costs a modular
+    # inverse per call
+    cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
 
     def enclose(x: Fraction) -> tuple[Fraction, Fraction]:
-        if x not in cache:
-            cache[x] = _enclose(fmap, x, precision_bits)
-        return cache[x]
+        key = (x.numerator, x.denominator)
+        box = cache.get(key)
+        if box is None:
+            box = cache[key] = fmap.enclose(x, precision_bits)
+        return box
 
     levels = []
     for m, branches in enumerate(tree.explicit):
@@ -378,10 +398,18 @@ def _power_weights(lengths: list[Fraction], d: Fraction,
     exact = [rational_pow(l, d) for l in lengths]
     if all(w is not None for w in exact):
         return exact
+    import mpmath  # the one floating-point path; kept off `import moranset`
+
+    def mpf(x: Fraction):
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+
     with mpmath.workprec(prec + _GUARD_BITS):
-        dd = _mpf_from_fraction(d)
-        return [_mpf_to_fraction(mpmath.power(_mpf_from_fraction(l), dd))
-                for l in lengths]
+        dd = mpf(d)
+        weights = []
+        for l in lengths:
+            _, man, exp, _ = mpmath.power(mpf(l), dd)._mpf_
+            weights.append(man * Fraction(2) ** exp)
+        return weights
 
 
 def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:

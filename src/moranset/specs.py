@@ -321,7 +321,9 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
             if lc.ok:
                 try:
                     lc.slack = spec.slack(k)
-                except InconsistentSpecError as exc:
+                except (InconsistentSpecError, InvalidSpecError) as exc:
+                    # slack(k) needs delta(k-1), which fails if an earlier
+                    # level's c was rejected
                     lc.problems.append(str(exc))
             if lc.ok and spec.gaps.node_independent:
                 try:

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,24 @@ def test_validate_fail_exit_code(runner, tmp_path):
     res = _run(runner, ["validate", "--config", str(cfg), "--depth", "3"])
     assert res.exit_code == 5
     assert json.loads(res.output)["ok"] is False
+
+
+def test_validate_reports_slack_after_rejected_contraction(runner, tmp_path):
+    # slack(3) needs delta(2), which fails because c_2 = 0: level 3 records
+    # that problem and the run still prints the per-level report
+    cfg = tmp_path / "c0.json"
+    cfg.write_text(json.dumps({
+        "n": {"kind": "constant", "values": [2]},
+        "c": {"kind": "periodic", "values": ["1/3", "0"]},
+        "L": {"kind": "constant", "values": ["0"]},
+        "R": {"kind": "constant", "values": ["0"]},
+        "gaps": {"kind": "uniform"}}))
+    res = runner.invoke(main, ["validate", "--config", str(cfg), "--depth", "3"])
+    assert res.exit_code == 5, res.output
+    report = json.loads(res.output)
+    assert report["error"] is None
+    assert [lv["ok"] for lv in report["levels"]] == [True, False, False]
+    assert report["levels"][2]["problems"] == ["c_2 = 0; need a positive rational"]
 
 
 def test_spec_source_is_exclusive(runner, tmp_path):
@@ -251,6 +270,17 @@ def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
     assert res.exit_code == 7, res.output
     assert ("level 2 exhaustive audit needs 1999000 windows "
             "(> budget 1000000)") in res.output
+
+
+def test_power_root_past_size_cap_exits_12_at_once(runner, tmp_path):
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    res = runner.invoke(main, ["qs", "--preset", "cantor3", "--depth", "3",
+                               "--map", "power:1/1000000", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 12, res.output
+    assert "power exponent 1/1000000" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,code", [

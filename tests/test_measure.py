@@ -1,5 +1,6 @@
 """Window masses and Frostman-type audits."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,6 +169,15 @@ def test_frostman_regime_error():
 def test_frostman_rejects_nonpositive_exponent(t):
     with pytest.raises(DomainError, match="exponent"):
         frostman_audit(_measure("cantor3"), "A", t, (1, 3))
+
+
+def test_ratio_past_float_underflow():
+    # float(3^-700) is 0.0: the ratio comes from exact logs instead
+    mu, width = Fraction(1, 2 ** 700), Fraction(1, 3 ** 700)
+    expected = math.exp(700 * (0.6 * math.log(3) - math.log(2)))
+    assert math.isclose(measure._ratio(mu, width, 0.6), expected, rel_tol=1e-9)
+    # normal floats keep the float quotient
+    assert measure._ratio(Fraction(1, 4), Fraction(1, 9), 0.5) == 0.25 / (1 / 9) ** 0.5
 
 
 def test_frostman_rejects_zero_threads():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,10 @@ from moranset.branchtree import build_T, choose_M
 from moranset.errors import ConfigError, DomainError, InvalidSpecError
 from moranset.oracle import dim1_binary_prop1_log_ratios
 from moranset.qsmap import (AffineMap, IdentityMap, PiecewiseLinearMap,
-                            PowerMap, build_mu_d, image_tree, parse_map,
-                            prop1_ratio_series, prop1_ratio_series_uniform,
-                            rational_pow, sandwich_audit, stats_series)
+                            PowerMap, _floor_root, build_mu_d, image_tree,
+                            parse_map, prop1_ratio_series,
+                            prop1_ratio_series_uniform, rational_pow,
+                            sandwich_audit, stats_series)
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import preset
 
@@ -106,6 +108,118 @@ def test_image_requires_explicit_tree():
     tree = _tree("cantor3", 3, mode="template")
     with pytest.raises(DomainError):
         image_tree(IdentityMap(), tree)
+
+
+# -- certified enclosures ---------------------------------------------------
+
+@given(st.integers(min_value=0, max_value=2 ** 700),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=200)
+def test_floor_root(n, q):
+    r = _floor_root(n, q)
+    assert r ** q <= n < (r + 1) ** q
+
+
+def _mpf_fraction(raw) -> Fraction:
+    sign, man, exp, _ = raw
+    v = man * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def _rounded_enclosure(x: Fraction, a: Fraction, prec: int):
+    """The enclosure the round-to-nearest path used to report: |x|^a at
+    prec + 32 bits, signed, widened by max(|v|, 1)·2^-prec on each side."""
+    with mpmath.workprec(prec + 32):
+        v = mpmath.power(mpmath.mpf(abs(x.numerator)) / x.denominator,
+                         mpmath.mpf(a.numerator) / a.denominator)
+        v = _mpf_fraction(v._mpf_)
+    v = -v if x < 0 else v
+    pad = max(abs(v), 1) * Fraction(2) ** -prec
+    return v - pad, v + pad
+
+
+_nonzero = st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 12
+                        ).filter(lambda x: x != 0)
+
+
+@given(_nonzero, st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=5),
+       st.sampled_from([8, 53, 128]))
+@settings(max_examples=200, deadline=None)
+def test_power_enclosure_certified(x, p, q, prec):
+    a = Fraction(p, q)
+    lo, hi = PowerMap(a).enclose(x, prec)
+    p, q = a.numerator, a.denominator
+    exact = rational_pow(abs(x), a)
+    if exact is not None:
+        assert lo == hi == (exact if x > 0 else -exact)
+        return
+    # |x|^p lies between the q-th powers of the bounds, compared exactly
+    if x > 0:
+        assert 0 <= lo and lo ** q <= x ** p <= hi ** q
+    else:
+        assert hi <= 0 and (-hi) ** q <= abs(x) ** p <= (-lo) ** q
+    # at most max(|v|, 1)·2^-prec wide (|v| >= the smaller bound's size)
+    assert 0 < hi - lo <= max(min(abs(lo), abs(hi)), 1) * Fraction(2) ** -prec
+    old_lo, old_hi = _rounded_enclosure(x, a, prec)
+    assert old_lo <= lo and hi <= old_hi
+
+
+def _iv_signed_power(iv, y, p, q):
+    if y.a == 0 == y.b:
+        return y
+    return iv.sign(y) * abs(y) ** (iv.mpf(p) / q)
+
+
+def _iv_fraction(y) -> tuple[Fraction, Fraction]:
+    lo, hi = y._mpi_
+    return _mpf_fraction(lo), _mpf_fraction(hi)
+
+
+_PL = "pl:0,0;1/2,1/3;1,1"
+
+
+def _iv(iv, x: Fraction):
+    return iv.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("text,iv_eval", [
+    ("power:1/2+affine:3,-1", lambda iv, x: 3 * iv.sqrt(_iv(iv, x)) - 1),
+    ("affine:1/2,-1/4+power:1/3",
+     lambda iv, x: _iv_signed_power(iv, _iv(iv, x / 2 - Fraction(1, 4)), 1, 3)),
+    (_PL + "+power:2/3",
+     lambda iv, x: _iv_signed_power(iv, _iv(iv, parse_map(_PL).exact_eval(x)),
+                                    2, 3)),
+])
+def test_composition_enclosures_contain_interval_arithmetic(text, iv_eval):
+    """Every endpoint of the image contains mpmath's interval-arithmetic
+    enclosure at four times the precision."""
+    from mpmath import iv
+    prec = 64
+    fmap = parse_map(text)
+    tree = _tree("cantor3", 3)
+    points = {x for level in tree.explicit for br in level for x in (br.lo, br.hi)}
+    saved, iv.prec = iv.prec, 4 * prec
+    try:
+        inexact = 0
+        for x in sorted(points):
+            lo, hi = fmap.enclose(x, prec)
+            ref_lo, ref_hi = _iv_fraction(iv_eval(iv, x))
+            if lo == hi:
+                assert ref_lo <= lo <= ref_hi
+            else:
+                inexact += 1
+                assert lo <= ref_lo <= ref_hi <= hi
+    finally:
+        iv.prec = saved
+    assert inexact > 0
+
+
+def test_large_exponent_enclosure_certified():
+    tree = _tree("cantor3", 2)
+    img = image_tree(parse_map("power:1000/999"), tree)
+    for src, dst in zip(tree.explicit[2], img.levels[2]):
+        assert dst.lo ** 999 <= src.lo ** 1000 and src.hi ** 1000 <= dst.hi ** 999
 
 
 # -- length-power measure ---------------------------------------------------
