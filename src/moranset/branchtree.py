@@ -28,7 +28,7 @@ from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError)
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
-from .tree import DEFAULT_NODE_BUDGET, Node, walk
+from .tree import DEFAULT_NODE_BUDGET, Node
 
 
 @dataclass
@@ -299,12 +299,9 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
     for k in range(1, k_build + 1):
         if len(levels) > stop:
             break
-        if template:
-            # the trimmed children of the first parent: one path of the walk
-            shrink = (star.L_star(k), star.R_star(k))
-            nodes = list(islice(walk(spec, k, shrink), spec.n(k)))
-        else:
-            nodes = star.level(k, budget=budget).nodes
+        # template: the trimmed children of the first parent, one path of
+        # the level; explicit: the whole level, its budget checked above
+        nodes = list(islice(star.iter_level(k), spec.n(k) if template else None))
         stages[k] = nodes
         n_k = spec.n(k)
         runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]

@@ -201,6 +201,9 @@ def conditions(spec, out, depth):
          click.option("--depth", type=int, default=10, show_default=True))
 def reconstruct_cmd(spec, out, depth):
     """Trimmed-hierarchy statistics (the first reconstruction)."""
+    if depth < 1:     # StarState(spec, 0) is valid, but has no stats row
+        raise DomainError(
+            f"depth {depth} is out of range: trimmed stats start at depth 1")
     star = reconstruct.first_reconstruct(spec, depth)
     rows = []
     for k in range(1, depth + 1):

@@ -40,17 +40,25 @@ class MassMeasure:
 
 def _rank(spec: MoranSpec, k: int, y: Fraction, find) -> int:
     """`find(xs, y)` (`bisect_right` or `bisect_left`) for the sorted list xs
-    of untrimmed level-k left endpoints, by one root-to-leaf path: at each
-    level j the children left of the one holding y add N_k / N_j each."""
-    sigma, lo, rank = (), spec.interval[0], 0
+    of untrimmed level-k left endpoints measured from the initial lo, by one
+    root-to-leaf path carrying y - lo as integers rn / rd.  An offset num /
+    den is <= y - lo iff num <= floor(rn den / rd), and < y - lo iff num <
+    ceil(rn den / rd); the children left of the one holding y at level j
+    add N_k / N_j each."""
+    def scaled(den: int) -> int:       # floor, or ceil for bisect_left
+        return -(-rn * den // rd) if find is bisect_left else rn * den // rd
+
+    rn, rd, sigma, rank = y.numerator, y.denominator, (), 0
     for j in range(1, k + 1):
-        offsets = spec.child_offsets(sigma, j)
-        i = find(offsets, y - lo)
+        den, nums = spec.child_offsets(sigma, j)
+        i = find(nums, scaled(den))
         if i == 0:
             return rank
         rank += (i - 1) * (spec.count(k) // spec.count(j))
-        sigma, lo = sigma + (i,), lo + offsets[i - 1]
-    return rank + find((lo,), y)
+        m = math.lcm(rd, den)
+        rn, rd = rn * (m // rd) - nums[i - 1] * (m // den), m
+        sigma += (i,)
+    return rank + find((0,), scaled(1))
 
 
 def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
@@ -62,10 +70,11 @@ def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
     if a > b:
         raise DomainError(f"window [{a}, {b}] is empty")
     spec = measure.spec
+    lo = spec.interval[0]
     # a trimmed interval [x + L_{k+1}, x + delta_k - R_{k+1}] with untrimmed
     # left endpoint x starts at or before b, or ends before a
-    starts = _rank(spec, k, b - spec.L(k + 1), bisect_right)
-    ends = _rank(spec, k, a + spec.R(k + 1) - spec.delta(k), bisect_left)
+    starts = _rank(spec, k, b - spec.L(k + 1) - lo, bisect_right)
+    ends = _rank(spec, k, a + spec.R(k + 1) - spec.delta(k) - lo, bisect_left)
     return Fraction(starts - ends, spec.count(k))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import (ConfigError, DomainError, InconsistentSpecError,
@@ -134,7 +135,9 @@ class GapPolicy:
     def interior_gaps(self, sigma: tuple[int, ...], k: int, count: int,
                       slack: Fraction) -> tuple[Fraction, ...]:
         """The `count` interior gaps of parent `sigma` at level k: the slack
-        split exactly in proportion to `gap_weights`."""
+        split exactly in proportion to `gap_weights`.  This is the `Fraction`
+        reference read by the oracle, `StarState.interior_gaps` and the
+        tests; `MoranSpec.child_offsets` reads the weights instead."""
         if count < 1:
             raise InvalidSpecError(f"level {k} has {count + 1} children; need >= 2")
         if slack < 0:
@@ -167,7 +170,8 @@ class MoranSpec:
         self.name = name
         self._delta = {0: self.interval[1] - self.interval[0]}
         self._count = {0: 1}
-        self._offsets: dict[int, tuple[Fraction, ...]] = {}
+        self._scalars: dict[int, tuple[int, int, int, int]] = {}
+        self._offsets: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def n(self, k: int) -> int:
         v = self.n_rule(k)
@@ -216,35 +220,54 @@ class MoranSpec:
     def slack(self, k: int) -> Fraction:
         """Interior gap budget of every level-(k-1) parent: what remains of the
         parent after the n_k children and both boundary gaps are placed."""
-        e = self.delta(k - 1) - self.n(k) * self.delta(k) - self.L(k) - self.R(k)
-        if e < 0:
-            raise InconsistentSpecError(
-                f"negative slack at level {k}: e_{k} = {e}; children and boundary "
-                "gaps exceed the parent length")
-        return e
+        den, _, _, e = self._scalars_of(k)
+        return Fraction(e, den)
+
+    def _scalars_of(self, k: int) -> tuple[int, int, int, int]:
+        """(D, L_k, delta_k, slack_k), the three as integer numerators over
+        one denominator D, cached per level like `child_offsets`."""
+        if k not in self._scalars:
+            parent, n, step, lo, hi = (self.delta(k - 1), self.n(k),
+                                       self.delta(k), self.L(k), self.R(k))
+            den = lcm(*(x.denominator for x in (parent, step, lo, hi)))
+            parent, step, lo, hi = (x.numerator * (den // x.denominator)
+                                    for x in (parent, step, lo, hi))
+            e = parent - n * step - lo - hi
+            if e < 0:
+                raise InconsistentSpecError(
+                    f"negative slack at level {k}: e_{k} = {Fraction(e, den)}; "
+                    "children and boundary gaps exceed the parent length")
+            self._scalars[k] = den, lo, step, e
+        return self._scalars[k]
 
     def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
+        """The `Fraction` reference split (see `GapPolicy.interior_gaps`)."""
         return self.gaps.interior_gaps(sigma, k, self.n(k) - 1, self.slack(k))
 
-    def child_offsets(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
-        """Where the n_k children of parent sigma start, relative to the
-        parent's left endpoint: L_k, then after each child its length delta_k
-        and the interior gap that follows it.
+    def child_offsets(self, sigma: tuple[int, ...],
+                      k: int) -> tuple[int, tuple[int, ...]]:
+        """Where the n_k children of parent sigma start, relative to its left
+        endpoint, as (den, nums), offset i being nums[i] / den: L_k, then
+        after each child its length delta_k and the gap that follows it.
 
-        This is the one copy of child placement.  For a node-independent gap
-        policy the offsets are the same for every parent and are computed
-        once per level.
-        """
+        This is the one copy of child placement.  A gap is slack_k w / W for
+        its integer weight w and the weight total W, so offset i is
+        (W (L_k + i delta_k) + slack_k (w_1 + ... + w_i)) / (D W) with the
+        scalars over D from `_scalars_of`.  Node-independent offsets are
+        computed once per level (idempotently, so threads may share a spec)."""
         cached = self._offsets.get(k)
         if cached is not None:
             return cached
-        step = self.delta(k)
-        off = self.L(k)
-        offsets = [off]
-        for gap in self.interior_gaps(sigma, k):
-            off += step + gap
-            offsets.append(off)
-        offsets = tuple(offsets)
+        den, lo, step, slack = self._scalars_of(k)
+        weights = self.gaps.gap_weights(sigma, k, self.n(k) - 1)
+        scale = lcm(*(w.denominator for w in weights))
+        weights = [w.numerator * (scale // w.denominator) for w in weights]
+        total = sum(weights)
+        nums = [lo * total]
+        step *= total
+        for w in weights:
+            nums.append(nums[-1] + step + slack * w)
+        offsets = den * total, tuple(nums)
         if self.gaps.node_independent:
             self._offsets[k] = offsets
         return offsets

@@ -4,14 +4,9 @@ All public endpoints are reduced `fractions.Fraction`s; nothing in this
 module rounds.  Levels can be materialized as lists (within a node budget)
 or streamed in left-to-right order for deep constructions.
 
-With a node-independent gap policy every parent places its children at the
-same offsets, so internally a level is a lattice of integers over one
-common denominator D_k: each left endpoint is the lo of the initial
-interval plus one child offset per level, all scaled by D_k, and every
-interval has the same length numerator.  `Node` endpoints are built from
-those integers once, at the edge.  Seeded-random gaps differ per parent
-and are placed by `walk`, which carries each parent's address and left
-endpoint down the offsets of `MoranSpec.child_offsets`.
+Internally a left endpoint is the initial lo plus one integer child offset
+per level (`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every
+gap policy and builds `Node` endpoints from those integers at the edge.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import IO, Iterator
 
 from .errors import BudgetExceededError, DomainError
@@ -67,11 +62,6 @@ class LevelStats:
     slack: Fraction            # per-parent interior gap budget
 
 
-def _check_level(k: int) -> None:
-    if k < 0:
-        raise DomainError(f"depth {k} is out of range: levels start at depth 0")
-
-
 NO_SHRINK = (Fraction(0), Fraction(0))
 
 
@@ -79,92 +69,67 @@ def iter_level(spec: MoranSpec, k: int,
                shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> Iterator[Node]:
     """Stream the level-k intervals left to right without materializing the
     level.  Each interval loses shrink[0] on the left and shrink[1] on the
-    right (the trimmed levels of `reconstruct`)."""
-    _check_level(k)
-    if spec.gaps.node_independent:
-        return _lattice_nodes(spec, k, shrink)
-    return walk(spec, k, shrink)
+    right (the trimmed levels of `reconstruct`).
+
+    `_walk` gives the level-h heads lazily, and below one head the tail,
+    levels h+1..k, as a list of numerators over one denominator, translated
+    per head: node-independent gaps take the trailing levels whose count
+    first reaches `_TAIL` and share that list, per-node gaps take each
+    head's own children."""
+    if k < 0:
+        raise DomainError(f"depth {k} is out of range: levels start at depth 0")
+    lo_pad, hi_pad = shrink
+    origin = spec.interval[0] + lo_pad
+    length = spec.delta(k) - lo_pad - hi_pad
+    shared = spec.gaps.node_independent
+    h = max(k - 1, 0)
+    while shared and h and spec.count(k) < _TAIL * spec.count(h):
+        h -= 1
+
+    def nodes() -> Iterator[Node]:      # apart, so bad arguments raise at once
+        addresses = iter_addresses(spec, k)
+        tail = None
+        for sigma, num, den in _walk(spec, h, (), *origin.as_integer_ratio()):
+            if tail is None or not shared:
+                tail, dens = zip(*((off, d) for _, off, d in
+                                   _walk(spec, k, sigma, 0, 1)))
+            tail_den = dens[0]
+            m = lcm(den, tail_den, length.denominator)
+            base, scale = num * (m // den), m // tail_den
+            span = length.numerator * (m // length.denominator)
+            for off, address in zip(tail, addresses):
+                lo = base + off * scale
+                yield Node(address, Fraction(lo, m), Fraction(lo + span, m))
+
+    return nodes()
+
+
+#: Fewest intervals in a node-independent tail of `iter_level`.
+_TAIL = 2**10
+
+
+def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
+          den: int) -> Iterator[tuple[Address, int, int]]:
+    """(address, lo numerator, denominator) of each level-`depth` interval
+    below sigma (lo num / den) in order, lazily: the first costs one path."""
+    if len(sigma) == depth:
+        yield sigma, num, den
+        return
+    d, offsets = spec.child_offsets(sigma, len(sigma) + 1)
+    m = lcm(den, d)
+    for i, off in enumerate(offsets, 1):
+        yield from _walk(spec, depth, sigma + (i,), num * (m // den) + off * (m // d), m)
 
 
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,
                 shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> LevelSet:
     """Materialize level k as an ordered list of exact intervals."""
-    _check_level(k)
+    nodes = iter_level(spec, k, shrink)
     if spec.count(k) > budget:
         raise BudgetExceededError(
             f"level {k} has {spec.count(k)} intervals (> budget {budget}); "
             "use iter_level for streaming traversal")
-    return LevelSet(k, list(iter_level(spec, k, shrink)))
-
-
-def walk(spec: MoranSpec, k: int,
-         shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> Iterator[Node]:
-    """Level k by placing every parent's children at its own offsets: the
-    left boundary gap L_j, then children of length delta_j separated by
-    the policy's interior gaps (`spec.child_offsets`).
-
-    Lazy and depth-first, so the first n_k intervals are the children of
-    the first parent and cost one root-to-leaf path.  Shrinking moves the
-    origin right by shrink[0] and drops both pads from the length.
-    """
-    _check_level(k)
-    lo_pad, hi_pad = shrink
-    length = spec.delta(k) - lo_pad - hi_pad
-
-    def place(address: Address, lo: Fraction) -> Iterator[Node]:
-        if len(address) == k:
-            yield Node(address, lo, lo + length)
-            return
-        for j, off in enumerate(spec.child_offsets(address, len(address) + 1), 1):
-            yield from place(address + (j,), lo + off)
-
-    return place((), spec.interval[0] + lo_pad)
-
-
-def _lattice_nodes(spec: MoranSpec, k: int,
-                   shrink: tuple[Fraction, Fraction]) -> Iterator[Node]:
-    """Level k of a node-independent construction from its integer lattice.
-
-    `den` is the lcm of every denominator involved, so the left endpoint of
-    the interval with address (j_1, ..., j_k) is
-    (origin + steps[0][j_1 - 1] + ... + steps[k-1][j_k - 1]) / den and its
-    right endpoint adds the common length numerator.
-    """
-    lo_pad, hi_pad = shrink
-    offsets = [spec.child_offsets((), j) for j in range(1, k + 1)]
-    origin = spec.interval[0] + lo_pad
-    length = spec.delta(k) - lo_pad - hi_pad
-    den = lcm(origin.denominator, length.denominator,
-              *(off.denominator for level in offsets for off in level))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (den // x.denominator)
-
-    steps = [tuple(map(scaled, level)) for level in offsets]
-    length = scaled(length)
-    for address, lo in zip(iter_addresses(spec, k),
-                           _lattice_sums(scaled(origin), steps)):
-        yield Node(address, Fraction(lo, den), Fraction(lo + length, den))
-
-
-def _lattice_sums(origin: int, steps: list[tuple[int, ...]]) -> Iterator[int]:
-    """origin plus one entry of every step, over all choices in
-    lexicographic order.
-
-    The trailing steps whose outer sum first reaches the square root of the
-    total count are expanded into one list; the leading steps recurse, so
-    about sqrt(N) integers are held at once, never the whole level.
-    """
-    if not steps:
-        yield origin
-        return
-    total = prod(map(len, steps))
-    h, tail = len(steps), [0]
-    while len(tail) ** 2 < total:
-        h -= 1
-        tail = [b + a for b in steps[h] for a in tail]
-    for head in _lattice_sums(origin, steps[:h]):
-        yield from map(head.__add__, tail)
+    return LevelSet(k, list(nodes))
 
 
 def level_stats(spec: MoranSpec, k: int,

@@ -92,6 +92,17 @@ def test_cantor3_levels_equal_trimmed_levels():
         assert bs.max_len == bs.min_len == Fraction(1, 3 ** m)
 
 
+def test_template_stages_at_depth_40():
+    # the template stages come from the streamed trimmed level, whose
+    # first n_k intervals cost one path even where the level has 2^40
+    spec = preset("cantor3")
+    sched = choose_M(spec, "A", 40)
+    tree = build_T(spec, sched, 40, mode="template")
+    first, second = tree.stages[40]
+    assert (first.lo, first.hi) == (0, Fraction(1, 3 ** 40))
+    assert (second.lo, second.hi) == (Fraction(2, 3 ** 40), Fraction(1, 3 ** 39))
+
+
 def _weighted9() -> MoranSpec:
     """Unequal interior gaps, and boundary gaps that shrink with the level."""
     def pad(den):

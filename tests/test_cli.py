@@ -248,6 +248,7 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["qs", "--depth", "2", "--samples", "0"], "sample count 0"),
     (["validate", "--depth", "0"], "depth 0"),
     (["qs", "--depth", "2", "--m-max", "1"], "m_max = 1"),
+    (["reconstruct", "--depth", "0"], "depth 0"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     out = [] if args[0] == "validate" else ["--out", str(tmp_path)]

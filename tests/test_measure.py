@@ -17,6 +17,7 @@ from moranset.oracle import (cantor3_frostman_single_interval,
                              exhaustive_mu_sweep, oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import preset, preset_names
+from test_tree import level_specs
 
 
 def _measure(name, depth=10):
@@ -57,29 +58,43 @@ def _oracle_stars(name, k):
 
 
 @st.composite
-def _window_end(draw, stars):
-    """A trimmed endpoint, a gap midpoint or a random rational near the hull."""
+def _window_end(draw, stars, hull):
+    """A trimmed endpoint, a gap midpoint or a random rational in `hull`."""
     gaps = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(stars, stars[1:])]
     kind = draw(st.sampled_from(["endpoint", "midpoint", "random"]))
     if kind == "endpoint":
         return draw(st.sampled_from([p for iv in stars for p in iv]))
     if kind == "midpoint" and gaps:
         return draw(st.sampled_from(gaps))
-    return draw(st.fractions(Fraction(-1, 4), Fraction(5, 4),
-                             max_denominator=10**9))
+    return draw(st.fractions(*hull, max_denominator=10**9))
 
 
-@pytest.mark.parametrize("name", preset_names())
+#: The `test_mu_window_matches_oracle` case drawing its construction from
+#: `test_tree.level_specs`: an initial interval off [0, 1], boundary gaps,
+#: zero gap weights and seeded gaps.
+DRAWN = "level_specs"
+
+
+@pytest.mark.parametrize("name", preset_names() + [DRAWN])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_mu_window_matches_oracle(name, data):
-    k = data.draw(st.integers(0, _ORACLE_DEPTH[name]), label="k")
-    stars = _oracle_stars(name, k)
-    a = data.draw(_window_end(stars), label="a")
+    if name == DRAWN:
+        spec = data.draw(level_specs(), label="spec")
+        k = depth = data.draw(st.integers(0, 3), label="k")
+        stars = oracle_level(spec, k, trimmed=True)
+        lo, hi = spec.interval
+        hull = (lo - (hi - lo) / 4, hi + (hi - lo) / 4)
+    else:
+        spec, depth = preset(name), _ORACLE_DEPTH[name]
+        k = data.draw(st.integers(0, depth), label="k")
+        stars = _oracle_stars(name, k)
+        hull = (Fraction(-1, 4), Fraction(5, 4))
+    a = data.draw(_window_end(stars, hull), label="a")
     b = a if data.draw(st.booleans(), label="a == b") else \
-        data.draw(_window_end(stars), label="b")
+        data.draw(_window_end(stars, hull), label="b")
     a, b = min(a, b), max(a, b)
-    mm = MassMeasure(first_reconstruct(preset(name), _ORACLE_DEPTH[name]))
+    mm = MassMeasure(first_reconstruct(spec, depth))
     assert mu_window(mm, (a, b), k) == oracle_mu(stars, a, b)
 
 

@@ -121,10 +121,30 @@ def _callers(name: str) -> set[str]:
     return found
 
 
+def _calls_in(path: Path, function: str) -> set[str]:
+    """The names that the body of `function` in `path` calls."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    found.add(func.id if isinstance(func, ast.Name)
+                              else getattr(func, "attr", None))
+    return found
+
+
 def test_tree_alone_places_intervals():
     """Child offsets become intervals in one module: only `tree` builds a
     `Node`, and only it and `measure._rank` read `child_offsets`.  Gap
-    weights are split into gaps in `specs` and compared in `tree` only."""
+    weights are split into gaps in `specs` and compared in `tree` only.
+    `child_offsets` reads the weights as integers, never the `Fraction`
+    gaps of `interior_gaps`, so the oracle, which places children by those
+    gaps, shares no split with the fast path."""
     assert _callers("Node") == {"tree.py"}
     assert _callers("child_offsets") == {"tree.py", "measure.py"}
     assert _callers("gap_weights") == {"specs.py", "tree.py"}
+    offsets = _calls_in(PACKAGE_DIR / "specs.py", "child_offsets")
+    assert "gap_weights" in offsets
+    assert "interior_gaps" not in offsets
+    assert "interior_gaps" in _calls_in(PACKAGE_DIR / "oracle.py", "oracle_level")

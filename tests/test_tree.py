@@ -15,7 +15,7 @@ from moranset.oracle import oracle_level
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
 from moranset.tree import (DEFAULT_NODE_BUDGET, build_level, export_level,
-                           iter_addresses, iter_level, level_stats, walk)
+                           iter_addresses, iter_level, level_stats)
 
 
 def test_cantor3_level2_exact():
@@ -187,20 +187,14 @@ def test_lattice_levels_match_oracle(spec, k):
         k = min(k, 3)            # every parent draws its own gaps
     addresses = list(iter_addresses(spec, k))
     star = StarState(spec, k)
-    first = spec.n(k) if k else 1
-    for want, shrink, levels in (
-            (oracle_level(spec, k), (0, 0),
+    for want, levels in (
+            (oracle_level(spec, k),
              (build_level(spec, k).nodes, list(iter_level(spec, k)))),
             (oracle_level(spec, k, trimmed=True),
-             (star.L_star(k), star.R_star(k)),
              (star.level(k).nodes, list(star.iter_level(k))))):
         for nodes in levels:
             assert [(nd.lo, nd.hi) for nd in nodes] == want
             assert [nd.address for nd in nodes] == addresses
-        # the walk's first n_k intervals: the first parent's children
-        head = list(islice(walk(spec, k, shrink), first))
-        assert [(nd.lo, nd.hi) for nd in head] == want[:first]
-        assert [nd.address for nd in head] == addresses[:first]
 
 
 @given(level_specs(), st.integers(1, 3))
@@ -226,21 +220,23 @@ def test_level_stats_gap_extremes_match_oracle(spec, k):
 
 def test_deep_level_streams_in_little_memory():
     spec = preset("cantor3")
-    assert spec.count(30) > DEFAULT_NODE_BUDGET
-    star = StarState(spec, 30)
-    tracemalloc.start()
-    try:
-        plain = list(islice(iter_level(spec, 30), 1000))
-        trimmed = list(islice(star.iter_level(30), 1000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, f"peak {peak} bytes while streaming"
-    assert plain == trimmed                       # cantor3 trims nothing
-    assert plain[0].address == (1,) * 30
-    assert (plain[0].lo, plain[0].hi) == (0, Fraction(1, 3**30))
-    assert plain[1].lo == Fraction(2, 3**30)
-    assert [nd.address for nd in plain] == list(islice(iter_addresses(spec, 30), 1000))
+    for depth in (30, 40):
+        assert spec.count(depth) > DEFAULT_NODE_BUDGET
+        star = StarState(spec, depth)
+        tracemalloc.start()
+        try:
+            plain = list(islice(iter_level(spec, depth), 1000))
+            trimmed = list(islice(star.iter_level(depth), 1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak} bytes while streaming depth {depth}"
+        assert plain == trimmed                   # cantor3 trims nothing
+        assert plain[0].address == (1,) * depth
+        assert (plain[0].lo, plain[0].hi) == (0, Fraction(1, 3**depth))
+        assert plain[1].lo == Fraction(2, 3**depth)
+        assert [nd.address for nd in plain] == list(
+            islice(iter_addresses(spec, depth), 1000))
     # on a small level with boundary gaps, streamed equals materialized
     padded = preset("padded2")
     star = StarState(padded, 4)
