@@ -8,6 +8,7 @@ since they feed integer threshold selection downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -24,6 +25,25 @@ def log_fraction(x: Fraction) -> float:
     if x <= 0:
         raise DomainError(f"log of non-positive rational {x}")
     return math.log(x.numerator) - math.log(x.denominator)
+
+
+def power_ratio(num: int, den: int, wnum: int, wden: int, t: float) -> float:
+    """(num/den) / (wnum/wden)^t for integers num, wnum >= 0 and den,
+    wden > 0, reduced or not; 0.0 when either numerator is 0.  Int true
+    division rounds correctly, so normal floats give the bytes of
+    `float(mu) / float(w) ** t`; where a float would not be normal the ratio
+    comes from the exact integers' logs instead.  A ratio past float range
+    raises OverflowError."""
+    if num == 0 or wnum == 0:
+        return 0.0
+    try:
+        mu, w = num / den, (wnum / wden) ** t
+        if min(mu, w) >= sys.float_info.min:
+            return mu / w
+    except OverflowError:
+        pass
+    return math.exp(math.log(num) - math.log(den)
+                    - t * (math.log(wnum) - math.log(wden)))
 
 
 @dataclass

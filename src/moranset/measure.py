@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
-                        log_fraction, log_series)
+                        log_series, power_ratio)
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError, RegimeError)
 from .reconstruct import StarState
@@ -141,14 +140,9 @@ def threshold_level(star: StarState, t: float, k_max: int) -> int:
 
 
 def _ratio(mu: Fraction, width: Fraction, t: float) -> float:
-    """mu / width^t in floats, or from the logs of the exact numerators and
-    denominators where a float would not be normal (underflow)."""
-    if mu == 0 or width == 0:
-        return 0.0
-    num, den = float(mu), float(width) ** t
-    if min(num, den) >= sys.float_info.min:
-        return num / den
-    return math.exp(log_fraction(mu) - t * log_fraction(width))
+    """mu / width^t for a window (`dimension.power_ratio`)."""
+    return power_ratio(mu.numerator, mu.denominator,
+                       width.numerator, width.denominator, t)
 
 
 def frostman_audit(measure: MassMeasure, condition: str, t: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DegenerateSpecError, DomainError
 from .specs import MoranSpec
 
 MAX_INTERVALS = 10**5
@@ -120,6 +120,37 @@ def exhaustive_mu_sweep(spec: MoranSpec, k: int, t: float) -> OracleResult:
             if r > worst:
                 worst, witness = r, (pts[i], pts[j])
     return OracleResult((worst, witness), "exhaustive_mu_sweep", checked)
+
+
+# ---------------------------------------------------------------------------
+# Length-power measure on an image hierarchy
+# ---------------------------------------------------------------------------
+
+def oracle_mu_d(image, d: Fraction) -> list[list[Fraction]]:
+    """Masses of the length-power measure on an image tree (anything with
+    `levels` of branches carrying `lo`, `hi`, `parent`, and
+    `precision_bits`): every parent's mass is split by `length^d`, each
+    `Fraction` length raised by `mpmath.power` at `precision_bits + 32`
+    bits, and the masses are `Fraction`s divided by the exact weight sum."""
+    import mpmath
+    masses = [[Fraction(1)]]
+    with mpmath.workprec(image.precision_bits + 32):
+        exponent = mpmath.mpf(d.numerator) / d.denominator
+        for level in image.levels[1:]:
+            weights = []
+            for br in level:
+                length = br.hi - br.lo
+                if length <= 0:
+                    raise DegenerateSpecError("zero-length image branch")
+                power = mpmath.power(mpmath.mpf(length.numerator)
+                                     / length.denominator, exponent)
+                weights.append(power.man * Fraction(2) ** power.exp)
+            totals: dict[int, Fraction] = {}
+            for br, w in zip(level, weights):
+                totals[br.parent] = totals.get(br.parent, 0) + w
+            masses.append([masses[-1][br.parent] * w / totals[br.parent]
+                           for br, w in zip(level, weights)])
+    return masses
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,19 @@ identity, affine and piecewise-linear maps are exact on rationals, a power
 `|x|^p·2^{q·s}`, and a composition pushes the lower bound through lower
 bounds and the upper bound through upper bounds, since every part is
 increasing (directed rounding; Moore, Kearfott & Cloud, *Introduction to
-Interval Analysis*, SIAM 2009).  Only the length-power weights of `build_mu_d`
-use floating point, at `prec + 32` bits, imported inside `_power_weights`.
+Interval Analysis*, SIAM 2009).
+
+The length-power measure `mu_d` (`build_mu_d`) is one integer pass.  Each
+parent's sibling lengths are integers over the lcm of their endpoint
+denominators, and their weights `a^d` are integers: all 1 for equal
+siblings, exact integer roots when every sibling length ratio has an exact
+d-th power, and otherwise mpmath mantissas at `prec + 32` bits, shifted to
+one exponent.  That is the module's one floating-point step, imported inside
+`_power_weights`; mpmath stays for it because its cost does not grow with
+the denominator of `d` (tens of µs per weight at 160 bits for `d = 1/2` and
+for a 12-digit denominator alike, where an integer root costs 12 ms at
+q = 1000).  Masses are unreduced `(num, den)` integer pairs, so every level
+sums to exactly 1 whatever the weights.
 """
 
 from __future__ import annotations
@@ -21,12 +32,13 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
 from .branchtree import BranchTree
-from .dimension import fit_slope, log_series
+from .dimension import fit_slope, log_series, power_ratio
 from .errors import (ConfigError, DegenerateSpecError, DomainError,
                      InvalidSpecError, PrecisionError)
 from .reconstruct import StarState
@@ -36,6 +48,9 @@ DEFAULT_PRECISION_BITS = 128
 #: Largest integer, in bits, whose root a power enclosure may take:
 #: `p·bits(x) + q·s` for `power:p/q` at 2^-s.  Past it `PrecisionError`.
 MAX_ROOT_BITS = 1 << 20
+#: Largest `precision_bits`: the `mu_d` weights cost grows faster than
+#: linearly in it (0.9 s for cantor3 depth 3 at 2^14 bits, 10 s at 2^16).
+MAX_PRECISION_BITS = 1 << 14
 
 
 def check_length_power(d: float | Fraction) -> None:
@@ -46,6 +61,9 @@ def check_length_power(d: float | Fraction) -> None:
 def check_precision_bits(bits: int) -> None:
     if bits < 1:
         raise DomainError(f"precision {bits} bits must be >= 1")
+    if bits > MAX_PRECISION_BITS:
+        raise DomainError(
+            f"precision {bits} bits must be <= {MAX_PRECISION_BITS}")
 
 
 def check_samples(samples: int) -> None:
@@ -376,60 +394,83 @@ class ImageMeasure:
     """Probability measure splitting each branch's mass among its children
     proportionally to the d-th power of their lengths.
 
-    Weights use exact d-th powers when the lengths admit them (always when
-    siblings have equal lengths) and high-precision dyadics otherwise; the
-    normalization is exact division, so sibling masses always sum exactly to
-    the parent mass.
+    Each parent's sibling lengths are integers over one denominator, and
+    their weights are integers (`_power_weights`): all 1 when the siblings
+    are equal, exact integer roots when the length ratios have exact d-th
+    powers, mpmath mantissas at `prec + 32` bits otherwise (their cost does
+    not grow with the denominator of `d`).  A child's mass is the unreduced
+    integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`, so sibling
+    masses always sum exactly to the parent mass; `masses` reduces the pairs
+    to `Fraction`s on first use.
     """
 
-    def __init__(self, image: ImageTree, d: float | Fraction,
-                 masses: list[list[Fraction]]):
+    def __init__(self, image: ImageTree, d: Fraction,
+                 pairs: list[list[tuple[int, int]]]):
         self.image = image
         self.d = d
-        self.masses = masses
+        self.pairs = pairs
+
+    @cached_property
+    def masses(self) -> list[list[Fraction]]:
+        return [[Fraction(num, den) for num, den in level]
+                for level in self.pairs]
 
 
-def _power_weights(lengths: list[Fraction], d: Fraction,
-                   prec: int) -> list[Fraction]:
-    if any(l <= 0 for l in lengths):
+def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
+    """Integer weights proportional to `a^d` for the integer sibling lengths
+    `a`: all 1 for equal lengths; `r^p` for `d = p/q` when every length over
+    the lengths' gcd is a q-th power `r^q` (exactly when every length ratio
+    has an exact d-th power); otherwise mpmath's round-to-nearest `a^d` at
+    `prec + 32` bits, its mantissas shifted to the smallest exponent."""
+    if min(lengths) <= 0:
         raise DegenerateSpecError("zero-length image branch; cannot weight by length")
-    if len(set(lengths)) == 1:
-        return [Fraction(1)] * len(lengths)
-    exact = [rational_pow(l, d) for l in lengths]
-    if all(w is not None for w in exact):
-        return exact
-    import mpmath  # the one floating-point path; kept off `import moranset`
-
-    def mpf(x: Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-    with mpmath.workprec(prec + _GUARD_BITS):
-        dd = mpf(d)
-        weights = []
-        for l in lengths:
-            _, man, exp, _ = mpmath.power(mpf(l), dd)._mpf_
-            weights.append(man * Fraction(2) ** exp)
-        return weights
+    if lengths.count(lengths[0]) == len(lengths):
+        return [1] * len(lengths)
+    g = math.gcd(*lengths)
+    lengths = [a // g for a in lengths]
+    p, q = d.numerator, d.denominator
+    roots = []
+    for a in lengths:
+        r = _iroot(a, q)
+        if r is None:
+            break
+        roots.append(r ** p)
+    else:
+        return roots
+    # the one floating-point path; kept off `import moranset`
+    from mpmath.libmp import from_int, mpf_div, mpf_pow, round_nearest
+    wp = prec + _GUARD_BITS
+    dd = mpf_div(from_int(p), from_int(q), wp, round_nearest)
+    powers = [mpf_pow(from_int(a, wp, round_nearest), dd, wp, round_nearest)
+              for a in lengths]
+    low = min(exp for _, _, exp, _ in powers)
+    return [man << (exp - low) for _, man, exp, _ in powers]
 
 
 def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
     check_length_power(d)
     d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
-    masses: list[list[Fraction]] = [[Fraction(1)]]
-    for m in range(1, image.m_max + 1):
+    prec = image.precision_bits
+    pairs: list[list[tuple[int, int]]] = [[(1, 1)]]
+    for level in image.levels[1:]:
         by_parent: dict[int, list[int]] = {}
-        for i, br in enumerate(image.levels[m]):
+        for i, br in enumerate(level):
             by_parent.setdefault(br.parent, []).append(i)
-        level_mass = [Fraction(0)] * len(image.levels[m])
+        parents = pairs[-1]
+        out: list[tuple[int, int]] = [(0, 1)] * len(level)
         for parent, idxs in by_parent.items():
-            lengths = [image.levels[m][i].length for i in idxs]
-            weights = _power_weights(lengths, d, image.precision_bits)
-            total = sum(weights)
-            pmass = masses[m - 1][parent]
+            ends = [(level[i].lo, level[i].hi) for i in idxs]
+            D = math.lcm(*(x.denominator for end in ends for x in end))
+            lengths = [hi.numerator * (D // hi.denominator)
+                       - lo.numerator * (D // lo.denominator)
+                       for lo, hi in ends]
+            weights = _power_weights(lengths, d, prec)
+            pn, pd = parents[parent]
+            pd *= sum(weights)
             for i, w in zip(idxs, weights):
-                level_mass[i] = pmass * w / total
-        masses.append(level_mass)
-    return ImageMeasure(image, d, masses)
+                out[i] = (pn * w, pd)
+        pairs.append(out)
+    return ImageMeasure(image, d, pairs)
 
 
 @dataclass
@@ -442,21 +483,38 @@ class RatioSeries:
         return max(self.ratios)
 
 
+def _ratio_series(levels: list[int], ratio, d: float) -> RatioSeries:
+    """The series `ratio(m)` over `levels` with its log-growth rate.  A
+    level whose ratio is past float range raises `PrecisionError`."""
+    ratios = []
+    for m in levels:
+        try:
+            r = ratio(m)
+        except OverflowError:
+            r = math.inf
+        if not 0 < r < math.inf:
+            raise PrecisionError(
+                f"level {m}: max mass / length^d at d={d} is past float range")
+        ratios.append(r)
+    return RatioSeries(levels, ratios,
+                       fit_slope([float(m) for m in levels],
+                                 [math.log(r) for r in ratios]))
+
+
 def prop1_ratio_series(measure: ImageMeasure, K: int | None = None) -> RatioSeries:
     """Per-level max of mass / length^d over the image branches, with the
     log-growth rate; boundedness of this series is the audited claim."""
     image = measure.image
     top = image.m_max if K is None else K
     d = float(measure.d)
-    levels = list(range(1, top + 1))
-    ratios = []
-    for m in levels:
-        best = max(float(mass) / float(br.length) ** d
-                   for br, mass in zip(image.levels[m], measure.masses[m]))
-        ratios.append(best)
-    return RatioSeries(levels, ratios,
-                       fit_slope([float(m) for m in levels],
-                                 [math.log(r) for r in ratios]))
+
+    def ratio(m: int) -> float:
+        return max(power_ratio(num, den,
+                               br.hi.numerator * br.lo.denominator
+                               - br.lo.numerator * br.hi.denominator,
+                               br.hi.denominator * br.lo.denominator, d)
+                   for br, (num, den) in zip(image.levels[m], measure.pairs[m]))
+    return _ratio_series(list(range(1, top + 1)), ratio, d)
 
 
 def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries:
@@ -464,12 +522,12 @@ def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries
     whose siblings all share one length: every level-k branch then carries
     mass 1/(interval count), so the max ratio is count^-1 * length^-d."""
     check_length_power(d)
-    ratios = [math.exp(-log_count - d * log_len)
-              for log_count, log_len in log_series(star, K)]
-    levels = list(range(1, K + 1))
-    return RatioSeries(levels, ratios,
-                       fit_slope([float(m) for m in levels],
-                                 [math.log(r) for r in ratios]))
+    logs = list(log_series(star, K))
+
+    def ratio(k: int) -> float:
+        log_count, log_len = logs[k - 1]
+        return math.exp(-log_count - d * log_len)
+    return _ratio_series(list(range(1, K + 1)), ratio, d)
 
 
 # ---------------------------------------------------------------------------

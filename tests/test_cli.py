@@ -249,6 +249,7 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["validate", "--depth", "0"], "depth 0"),
     (["qs", "--depth", "2", "--m-max", "1"], "m_max = 1"),
     (["reconstruct", "--depth", "0"], "depth 0"),
+    (["qs", "--depth", "2", "--precision-bits", "16385"], "precision 16385"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     out = [] if args[0] == "validate" else ["--out", str(tmp_path)]
@@ -257,6 +258,47 @@ def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     assert res.exit_code == 10
     assert needle in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args,artifact", [
+    (["qs", "--map", "power:200"], "ratio.csv"),
+    (["report", "--qs", "power:200"], "report.json"),
+])
+def test_tiny_image_lengths_give_finite_ratios(runner, tmp_path, args, artifact):
+    # level-6 images of cantor3 under x^200 are as short as 3^-1200, whose
+    # float is 0.0: the ratio comes from exact logs instead
+    res = runner.invoke(main, args + ["--preset", "cantor3", "--depth", "6",
+                                      "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    if artifact == "ratio.csv":
+        rows = (tmp_path / artifact).read_text().splitlines()[1:]
+        ratios = [float(row.split(",")[1]) for row in rows]
+    else:
+        data = json.loads((tmp_path / artifact).read_text())
+        ratios = data["ratio_series"]["ratios"]
+    assert len(ratios) == 6
+    assert all(0 < r < float("inf") for r in ratios)
+
+
+@pytest.mark.parametrize("args", [["qs"], ["report"],
+                                  ["report", "--qs", "power:2"]])
+def test_ratio_past_float_range_exit_code(runner, tmp_path, args):
+    # n = 2 and c = 10^-100: the max ratio grows by 10^90/2 per level at
+    # d = 0.9, past float range at level 4
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({
+        "n": {"kind": "constant", "values": [2]},
+        "c": {"kind": "constant", "values": [f"1/{10 ** 100}"]},
+        "L": {"kind": "constant", "values": ["0"]},
+        "R": {"kind": "constant", "values": ["0"]},
+        "gaps": {"kind": "uniform"}}))
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["--config", str(cfg), "--depth", "4",
+                                      "--d", "0.9", "--out", str(out)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 12, res.output
+    assert "level 4" in res.output
+    assert not out.exists()
 
 
 def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):

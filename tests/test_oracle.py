@@ -96,15 +96,30 @@ def _package_imports(path: Path) -> set[str]:
     return found
 
 
+def _defined_in(path: Path) -> set[str]:
+    """The names of the functions and classes that `path` defines."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_oracle_stays_independent():
     """The oracle is a cross-check only if it shares no code with the fast
-    paths: nothing imports it, and it imports only errors and specs."""
+    paths: nothing imports it, and it imports only errors and specs.  Its
+    `mu_d` raises `Fraction` lengths by `mpmath.power` and calls nothing the
+    fast path's `qsmap` or `dimension` defines (integer lengths, weights,
+    roots, ratios)."""
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert any(p.name == "oracle.py" for p in sources)
     importers = [p.name for p in sources
                  if p.name != "oracle.py" and "oracle" in _package_imports(p)]
     assert importers == []
     assert _package_imports(PACKAGE_DIR / "oracle.py") <= {"errors", "specs"}
+    mu_d = _calls_in(PACKAGE_DIR / "oracle.py", "oracle_mu_d")
+    assert {"power", "Fraction"} <= mu_d
+    fast = (_defined_in(PACKAGE_DIR / "qsmap.py")
+            | _defined_in(PACKAGE_DIR / "dimension.py"))
+    assert {"build_mu_d", "_power_weights", "power_ratio"} <= fast
+    assert mu_d & fast == set()
 
 
 def _callers(name: str) -> set[str]:

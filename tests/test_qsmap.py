@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from moranset.branchtree import build_T, choose_M
 from moranset.errors import ConfigError, DomainError, InvalidSpecError
-from moranset.oracle import dim1_binary_prop1_log_ratios
-from moranset.qsmap import (AffineMap, IdentityMap, PiecewiseLinearMap,
-                            PowerMap, _floor_root, build_mu_d, image_tree,
+from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
+from moranset.qsmap import (AffineMap, IdentityMap, ImageBranch, ImageTree,
+                            PiecewiseLinearMap, PowerMap, _floor_root, build_mu_d, image_tree,
                             parse_map, prop1_ratio_series,
                             prop1_ratio_series_uniform, rational_pow,
                             sandwich_audit, stats_series)
@@ -235,10 +236,57 @@ def test_identity_cantor3_masses_exact(d):
 
 def test_unequal_siblings_split():
     from moranset.qsmap import _power_weights
-    w = _power_weights([Fraction(4), Fraction(1)], Fraction(1, 2), 128)
+    w = _power_weights([4, 1], Fraction(1, 2), 128)
     assert w == [2, 1]
-    w = _power_weights([Fraction(1), Fraction(1)], Fraction(1, 2), 128)
+    w = _power_weights([1, 1], Fraction(1, 2), 128)
     assert w == [1, 1]
+
+
+def _two_siblings(a: Fraction, b: Fraction) -> ImageTree:
+    """A one-level image: children [1/3, 1/3 + a] and [1, 1 + b] under
+    their hull."""
+    left = (Fraction(1, 3), Fraction(1, 3) + a)
+    right = (Fraction(1), 1 + b)
+    levels = [[ImageBranch(left[0], right[1], 0, True)],
+              [ImageBranch(*left, 0, True), ImageBranch(*right, 0, True)]]
+    return ImageTree(IdentityMap(), None, 128, levels)
+
+
+@pytest.mark.parametrize("a,b,d,masses", [
+    ("1/2", "2", "1/2", ("1/3", "2/3")),
+    ("1/3", "3", "1/2", ("1/4", "3/4")),
+    ("1/3", "9", "1/3", ("1/4", "3/4")),
+    ("2/7", "54/7", "2/3", ("1/10", "9/10")),
+])
+def test_exact_weights_from_exact_length_ratios(a, b, d, masses):
+    # neither length has an exact d-th power, their ratio does: the split is
+    # exact, whatever the lengths' common denominator
+    mu = build_mu_d(_two_siblings(Fraction(a), Fraction(b)), Fraction(d))
+    assert mu.masses[1] == [Fraction(m) for m in masses]
+    assert sum(mu.masses[1]) == 1
+
+
+@lru_cache(maxsize=None)
+def _image(name, map_text):
+    return image_tree(parse_map(map_text), _tree(name, 3))
+
+
+@pytest.mark.parametrize("d", [0.5, 0.7, 0.6309297535714574])
+@pytest.mark.parametrize("map_text", ["power:1/2", "power:2+affine:3,-1",
+                                      "pl:0,0;1/2,1/3;1,1"])
+@pytest.mark.parametrize("name", ["cantor3", "wide10", "skew10", "padded2"])
+def test_mu_d_matches_oracle(name, map_text, d):
+    img = _image(name, map_text)
+    mu = build_mu_d(img, d)
+    want = oracle_mu_d(img, mu.d)
+    tol = Fraction(1, 2 ** img.precision_bits)
+    for k, (got, ref) in enumerate(zip(mu.masses, want)):
+        assert sum(got) == 1, k
+        assert all(abs(g - r) <= tol * r for g, r in zip(got, ref)), k
+    ratios = [max(float(m) / float(br.hi - br.lo) ** float(mu.d)
+                  for br, m in zip(img.levels[k], want[k]))
+              for k in range(1, img.m_max + 1)]
+    assert prop1_ratio_series(mu).ratios == ratios
 
 
 def test_power_map_mass_conservation():
