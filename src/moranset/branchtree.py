@@ -4,9 +4,11 @@ branch hierarchy.
 Consecutive trimmed levels can refine by an unbounded factor (n_k children at
 once).  This module inserts intermediate levels so that every refinement step
 multiplies the branch count of a parent by at most M, except the last step of
-a stage which may multiply by up to M^2.  Each intermediate branch is the
-hull of a contiguous run of trimmed intervals; runs are split into M balanced
+a stage which may multiply by up to M^2.  Each intermediate branch spans a
+contiguous run of trimmed intervals; runs are split into M balanced
 contiguous groups (sizes differing by at most 1, larger groups leftmost).
+Each parent's children are therefore one contiguous run of the next level,
+and the runs come in parent order.
 
 One builder serves both modes.  Explicit mode refines every parent of each
 stage.  Template mode refines only the first parent: when the gap policy is
@@ -20,8 +22,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterator
+from itertools import groupby, islice
+from operator import attrgetter
+from typing import Iterator
 
 from .dimension import ConditionCert, check_conditions
 from .errors import (BudgetExceededError, ConditionInapplicableError,
@@ -106,8 +109,8 @@ def balanced_groups(q: int, M: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Branch:
-    """One branch: hull of the trimmed intervals with indices [a, b) of its
-    stage, positioned by exact endpoints."""
+    """One branch: the span of the trimmed intervals with indices [a, b) of
+    its stage, from the left end of interval a to the right end of b-1."""
     lo: Fraction
     hi: Fraction
     a: int
@@ -134,35 +137,23 @@ class BranchStats:
     psi_min: int
 
 
-@dataclass
-class GapRecord:
-    """Per-branch refinement data at one level: the branch length, its
-    children's lengths at the next level, the removed gaps between and around
-    them, and the trimmed-interval gaps strictly inside the branch."""
-    length: Fraction
-    child_lengths: list[Fraction]
-    gap_lengths: list[Fraction]          # left trim, between-children, right trim
-    interior_star_gaps: list[Fraction]   # all trimmed-level gaps inside the branch
-    multiplicity: int = 1
-
-
 def refine_stage(runs: list[tuple[int, int]], steps: int, M: int,
-                 hull: Callable[[int, int], tuple[Fraction, Fraction]]
-                 ) -> Iterator[list[Branch]]:
+                 nodes: list[Node]) -> Iterator[list[Branch]]:
     """The `steps` levels of one stage, coarsest first.
 
-    Each run [a, b) of trimmed-interval indices splits into M balanced
-    groups, except at the stage's last step, where every trimmed interval
-    becomes its own branch.  `hull(a, b)` gives the endpoints of the branch
-    spanning intervals a..b-1; a branch's parent is the index of its run.
+    Each run [a, b) of indices into the stage's trimmed intervals `nodes`
+    splits into M balanced groups, except at the stage's last step, where
+    every trimmed interval becomes its own branch.  A branch's parent is the
+    index of its run, so each run's children are contiguous and in run
+    order.
     """
     for t in range(1, steps + 1):
         branches = []
         for pi, (a, b) in enumerate(runs):
             sizes = [1] * (b - a) if t == steps else balanced_groups(b - a, M)
             for size in sizes:
-                lo, hi = hull(a, a + size)
-                branches.append(Branch(lo, hi, a, a + size, pi))
+                branches.append(Branch(nodes[a].lo, nodes[a + size - 1].hi,
+                                       a, a + size, pi))
                 a += size
         yield branches
         runs = [(br.a, br.b) for br in branches]
@@ -172,9 +163,11 @@ class BranchTree:
     """The interpolated refinement hierarchy.
 
     `levels[m]` holds the level-m branches (level 0: the trimmed root) and
-    `stages[k]` the trimmed level-k intervals whose hulls the stage-k
-    branches are; in template mode both cover only the first parent of
-    each stage.
+    `stages[k]` the trimmed level-k intervals that the stage-k branches
+    span; in template mode both cover only the first parent of each stage.
+    The children of each level-m branch are one contiguous run of
+    `levels[m+1]`, runs in parent order; `families(m)` reads them, and every
+    per-parent statistic comes from those runs.
     """
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
@@ -193,14 +186,11 @@ class BranchTree:
         """Every branch of levels 0..m_max (explicit mode only, else None)."""
         return self.levels if self.mode == "explicit" else None
 
-    def _level(self, m: int) -> tuple[list[Branch], int]:
-        """The level-m branches and how many times they repeat."""
-        if self.mode == "explicit" or m == 0:
-            return self.levels[m], 1
-        return self.levels[m], self.spec.count(self.schedule.stage_of(m) - 1)
-
     def branch_stats(self, m: int) -> BranchStats:
-        level, reps = self._level(m)
+        level = self.levels[m]
+        # template levels repeat once per trimmed interval of the stage before
+        reps = (1 if self.mode == "explicit" or m == 0
+                else self.spec.count(self.schedule.stage_of(m) - 1))
         lens = [br.length for br in level]
         milestones = self.schedule.m
         # At a milestone the span resets: psi points at the *next* milestone.
@@ -212,51 +202,30 @@ class BranchTree:
         return BranchStats(m, reps * len(level), max(lens), min(lens),
                            reps * sum(lens), psi_max, psi_min)
 
-    def children_per_branch(self, m: int) -> tuple[int, int]:
-        """(max, min) number of level-(m+1) branches inside a level-m branch."""
-        counts = {len(rec.child_lengths) for rec in self.gap_structure(m)}
-        return max(counts), min(counts)
-
-    def gap_structure(self, m: int) -> Iterator[GapRecord]:
-        """One record per level-m branch that the build refined, describing
-        its level-(m+1) children and removed gaps; the multiplicity is the
-        repeat count of level m+1."""
+    def families(self, m: int) -> Iterator[tuple[Branch, list[Branch]]]:
+        """Each level-m branch that the build refined, with its level-(m+1)
+        children: one contiguous run of level m+1, in parent order.  In
+        template mode that is the first parent's cell only; every other
+        parent is a translate of it."""
         if not 0 <= m < len(self.levels) - 1:
             raise DomainError(
-                f"gap structure at level {m} needs levels {m} and {m + 1}; "
+                f"families at level {m} need levels {m} and {m + 1}; "
                 f"built through level {len(self.levels) - 1}")
-        children, reps = self._level(m + 1)
-        nodes = self.stages[self.schedule.stage_of(m + 1)]
-        yield from _gap_records(self.levels[m], children,
-                                lambda j: nodes[j + 1].lo - nodes[j].hi, reps)
+        parents = self.levels[m]
+        return ((parents[i], list(kids)) for i, kids
+                in groupby(self.levels[m + 1], key=attrgetter("parent")))
+
+    def children_per_branch(self, m: int) -> tuple[int, int]:
+        """(max, min) number of level-(m+1) branches inside a level-m branch."""
+        counts = [len(kids) for _, kids in self.families(m)]
+        return max(counts), min(counts)
 
     def chi(self, m: int) -> Fraction:
         """Largest branch/parent length ratio at level m (m >= 1), exact."""
         if m < 1:
             raise DomainError("chi is defined for m >= 1")
-        parents = self.levels[m - 1]
-        return max(br.length / parents[br.parent].length
-                   for br in self.levels[m])
-
-
-def _gap_records(level: list[Branch], children: list[Branch],
-                 star_gap: Callable[[int], Fraction],
-                 reps: int) -> Iterator[GapRecord]:
-    """One record per branch of `level` that has children: their lengths,
-    the gaps removed between and around them, and the trimmed gaps inside
-    the branch."""
-    by_parent: dict[int, list[Branch]] = {}
-    for br in children:
-        by_parent.setdefault(br.parent, []).append(br)
-    for i, kids in by_parent.items():
-        br = level[i]
-        gap_lengths = [kids[0].lo - br.lo]
-        for prev, nxt in zip(kids, kids[1:]):
-            gap_lengths.append(nxt.lo - prev.hi)
-        gap_lengths.append(br.hi - kids[-1].hi)
-        star_gaps = [star_gap(j) for j in range(kids[0].a, kids[-1].b - 1)]
-        yield GapRecord(br.length, [c.length for c in kids], gap_lengths,
-                        star_gaps, multiplicity=reps)
+        return max(max(kid.length for kid in kids) / br.length
+                   for br, kids in self.families(m - 1))
 
 
 def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
@@ -269,7 +238,7 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
     branches through a homeomorphism.  Mode "template" refines only the
     first parent of each stage (valid for node-independent gap policies)
     and builds one more stage than m_max needs, when the schedule has it,
-    so that the gap structure at m_max is available.  "auto" picks
+    so that the families of level m_max are available.  "auto" picks
     template whenever legal.
     """
     if m_max < 1:
@@ -305,11 +274,7 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         stages[k] = nodes
         n_k = spec.n(k)
         runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]
-
-        def hull(a: int, b: int, nodes=nodes) -> tuple[Fraction, Fraction]:
-            return nodes[a].lo, nodes[b - 1].hi
-
-        for branches in refine_stage(runs, schedule.i[k - 1], schedule.M, hull):
+        for branches in refine_stage(runs, schedule.i[k - 1], schedule.M, nodes):
             levels.append(branches)
             if len(levels) > stop:
                 break

@@ -34,7 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .branchtree import BranchTree
@@ -53,9 +54,17 @@ MAX_ROOT_BITS = 1 << 20
 MAX_PRECISION_BITS = 1 << 14
 
 
-def check_length_power(d: float | Fraction) -> None:
+def check_length_power(d: float | Fraction) -> Fraction:
+    """The exponent d as the exact rational that `mu_d` splits by: a
+    Fraction as given, a float as the nearest fraction with denominator at
+    most 10^12.  `DomainError` unless d and that rational lie in (0, 1)."""
     if not 0 < d < 1:
         raise DomainError(f"length-power exponent d={float(d)} outside (0, 1)")
+    r = d if isinstance(d, Fraction) else Fraction(d).limit_denominator(10**12)
+    if not 0 < r < 1:
+        raise DomainError(f"length-power exponent d={float(d)} rounds to {r} "
+                          "at denominators up to 10^12, outside (0, 1)")
+    return r
 
 
 def check_precision_bits(bits: int) -> None:
@@ -448,18 +457,17 @@ def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
 
 
 def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
-    check_length_power(d)
-    d = Fraction(d).limit_denominator(10**12) if not isinstance(d, Fraction) else d
+    """The length-power measure: each parent's children are one contiguous
+    run of the next image level (`image_tree` keeps the branch order), and
+    the run splits the parent's mass by the d-th powers of their lengths."""
+    d = check_length_power(d)
     prec = image.precision_bits
     pairs: list[list[tuple[int, int]]] = [[(1, 1)]]
     for level in image.levels[1:]:
-        by_parent: dict[int, list[int]] = {}
-        for i, br in enumerate(level):
-            by_parent.setdefault(br.parent, []).append(i)
         parents = pairs[-1]
-        out: list[tuple[int, int]] = [(0, 1)] * len(level)
-        for parent, idxs in by_parent.items():
-            ends = [(level[i].lo, level[i].hi) for i in idxs]
+        out: list[tuple[int, int]] = []
+        for parent, kids in groupby(level, key=attrgetter("parent")):
+            ends = [(br.lo, br.hi) for br in kids]
             D = math.lcm(*(x.denominator for end in ends for x in end))
             lengths = [hi.numerator * (D // hi.denominator)
                        - lo.numerator * (D // lo.denominator)
@@ -467,8 +475,7 @@ def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
             weights = _power_weights(lengths, d, prec)
             pn, pd = parents[parent]
             pd *= sum(weights)
-            for i, w in zip(idxs, weights):
-                out[i] = (pn * w, pd)
+            out.extend((pn * w, pd) for w in weights)
         pairs.append(out)
     return ImageMeasure(image, d, pairs)
 
@@ -559,43 +566,53 @@ class QsStats:
         lambda_under, gamma_star, gamma_under, l_Tm); blank where a statistic
         is undefined at that level."""
         for m in range(self.m_top + 1):
-            def at(series, idx, lo):
-                return float(series[idx]) if idx >= lo and idx < len(series) else ""
+            def at(series, idx):
+                return float(series[idx]) if 0 <= idx < len(series) else ""
             yield (m,
-                   at(self.beta, m, 0), at(self.theta, m, 0),
-                   at(self.chi, m - 1, 0),
-                   at(self.kappa, m, 0),
-                   at(self.lambda_star, m - 1, 0), at(self.lambda_under, m - 1, 0),
-                   at(self.gamma_star, m - 1, 0), at(self.gamma_under, m - 1, 0),
+                   at(self.beta, m), at(self.theta, m), at(self.chi, m - 1),
+                   at(self.kappa, m),
+                   at(self.lambda_star, m - 1), at(self.lambda_under, m - 1),
+                   at(self.gamma_star, m - 1), at(self.gamma_under, m - 1),
                    float(self.l_T[m]))
 
 
 def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
     """Exact statistic series through level m_top (default: one below the
-    built depth so the refinement at the top level is observable)."""
+    built depth so the refinement at the top level is observable).
+
+    beta, theta, kappa at level m and chi at level m+1 come from one pass
+    over `tree.families(m)`, each parent's children being one contiguous
+    run of level m+1."""
     if m_top is None:
         m_top = tree.m_max - 1
     if m_top < 1:
         raise DomainError(f"m_max = {m_top + 1} is out of range: refinement "
                           "statistics need m_max >= 2")
-    beta, theta, kappa = [], [], []
+    beta, theta, kappa, chi = [], [], [], []
+    stage, star_gaps = 0, []
     for m in range(m_top):
-        b = t = kp = None
-        for rec in tree.gap_structure(m):
-            rb = max(rec.gap_lengths) / rec.length
-            rt = sum(rec.child_lengths) / rec.length
-            if b is None or rb > b:
-                b = rb
-            if t is None or rt < t:
-                t = rt
-            if rec.interior_star_gaps:
-                rk = min(rec.interior_star_gaps) / rec.length
-                if kp is None or rk < kp:
-                    kp = rk
-        beta.append(b)
-        theta.append(t)
-        kappa.append(kp)
-    chi = [tree.chi(m) for m in range(1, m_top + 1)]
+        families = tree.families(m)     # range-checks m before any stage lookup
+        k = tree.schedule.stage_of(m + 1)
+        if k != stage:
+            # the trimmed gaps of the stage whose intervals level m+1 spans
+            nodes = tree.stages[k]
+            stage = k
+            star_gaps = [nxt.lo - prev.hi for prev, nxt in zip(nodes, nodes[1:])]
+        b, t, kp, c = [], [], [], []
+        for br, kids in families:
+            gaps = [kids[0].lo - br.lo, br.hi - kids[-1].hi]
+            gaps += [nxt.lo - prev.hi for prev, nxt in zip(kids, kids[1:])]
+            lengths = [kid.length for kid in kids]
+            b.append(max(gaps) / br.length)
+            t.append(sum(lengths) / br.length)
+            c.append(max(lengths) / br.length)
+            inner = star_gaps[kids[0].a:kids[-1].b - 1]
+            if inner:
+                kp.append(min(inner) / br.length)
+        beta.append(max(b))
+        theta.append(min(t))
+        kappa.append(min(kp, default=None))
+        chi.append(max(c))
     stats = [tree.branch_stats(m) for m in range(m_top + 1)]
     lam_s, lam_u, gam_s, gam_u = [], [], [], []
     for m in range(1, m_top + 1):

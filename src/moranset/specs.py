@@ -45,7 +45,7 @@ class SequenceRule:
     """A total function of the level index k >= 1.
 
     kinds:
-      constant        -- values[0] for every k
+      constant        -- its one value for every k
       periodic        -- values[(k-1) % len(values)]
       explicit-prefix -- values[k-1]; evaluation past the prefix is an error
       table-function  -- func(k); func must be deterministic
@@ -62,6 +62,9 @@ class SequenceRule:
         if self.kind == "table-function":
             if self.func is None:
                 raise ConfigError("table-function rule needs func")
+        elif self.kind == "constant" and len(self.values) != 1:
+            raise ConfigError(f"rule {self.name!r}: a constant rule takes exactly "
+                              f"one value, got {len(self.values)}")
         elif not self.values:
             raise ConfigError(f"{self.kind} rule needs at least one value")
 

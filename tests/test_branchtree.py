@@ -1,7 +1,7 @@
 """Refinement schedules, balanced splitting, and the branch hierarchy."""
 
-from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from moranset.branchtree import balanced_groups, build_T, choose_M
 from moranset.dimension import check_conditions
 from moranset.errors import ConditionInapplicableError, DomainError
+from moranset.qsmap import image_tree, parse_map, stats_series
 from moranset.specs import (GapPolicy, MoranSpec, SequenceRule, constant,
-                            preset)
+                            preset, preset_names)
 
 
 def test_choose_M_cantor3():
@@ -113,13 +114,42 @@ def _weighted9() -> MoranSpec:
                      name="weighted9")
 
 
-def _gap_multiset(tree, m) -> Counter:
-    """The level-m gap records, each counted as often as it repeats."""
-    out = Counter()
-    for r in tree.gap_structure(m):
-        out[(r.length, tuple(r.child_lengths), tuple(r.gap_lengths),
-             tuple(r.interior_star_gaps))] += r.multiplicity
-    return out
+def assert_sibling_runs(levels) -> None:
+    """Each level's parent indices are non-decreasing, so every branch that
+    has children has them as exactly one contiguous run of the next level."""
+    for m in range(1, len(levels)):
+        parents = [br.parent for br in levels[m]]
+        assert parents == sorted(parents), f"level {m}"
+        runs = [i for i, _ in groupby(parents)]
+        assert len(runs) == len(set(runs)), f"level {m}"
+        assert 0 <= runs[0] and runs[-1] < len(levels[m - 1]), f"level {m}"
+
+
+@pytest.mark.parametrize("name,mode", [
+    (name, mode) for name in preset_names() for mode in ("explicit", "template")
+    if mode == "explicit" or preset(name).gaps.node_independent])
+def test_children_are_one_run_per_parent(name, mode):
+    spec = preset(name)
+    sched = choose_M(spec, "A", 3)
+    tree = build_T(spec, sched, sched.m_max, mode=mode)
+    assert_sibling_runs(tree.levels)
+    for m in range(len(tree.levels) - 1):
+        runs = list(tree.families(m))
+        assert [kid for _, kids in runs for kid in kids] == tree.levels[m + 1]
+        if mode == "explicit":
+            # every branch of an explicit level is refined, in order
+            assert [br for br, _ in runs] == tree.levels[m]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_image_children_are_one_run_per_parent(name):
+    spec = preset(name)
+    sched = choose_M(spec, "A", 3)
+    tree = build_T(spec, sched, sched.m_max, mode="explicit")
+    image = image_tree(parse_map("power:1/2"), tree)
+    assert_sibling_runs(image.levels)
+    assert ([[br.parent for br in level] for level in image.levels]
+            == [[br.parent for br in level] for level in tree.levels])
 
 
 @pytest.mark.parametrize("spec", [
@@ -135,8 +165,9 @@ def test_modes_agree(spec):
     assert (expl.mode, tmpl.mode) == ("explicit", "template")
     for m in range(top + 1):
         assert expl.branch_stats(m) == tmpl.branch_stats(m)
+    assert stats_series(expl) == stats_series(tmpl)
     for m in range(top):
-        assert _gap_multiset(expl, m) == _gap_multiset(tmpl, m)
+        assert expl.children_per_branch(m) == tmpl.children_per_branch(m)
     for m in range(1, top + 1):
         assert expl.chi(m) == tmpl.chi(m)
 
@@ -192,4 +223,4 @@ def test_depth_guards():
         build_T(spec, sched, 5)
     tree = build_T(spec, sched, 3)
     with pytest.raises(DomainError):
-        list(tree.gap_structure(3))
+        list(tree.families(3))

@@ -95,9 +95,11 @@ _GOOD_CONFIG = {"n": {"kind": "constant", "values": [2]},
      "rule 'c' 'values' must be a list"),
     ({**_GOOD_CONFIG, "gaps": {"kind": "seeded-random", "seed": 7.0}},
      "gap 'seed' must be an integer"),
+    ({**_GOOD_CONFIG, "n": {"kind": "constant", "values": [3, 4]}},
+     "rule 'n': a constant rule takes exactly one value, got 2"),
 ], ids=["n-not-a-number", "interval-without-hi", "config-is-a-string",
         "gaps-is-a-string", "n-not-integral", "values-not-a-list",
-        "seed-not-integer"])
+        "seed-not-integer", "constant-with-two-values"])
 def test_malformed_config_exit_code(runner, tmp_path, config, needle):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -250,6 +252,13 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["qs", "--depth", "2", "--m-max", "1"], "m_max = 1"),
     (["reconstruct", "--depth", "0"], "depth 0"),
     (["qs", "--depth", "2", "--precision-bits", "16385"], "precision 16385"),
+    (["qs", "--depth", "3", "--map", "power:1/2", "--d", "1e-13"],
+     "d=1e-13 rounds to 0"),
+    (["qs", "--depth", "3", "--map", "power:1/2", "--d", "0.9999999999999"],
+     "d=0.9999999999999 rounds to 1"),
+    (["report", "--depth", "2", "--d", "1e-13"], "d=1e-13 rounds to 0"),
+    (["report", "--depth", "2", "--d", "0.9999999999999"],
+     "d=0.9999999999999 rounds to 1"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     out = [] if args[0] == "validate" else ["--out", str(tmp_path)]

@@ -316,6 +316,17 @@ def test_mu_d_rejects_bad_exponent():
         build_mu_d(img, 1.5)
 
 
+@pytest.mark.parametrize("d", [1e-13, 0.9999999999999])
+def test_exponent_rounding_to_0_or_1_rejected(d):
+    # the float lies in (0, 1), but its rational at denominators up to 10^12
+    # is 0 or 1: mu_d would split by length^0 or length^1
+    img = image_tree(IdentityMap(), _tree("cantor3", 2))
+    with pytest.raises(DomainError, match=f"d={d} rounds to"):
+        build_mu_d(img, d)
+    with pytest.raises(DomainError, match=f"d={d} rounds to"):
+        prop1_ratio_series_uniform(first_reconstruct(preset("cantor3"), 2), d, 2)
+
+
 # -- ratio series -----------------------------------------------------------
 
 def test_negative_control_growth_factor():
