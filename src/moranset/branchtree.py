@@ -24,14 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .dimension import ConditionCert, check_conditions
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError)
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
-from .tree import DEFAULT_NODE_BUDGET, Node
+from .tree import DEFAULT_NODE_BUDGET
 
 
 @dataclass
@@ -126,6 +126,12 @@ class Branch:
         return self.b - self.a
 
 
+class Interval(NamedTuple):
+    """The endpoints of one trimmed interval of a stage, made once."""
+    lo: Fraction
+    hi: Fraction
+
+
 @dataclass
 class BranchStats:
     m: int
@@ -138,7 +144,7 @@ class BranchStats:
 
 
 def refine_stage(runs: list[tuple[int, int]], steps: int, M: int,
-                 nodes: list[Node]) -> Iterator[list[Branch]]:
+                 nodes: list[Interval]) -> Iterator[list[Branch]]:
     """The `steps` levels of one stage, coarsest first.
 
     Each run [a, b) of indices into the stage's trimmed intervals `nodes`
@@ -164,7 +170,8 @@ class BranchTree:
 
     `levels[m]` holds the level-m branches (level 0: the trimmed root) and
     `stages[k]` the trimmed level-k intervals that the stage-k branches
-    span; in template mode both cover only the first parent of each stage.
+    span, as `Interval`s whose `Fraction`s the branches share; in template
+    mode both cover only the first parent of each stage.
     The children of each level-m branch are one contiguous run of
     `levels[m+1]`, runs in parent order; `families(m)` reads them, and every
     per-parent statistic comes from those runs.
@@ -172,7 +179,7 @@ class BranchTree:
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
                  m_max: int, mode: str, levels: list[list[Branch]],
-                 stages: dict[int, list[Node]]):
+                 stages: dict[int, list[Interval]]):
         self.spec = spec
         self.schedule = schedule
         self.star = star
@@ -264,13 +271,14 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
     stop = schedule.m[k_build] if template else m_max
     top, = star.level(0)
     levels = [[Branch(top.lo, top.hi, 0, 1, 0)]]
-    stages: dict[int, list[Node]] = {}
+    stages: dict[int, list[Interval]] = {}
     for k in range(1, k_build + 1):
         if len(levels) > stop:
             break
         # template: the trimmed children of the first parent, one path of
         # the level; explicit: the whole level, its budget checked above
-        nodes = list(islice(star.iter_level(k), spec.n(k) if template else None))
+        nodes = [Interval(nd.lo, nd.hi) for nd in
+                 islice(star.iter_level(k), spec.n(k) if template else None)]
         stages[k] = nodes
         n_k = spec.n(k)
         runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]

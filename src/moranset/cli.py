@@ -85,6 +85,11 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise DomainError(f"--budget {budget} must be >= 1")
+
+
 _SPEC_OPTIONS = (
     click.option("--config", "config_path",
                  type=click.Path(exists=True, dir_okay=False),
@@ -156,6 +161,7 @@ def validate(spec, depth):
                       show_default=True, help="Cap on materialized intervals."))
 def build(spec, out, depth, budget):
     """Materialize a level and export it with level statistics."""
+    _check_budget(budget)
     level = tree.build_level(spec, depth, budget=budget)
     rows = []
     for k in range(1, depth + 1):
@@ -230,6 +236,7 @@ def reconstruct_cmd(spec, out, depth):
                       show_default=True))
 def branches(spec, out, depth, m_max, condition, mode, budget):
     """The interpolated branch hierarchy (second reconstruction)."""
+    _check_budget(budget)
     schedule = branchtree.choose_M(spec, condition, depth)
     if m_max is None:
         m_max = schedule.m_max

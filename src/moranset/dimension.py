@@ -208,35 +208,42 @@ def box_count(intervals: Iterable[Node | tuple[Fraction, Fraction]],
     """Count grid cells meeting the union of sorted disjoint-interior
     intervals, for each cell width, then fit log N against log(1/eps).
 
-    Cells are walked per interval with a running high-water index per width,
-    so each cell is counted once; no point sampling, all index arithmetic is
-    exact.
+    An interval is a `Node`, whose integer numerators and denominator are
+    read as they are, or a `(lo, hi)` pair of `Fraction`s.  Cells are walked
+    per interval with a running high-water index per width, so each cell is
+    counted once; no point sampling, all index arithmetic is exact.
     """
     eps_list = [Fraction(e) for e in epsilons]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise DomainError("cell widths must be positive")
-    # x / eps = x * p / q with p, q > 0, so cell indices are integer floor
-    # divisions of numerators by denominators
+    # x / eps = x * p / q with p, q > 0, so over a common denominator d a
+    # cell index is an integer floor division by d * q, whose divisors are
+    # remade only when d changes (once per run of a level's nodes)
     grid = [(e.denominator, e.numerator) for e in eps_list]
     counts = [0] * len(eps_list)
     last = [None] * len(eps_list)
-    seen = False
+    den, cells = None, []
     for item in intervals:
-        seen = True
-        lo, hi = (item.lo, item.hi) if isinstance(item, Node) else item
-        lo_num, lo_den = lo.numerator, lo.denominator
-        hi_num, hi_den = hi.numerator, hi.denominator
-        for i, (p, q) in enumerate(grid):
+        if isinstance(item, Node):
+            lo_num, hi_num, d = item.lo_num, item.hi_num, item.den
+        else:
+            lo, hi = item
+            d = math.lcm(lo.denominator, hi.denominator)
+            lo_num = lo.numerator * (d // lo.denominator)
+            hi_num = hi.numerator * (d // hi.denominator)
+        if d != den:
+            den, cells = d, [(p, d * q) for p, q in grid]
+        for i, (p, dq) in enumerate(cells):
             # cells j with j*eps < hi and (j+1)*eps > lo:
             # floor(lo/eps) <= j <= ceil(hi/eps) - 1
-            j_lo = (lo_num * p) // (lo_den * q)
-            j_hi = -((-hi_num * p) // (hi_den * q)) - 1
+            j_lo = (lo_num * p) // dq
+            j_hi = -((-hi_num * p) // dq) - 1
             if last[i] is not None:
                 j_lo = max(j_lo, last[i] + 1)
             if j_hi >= j_lo:
                 counts[i] += j_hi - j_lo + 1
                 last[i] = j_hi
-    if not seen:
+    if den is None:
         raise DomainError("empty interval list")
     xs = [-log_fraction(e) for e in eps_list]
     ys = [math.log(c) for c in counts]

@@ -1,12 +1,15 @@
 """Exact enumeration of the level-k intervals of a Moran construction.
 
-All public endpoints are reduced `fractions.Fraction`s; nothing in this
-module rounds.  Levels can be materialized as lists (within a node budget)
-or streamed in left-to-right order for deep constructions.
+A `Node` holds its endpoints as two integer numerators over one shared,
+unreduced denominator; `lo`, `hi` and `length` read them as reduced
+`fractions.Fraction`s.  Nothing in this module rounds.  Levels can be
+materialized as lists (within a node budget) or streamed in left-to-right
+order for deep constructions.
 
-Internally a left endpoint is the initial lo plus one integer child offset
-per level (`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every
-gap policy and builds `Node` endpoints from those integers at the edge.
+A left endpoint is the initial lo plus one integer child offset per level
+(`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every gap
+policy and hands those integers to `Node` as they are.  The bulk consumers,
+`export_level` and `dimension.box_count`, read the integers directly.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import IO, Iterator
 
 from .errors import BudgetExceededError, DomainError
-from .specs import MoranSpec, format_rational
+from .specs import MoranSpec
 
 Address = tuple[int, ...]
 
@@ -26,16 +29,45 @@ Address = tuple[int, ...]
 DEFAULT_NODE_BUDGET = 2**21
 
 
-@dataclass(frozen=True)
 class Node:
-    """One level-k interval with its address."""
-    address: Address
-    lo: Fraction
-    hi: Fraction
+    """One level-k interval with its address: [lo_num/den, hi_num/den].
+
+    The numerators share the level kernel's denominator unreduced; `lo`,
+    `hi` and `length` are reduced `Fraction`s made on each read.  Nodes
+    compare and hash by address and exact endpoints, whatever their
+    denominators."""
+    __slots__ = ("address", "lo_num", "hi_num", "den")
+
+    def __init__(self, address: Address, lo_num: int, hi_num: int, den: int):
+        self.address = address
+        self.lo_num = lo_num
+        self.hi_num = hi_num
+        self.den = den
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
 
     @property
     def length(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        return (self.address == other.address
+                and self.lo_num * other.den == other.lo_num * self.den
+                and self.hi_num * other.den == other.hi_num * self.den)
+
+    def __hash__(self) -> int:
+        return hash((self.address, self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Node(address={self.address!r}, lo={self.lo!r}, hi={self.hi!r})"
 
 
 @dataclass
@@ -99,7 +131,7 @@ def iter_level(spec: MoranSpec, k: int,
             span = length.numerator * (m // length.denominator)
             for off, address in zip(tail, addresses):
                 lo = base + off * scale
-                yield Node(address, Fraction(lo, m), Fraction(lo + span, m))
+                yield Node(address, lo, lo + span, m)
 
     return nodes()
 
@@ -178,10 +210,18 @@ def iter_addresses(spec: MoranSpec, k: int) -> Iterator[Address]:
 
 def export_level(level: LevelSet, fp: IO[str]) -> None:
     """One record per line, byte for byte what `json.dumps` writes for
-    {"level", "address", "lo", "hi"} with its default separators."""
-    k = level.level
-    fp.writelines(
-        f'{{"level": {k}, "address": [{", ".join(map(str, node.address))}], '
-        f'"lo": "{format_rational(node.lo)}", "hi": "{format_rational(node.hi)}"}}\n'
-        for node in level.nodes)
+    {"level", "address", "lo", "hi"} with its default separators; each
+    endpoint is reduced from its node's integers as it is written."""
+    head = f'{{"level": {level.level}, "address": ['
+    # an address's repr, brackets cut, is its JSON list body: "1, 2" from
+    # (1, 2), but "1," from the one-tuple (1,)
+    cut = -2 if level.level == 1 else -1
 
+    def lines() -> Iterator[str]:
+        for node in level.nodes:
+            m, lo, hi = node.den, node.lo_num, node.hi_num
+            g, h = gcd(lo, m), gcd(hi, m)
+            yield (f'{head}{repr(node.address)[1:cut]}], '
+                   f'"lo": "{lo // g}/{m // g}", "hi": "{hi // h}/{m // h}"}}\n')
+
+    fp.writelines(lines())

@@ -259,6 +259,10 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["report", "--depth", "2", "--d", "1e-13"], "d=1e-13 rounds to 0"),
     (["report", "--depth", "2", "--d", "0.9999999999999"],
      "d=0.9999999999999 rounds to 1"),
+    (["build", "--depth", "3", "--budget", "-5"], "--budget -5"),
+    (["build", "--depth", "3", "--budget", "0"], "--budget 0"),
+    (["branches", "--depth", "4", "--budget", "-1"], "--budget -1"),
+    (["branches", "--depth", "4", "--budget", "0"], "--budget 0"),
 ])
 def test_out_of_range_parameter_exit_code(runner, tmp_path, args, needle):
     out = [] if args[0] == "validate" else ["--out", str(tmp_path)]

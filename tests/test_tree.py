@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranset.dimension import box_count
 from moranset.errors import BudgetExceededError, DomainError
 from moranset.oracle import oracle_level
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
-from moranset.tree import (DEFAULT_NODE_BUDGET, build_level, export_level,
-                           iter_addresses, iter_level, level_stats)
+from moranset.tree import (DEFAULT_NODE_BUDGET, Node, build_level,
+                           export_level, iter_addresses, iter_level,
+                           level_stats)
 
 
 def test_cantor3_level2_exact():
@@ -244,9 +246,20 @@ def test_deep_level_streams_in_little_memory():
     assert list(star.iter_level(4)) == star.level(4).nodes
 
 
+def _weighted3() -> MoranSpec:
+    """Unequal weighted gaps under a periodic contraction, so level
+    denominators are not reduced."""
+    return MoranSpec(constant(3), SequenceRule("periodic", (Fraction(1, 5),
+                                                            Fraction(1, 7))),
+                     constant(Fraction(0)), constant(Fraction(0)),
+                     GapPolicy("weighted", weights=(Fraction(1), Fraction(3))),
+                     name="weighted3")
+
+
 def test_export_matches_json_dumps():
-    spec = preset("padded2")
-    for k in (0, 3):
+    for spec, k in ((preset("padded2"), 0), (preset("padded2"), 1),
+                    (preset("padded2"), 3), (preset("skew10", seed=7), 3),
+                    (_weighted3(), 2), (_weighted3(), 4)):
         lv = build_level(spec, k)
         buf = io.StringIO()
         export_level(lv, buf)
@@ -255,3 +268,46 @@ def test_export_matches_json_dumps():
                         "lo": f"{nd.lo.numerator}/{nd.lo.denominator}",
                         "hi": f"{nd.hi.numerator}/{nd.hi.denominator}"}) + "\n"
             for nd in lv.nodes)
+
+
+def test_node_equality_across_denominators():
+    a = (1, 2)
+    x, y = Node(a, 1, 2, 6), Node(a, 2, 4, 12)
+    assert x == y and hash(x) == hash(y)
+    assert x != Node((1, 1), 1, 2, 6)
+    assert x != Node(a, 1, 3, 6)
+    assert x != (Fraction(1, 6), Fraction(1, 3))
+    assert repr(y) == ("Node(address=(1, 2), lo=Fraction(1, 6), "
+                       "hi=Fraction(1, 3))")
+
+
+def test_node_endpoints_are_reduced_fractions():
+    nd = Node((2,), 4, 10, 12)
+    for got, want in ((nd.lo, (1, 3)), (nd.hi, (5, 6)), (nd.length, (1, 2))):
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == want
+    assert (nd.lo_num, nd.hi_num, nd.den) == (4, 10, 12)
+
+
+@given(level_specs(), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_box_count_reads_nodes_as_pairs(spec, k):
+    if not spec.gaps.node_independent:
+        k = min(k, 2)
+    eps = [Fraction(1, 2 ** j) for j in range(1, 6)] + [Fraction(2, 7)]
+    star = StarState(spec, k)
+    for nodes in (build_level(spec, k).nodes, star.level(k).nodes):
+        pairs = [(nd.lo, nd.hi) for nd in nodes]
+        assert box_count(nodes, eps).counts == box_count(pairs, eps).counts
+
+
+def test_level_holds_integers_only():
+    # a held level keeps each node's address and integers, no Fraction
+    spec = preset("wide10")
+    tracemalloc.start()
+    try:
+        lv = build_level(spec, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(lv) < 320, f"{held / len(lv):.0f} bytes per interval"
