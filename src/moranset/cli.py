@@ -322,9 +322,7 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
     image = qsmap.image_tree(fmap, built, precision_bits)
     mu = qsmap.build_mu_d(image, d_exp)
     ratios = qsmap.prop1_ratio_series(mu)
-    hull = image.hull()
-    domain = (float(hull[0]), float(hull[1]))
-    sandwich = qsmap.sandwich_audit(fmap, domain, samples, seed)
+    sandwich = qsmap.sandwich_audit(fmap, image.hull(), samples, seed)
     summary = _json({
         "map": fmap.describe(),
         "d": d_exp,

@@ -5,25 +5,28 @@ sandwich audit.
 Maps are restricted to families with known increasing structure (identity,
 affine, signed power, piecewise linear, compositions).  An image endpoint is
 the exact rational when the map preserves rationality, and otherwise a
-certified enclosure `lo <= f(x) <= hi` computed in integer arithmetic:
-identity, affine and piecewise-linear maps are exact on rationals, a power
-`|x|^{p/q}` lies in `[r, r+1]/2^s` for the floor integer root `r` of
+certified enclosure `lo <= f(x) <= hi`.  Each family has one integer
+enclosure, `QsMap.bounds`, from a reduced `(num, den)` to `(lo_num, hi_num,
+den)`: identity, affine and piecewise-linear maps are exact on rationals, a
+power `|x|^{p/q}` is exact when `num` and then `den` are q-th powers and
+otherwise lies in `[r, r+1]/2^s` for the floor integer root `r` of
 `|x|^p·2^{q·s}`, and a composition pushes the lower bound through lower
 bounds and the upper bound through upper bounds, since every part is
 increasing (directed rounding; Moore, Kearfott & Cloud, *Introduction to
-Interval Analysis*, SIAM 2009).
+Interval Analysis*, SIAM 2009).  `ImageBranch` keeps those integers, the
+two numerators over one denominator, and makes `Fraction`s only on read.
 
 The length-power measure `mu_d` (`build_mu_d`) is one integer pass.  Each
-parent's sibling lengths are integers over the lcm of their endpoint
-denominators, and their weights `a^d` are integers: all 1 for equal
-siblings, exact integer roots when every sibling length ratio has an exact
-d-th power, and otherwise mpmath mantissas at `prec + 32` bits, shifted to
-one exponent.  That is the module's one floating-point step, imported inside
-`_power_weights`; mpmath stays for it because its cost does not grow with
-the denominator of `d` (tens of µs per weight at 160 bits for `d = 1/2` and
-for a 12-digit denominator alike, where an integer root costs 12 ms at
-q = 1000).  Masses are unreduced `(num, den)` integer pairs, so every level
-sums to exactly 1 whatever the weights.
+parent's sibling lengths are the differences of their numerators over their
+shared denominator (or over the lcm, where they differ), and their weights
+`a^d` are integers: all 1 for equal siblings, exact integer roots when every
+sibling length ratio has an exact d-th power, and otherwise mpmath mantissas
+at `prec + 32` bits, shifted to one exponent.  That is the module's one
+floating-point step, imported inside `_power_weights`; mpmath stays for it
+because its cost does not grow with the denominator of `d` (tens of µs per
+weight at 160 bits for `d = 1/2` and for a 12-digit denominator alike, where
+an integer root costs 12 ms at q = 1000).  Masses are unreduced `(num, den)`
+integer pairs, so every level sums to exactly 1 whatever the weights.
 """
 
 from __future__ import annotations
@@ -139,11 +142,19 @@ class QsMap:
     def float_eval(self, x: float) -> float:
         raise NotImplementedError
 
+    def bounds(self, num: int, den: int, prec: int) -> tuple[int, int, int]:
+        """The integer enclosure of f(num/den), for num/den reduced and
+        den > 0: `(lo, hi, d)` with lo/d <= f(x) <= hi/d, d > 0 and not
+        necessarily reduced; lo == hi exactly when f(x) is the exact
+        rational.  This default reads `exact_eval`."""
+        v = self.exact_eval(Fraction(num, den))
+        return v.numerator, v.numerator, v.denominator
+
     def enclose(self, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
         """Certified (lo, hi) with lo <= f(x) <= hi; lo == hi exactly when
-        f(x) is the exact rational."""
-        v = self.exact_eval(x)
-        return v, v
+        f(x) is the exact rational.  A read of `bounds`."""
+        lo, hi, den = self.bounds(x.numerator, x.denominator, prec)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -173,6 +184,12 @@ class AffineMap(QsMap):
     def exact_eval(self, x):
         return self.a * x + self.b
 
+    def bounds(self, num, den, prec):
+        (an, ad), (bn, bd) = (self.a.as_integer_ratio(),
+                              self.b.as_integer_ratio())
+        v = an * num * bd + bn * ad * den
+        return v, v, ad * bd * den
+
     def float_eval(self, x):
         return float(self.a) * x + float(self.b)
 
@@ -198,32 +215,33 @@ class PowerMap(QsMap):
     def float_eval(self, x):
         return math.copysign(abs(x) ** float(self.a), x) if x else 0.0
 
-    def enclose(self, x, prec):
+    def bounds(self, num, den, prec):
         """The exact image, or floor-root bounds at most
         `max(|x|^a, 1)·2^-prec` apart."""
-        v = self.exact_eval(x)
-        if v is not None:
-            return v, v
         p, q = self.a.numerator, self.a.denominator
-        num, den = abs(x.numerator), x.denominator
+        n = abs(num)
+        root = _iroot(n, q)
+        if root is not None:
+            droot = _iroot(den, q)
+            if droot is not None:
+                v = root ** p if num >= 0 else -root ** p
+                return v, v, droot ** p
         # s = prec - floor(log2 |v|) for |v| >= 1, from a lower bound on
         # log2 |v|, so the width 2^-s stays within max(|v|, 1)·2^-prec
-        s = prec - max(p * (num.bit_length() - den.bit_length() - 1) // q, 0)
-        bits = p * max(num.bit_length(), den.bit_length()) + q * abs(s)
+        s = prec - max(p * (n.bit_length() - den.bit_length() - 1) // q, 0)
+        bits = p * max(n.bit_length(), den.bit_length()) + q * abs(s)
         if bits > MAX_ROOT_BITS:
             raise PrecisionError(
                 f"power exponent {self.a} needs a {bits}-bit integer root at "
                 f"{prec} bits of precision; the cap is {MAX_ROOT_BITS} bits")
-        num, den = num ** p, den ** p
+        n, den = n ** p, den ** p
         if s >= 0:
-            num <<= q * s
+            n <<= q * s
         else:
             den <<= -q * s
-        r = _floor_root(num // den, q)
-        scale = 1 << abs(s)
-        lo, hi = ((Fraction(r, scale), Fraction(r + 1, scale)) if s >= 0 else
-                  (Fraction(r * scale), Fraction((r + 1) * scale)))
-        return (lo, hi) if x.numerator > 0 else (-hi, -lo)
+        r = _floor_root(n // den, q)
+        lo, hi, den = (r, r + 1, 1 << s) if s >= 0 else (r << -s, (r + 1) << -s, 1)
+        return (lo, hi, den) if num > 0 else (-hi, -lo, den)
 
     def describe(self):
         return f"power({self.a})"
@@ -280,17 +298,22 @@ class CompositionMap(QsMap):
             x = p.float_eval(x)
         return x
 
-    def enclose(self, x, prec):
+    def bounds(self, num, den, prec):
         # every part is increasing: lower bounds go through lower bounds and
         # upper through upper; inner parts carry guard bits
-        lo = hi = x
+        lo, hi, lo_den, hi_den = num, num, den, den
+        last = len(self.parts) - 1
         for i, part in enumerate(self.parts):
-            bits = prec if i == len(self.parts) - 1 else prec + _GUARD_BITS
-            if lo == hi:
-                lo, hi = part.enclose(lo, bits)
+            bits = prec if i == last else prec + _GUARD_BITS
+            g = math.gcd(lo, lo_den)
+            if lo * hi_den == hi * lo_den:
+                lo, hi, lo_den = part.bounds(lo // g, lo_den // g, bits)
+                hi_den = lo_den
             else:
-                lo, hi = part.enclose(lo, bits)[0], part.enclose(hi, bits)[1]
-        return lo, hi
+                h = math.gcd(hi, hi_den)
+                lo, _, lo_den = part.bounds(lo // g, lo_den // g, bits)
+                _, hi, hi_den = part.bounds(hi // h, hi_den // h, bits)
+        return _over_one_den(lo, lo_den, hi, hi_den)
 
     def describe(self):
         return "+".join(p.describe() for p in self.parts)
@@ -327,16 +350,49 @@ def parse_map(text: str) -> QsMap:
 # Image hierarchy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _over_one_den(lo: int, lo_den: int, hi: int,
+                  hi_den: int) -> tuple[int, int, int]:
+    """lo/lo_den and hi/hi_den as two numerators over one denominator."""
+    if lo_den == hi_den:
+        return lo, hi, lo_den
+    den = math.lcm(lo_den, hi_den)
+    return lo * (den // lo_den), hi * (den // hi_den), den
+
+
 class ImageBranch:
-    lo: Fraction
-    hi: Fraction
-    parent: int
-    exact: bool
+    """One image branch [lo_num/den, hi_num/den], its endpoint enclosures'
+    integers over one unreduced denominator; `lo`, `hi` and `length` are
+    reduced `Fraction`s made on each read.  `lo` and `hi` are rationals, or
+    numerators when `den` is given."""
+    __slots__ = ("lo_num", "hi_num", "den", "parent", "exact")
+
+    def __init__(self, lo: Fraction | int, hi: Fraction | int, parent: int,
+                 exact: bool, den: int | None = None):
+        if den is None:
+            lo, hi = Fraction(lo), Fraction(hi)
+            lo, hi, den = _over_one_den(lo.numerator, lo.denominator,
+                                        hi.numerator, hi.denominator)
+        self.lo_num = lo
+        self.hi_num = hi
+        self.den = den
+        self.parent = parent
+        self.exact = exact
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
 
     @property
     def length(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
+
+    def __repr__(self) -> str:
+        return (f"ImageBranch(lo={self.lo!r}, hi={self.hi!r}, "
+                f"parent={self.parent}, exact={self.exact})")
 
 
 class ImageTree:
@@ -359,38 +415,42 @@ class ImageTree:
 def image_tree(fmap: QsMap, tree: BranchTree,
                precision_bits: int = DEFAULT_PRECISION_BITS) -> ImageTree:
     """Map every branch through fmap.  Each endpoint becomes its exact
-    image or the certified enclosure `fmap.enclose(x, precision_bits)` (for
-    a power map at most `max(|v|, 1)·2^-precision_bits` wide); the branch
-    spans the lower end of its lower endpoint to the upper end of its upper
-    one, so it contains the true image.  A power whose enclosure needs an
-    integer root past `MAX_ROOT_BITS` raises `PrecisionError`, naming the
-    exponent."""
+    image or the certified integer enclosure `fmap.bounds` at
+    `precision_bits` (for a power map at most `max(|v|, 1)·2^-precision_bits`
+    wide); the branch spans the lower end of its lower endpoint to the upper
+    end of its upper one, so it contains the true image, and holds the two
+    numerators over one denominator (the enclosures' own when they share
+    it, as they mostly do at one precision, else their lcm).  A power whose
+    enclosure needs an integer root past `MAX_ROOT_BITS` raises
+    `PrecisionError`, naming the exponent."""
     check_precision_bits(precision_bits)
     if tree.mode != "explicit":
         raise DomainError("image trees need an explicitly built branch hierarchy")
-    # keyed by (numerator, denominator): hashing a Fraction costs a modular
-    # inverse per call
-    cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    # keyed by the reduced (numerator, denominator): hashing a Fraction costs
+    # a modular inverse per call
+    cache: dict[tuple[int, int], tuple[int, int, int]] = {}
+    bounds = fmap.bounds
 
-    def enclose(x: Fraction) -> tuple[Fraction, Fraction]:
+    def enclose(x: Fraction) -> tuple[int, int, int]:
         key = (x.numerator, x.denominator)
         box = cache.get(key)
         if box is None:
-            box = cache[key] = fmap.enclose(x, precision_bits)
+            box = cache[key] = bounds(*key, precision_bits)
         return box
 
     levels = []
     for m, branches in enumerate(tree.explicit):
         out = []
         for i, br in enumerate(branches):
-            lo_lo, lo_hi = enclose(br.lo)
-            hi_lo, hi_hi = enclose(br.hi)
-            if br.hi > br.lo and lo_hi >= hi_lo:
+            lo, lo_hi, lo_den = enclose(br.lo)
+            hi_lo, hi, den = enclose(br.hi)
+            if lo_hi * den >= hi_lo * lo_den and br.hi > br.lo:
                 raise PrecisionError(
                     f"branch {i} at level {m} collapses at "
                     f"{precision_bits} bits; raise the precision")
-            out.append(ImageBranch(lo_lo, hi_hi, br.parent,
-                                   lo_lo == lo_hi and hi_lo == hi_hi))
+            exact = lo == lo_hi and hi_lo == hi
+            lo, hi, den = _over_one_den(lo, lo_den, hi, den)
+            out.append(ImageBranch(lo, hi, br.parent, exact, den))
         levels.append(out)
     return ImageTree(fmap, tree, precision_bits, levels)
 
@@ -403,11 +463,12 @@ class ImageMeasure:
     """Probability measure splitting each branch's mass among its children
     proportionally to the d-th power of their lengths.
 
-    Each parent's sibling lengths are integers over one denominator, and
-    their weights are integers (`_power_weights`): all 1 when the siblings
-    are equal, exact integer roots when the length ratios have exact d-th
-    powers, mpmath mantissas at `prec + 32` bits otherwise (their cost does
-    not grow with the denominator of `d`).  A child's mass is the unreduced
+    Each parent's sibling lengths are integers over one denominator (the
+    branches' own when they share it), and their weights are integers
+    (`_power_weights`): all 1 when the siblings are equal, exact integer
+    roots when the length ratios have exact d-th powers, mpmath mantissas at
+    `prec + 32` bits otherwise (their cost does not grow with the
+    denominator of `d`).  A child's mass is the unreduced
     integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`, so sibling
     masses always sum exactly to the parent mass; `masses` reduces the pairs
     to `Fraction`s on first use.
@@ -459,7 +520,10 @@ def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
 def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
     """The length-power measure: each parent's children are one contiguous
     run of the next image level (`image_tree` keeps the branch order), and
-    the run splits the parent's mass by the d-th powers of their lengths."""
+    the run splits the parent's mass by the d-th powers of their lengths.
+    The lengths are the runs' `hi_num - lo_num` when the run shares one
+    denominator, as it mostly does at one precision, and are put over the
+    lcm of the denominators otherwise."""
     d = check_length_power(d)
     prec = image.precision_bits
     pairs: list[list[tuple[int, int]]] = [[(1, 1)]]
@@ -467,11 +531,12 @@ def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
         parents = pairs[-1]
         out: list[tuple[int, int]] = []
         for parent, kids in groupby(level, key=attrgetter("parent")):
-            ends = [(br.lo, br.hi) for br in kids]
-            D = math.lcm(*(x.denominator for end in ends for x in end))
-            lengths = [hi.numerator * (D // hi.denominator)
-                       - lo.numerator * (D // lo.denominator)
-                       for lo, hi in ends]
+            kids = list(kids)
+            den = kids[0].den
+            lengths = [br.hi_num - br.lo_num for br in kids]
+            if any(br.den != den for br in kids):
+                den = math.lcm(*(br.den for br in kids))
+                lengths = [a * (den // br.den) for a, br in zip(lengths, kids)]
             weights = _power_weights(lengths, d, prec)
             pn, pd = parents[parent]
             pd *= sum(weights)
@@ -509,17 +574,19 @@ def _ratio_series(levels: list[int], ratio, d: float) -> RatioSeries:
 
 
 def prop1_ratio_series(measure: ImageMeasure, K: int | None = None) -> RatioSeries:
-    """Per-level max of mass / length^d over the image branches, with the
-    log-growth rate; boundedness of this series is the audited claim."""
+    """Per-level max of mass / length^d over the image branches of levels
+    1..K (default: all of them, K = `image.m_max`), with the log-growth
+    rate; boundedness of this series is the audited claim.  A K outside
+    1..m_max raises `DomainError`."""
     image = measure.image
     top = image.m_max if K is None else K
+    if not 1 <= top <= image.m_max:
+        raise DomainError(f"ratio series through level K={top} is out of "
+                          f"range: K must lie in 1..{image.m_max}")
     d = float(measure.d)
 
     def ratio(m: int) -> float:
-        return max(power_ratio(num, den,
-                               br.hi.numerator * br.lo.denominator
-                               - br.lo.numerator * br.hi.denominator,
-                               br.hi.denominator * br.lo.denominator, d)
+        return max(power_ratio(num, den, br.hi_num - br.lo_num, br.den, d)
                    for br, (num, den) in zip(image.levels[m], measure.pairs[m]))
     return _ratio_series(list(range(1, top + 1)), ratio, d)
 
@@ -640,13 +707,20 @@ class SandwichFit:
     samples: int
 
 
-def sandwich_audit(fmap: QsMap, domain: tuple[float, float], samples: int,
-                   seed: int) -> SandwichFit:
+def sandwich_audit(fmap: QsMap,
+                   domain: tuple[float | Fraction, float | Fraction],
+                   samples: int, seed: int) -> SandwichFit:
     """Empirical envelope exponents over sampled nested interval pairs
     I' inside I: the largest p and smallest q with
-    lam * r^q <= |f(I')| / |f(I)| <= 4 * r^p, r = |I'|/|I|, lam = 1."""
+    lam * r^q <= |f(I')| / |f(I)| <= 4 * r^p, r = |I'|/|I|, lam = 1.
+    The pairs and their images are floats: a domain or a sampled image
+    past float range raises `PrecisionError`, naming the map."""
     check_samples(samples)
-    lo, hi = float(domain[0]), float(domain[1])
+    try:
+        lo, hi = float(domain[0]), float(domain[1])
+    except OverflowError:
+        raise PrecisionError(f"map {fmap.describe()}: the sandwich audit's "
+                             "domain lies past float range") from None
     rng = random.Random(f"{seed}|pairs")
     p_fit = math.inf
     q_fit = 0.0
@@ -659,11 +733,18 @@ def sandwich_audit(fmap: QsMap, domain: tuple[float, float], samples: int,
         if v - u <= 0 or (v - u) >= (b - a):
             continue
         r = (v - u) / (b - a)
-        fl = fmap.float_eval(b) - fmap.float_eval(a)
-        fs = fmap.float_eval(v) - fmap.float_eval(u)
+        try:
+            fl = fmap.float_eval(b) - fmap.float_eval(a)
+            fs = fmap.float_eval(v) - fmap.float_eval(u)
+        except OverflowError:
+            fl = fs = math.inf
         if fl <= 0 or fs <= 0:
             continue
         s = fs / fl
+        if not 0 < s < math.inf:
+            raise PrecisionError(
+                f"map {fmap.describe()}: the sandwich audit's float images "
+                f"over [{a!r}, {b!r}] lie past float range")
         n += 1
         q_fit = max(q_fit, math.log(s) / math.log(r))
         p_fit = min(p_fit, math.log(s / 4.0) / math.log(r))

@@ -22,6 +22,7 @@ from .errors import (ConfigError, DomainError, InconsistentSpecError,
 #: Gaps drawn by the seeded policy are integer weights in [1, WEIGHT_SPAN],
 #: normalized exactly; the span bounds the denominators of generated gaps.
 WEIGHT_SPAN = 2**30
+_SPAN_BITS = WEIGHT_SPAN.bit_length()
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
@@ -124,8 +125,16 @@ class GapPolicy:
                     count: int) -> tuple[int | Fraction, ...]:
         """The weights of the `count` interior gaps of parent sigma at level k."""
         if self.kind == "seeded-random":
-            rng = random.Random(f"{self.seed}|{k}|{','.join(map(str, sigma))}")
-            w = tuple(rng.randint(1, WEIGHT_SPAN) for _ in range(count))
+            # randint(1, WEIGHT_SPAN)'s own draw: getrandbits under its
+            # rejection loop, without its per-call overhead
+            seed = f"{self.seed}|{k}|{','.join(map(str, sigma))}"
+            bits = random.Random(seed).getrandbits
+            w = []
+            while len(w) < count:
+                r = bits(_SPAN_BITS)
+                if r < WEIGHT_SPAN:
+                    w.append(r + 1)
+            w = tuple(w)
         else:
             cycle = self.weights if self.kind == "weighted" else (1,)
             w = tuple(cycle[i % len(cycle)] for i in range(count))

@@ -350,6 +350,8 @@ def test_power_root_past_size_cap_exits_12_at_once(runner, tmp_path):
     (["qs", "--precision-bits", "0"], 10),
     (["qs", "--samples", "0"], 10),
     (["branches", "--preset", "skew10", "--depth", "2", "--mode", "template"], 10),
+    (["qs", "--depth", "2", "--map", "affine:2,0+power:700"], 12),
+    (["qs", "--depth", "2", "--map", "power:2000+affine:3,0"], 12),
 ])
 def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
     # artifacts are written only after the whole computation, and the

@@ -22,3 +22,11 @@ def test_import_leaves_mpmath_unloaded():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(moranset.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "moranset", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "qs" in res.stdout and "measure-audit" in res.stdout

@@ -1,6 +1,7 @@
 """Map families, image hierarchies, length-power measures, statistics."""
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranset.branchtree import build_T, choose_M
-from moranset.errors import ConfigError, DomainError, InvalidSpecError
+from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
+                             PrecisionError)
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
-from moranset.qsmap import (AffineMap, IdentityMap, ImageBranch, ImageTree,
+from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
+                            IdentityMap, ImageBranch, ImageTree,
                             PiecewiseLinearMap, PowerMap, _floor_root, build_mu_d, image_tree,
                             parse_map, prop1_ratio_series,
                             prop1_ratio_series_uniform, rational_pow,
@@ -216,6 +219,107 @@ def test_composition_enclosures_contain_interval_arithmetic(text, iv_eval):
     assert inexact > 0
 
 
+def _bisect_root(n: Fraction, q: int) -> int:
+    """The largest integer r >= 0 with r^q <= n, by bisection."""
+    lo, hi = 0, 1
+    while hi ** q <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** q <= n else (lo, mid)
+    return lo
+
+
+def _reference_enclosure(fmap, x: Fraction, prec: int):
+    """The documented enclosure in `Fraction`s, apart from the kernels: a
+    power is exact when |x|'s numerator and denominator are q-th powers,
+    else [r, r+1]·2^-s for the largest r with (r·2^-s)^q <= |x|^p; a
+    composition pushes lower through lower and upper through upper, with
+    guard bits on its inner parts; every other family is exact."""
+    if isinstance(fmap, CompositionMap):
+        lo = hi = x
+        for i, part in enumerate(fmap.parts):
+            bits = prec if i == len(fmap.parts) - 1 else prec + _GUARD_BITS
+            lo, hi = (_reference_enclosure(part, lo, bits)[0],
+                      _reference_enclosure(part, hi, bits)[1])
+        return lo, hi
+    if not isinstance(fmap, PowerMap):
+        v = fmap.exact_eval(x)
+        return v, v
+    p, q = fmap.a.numerator, fmap.a.denominator
+    n, d = abs(x.numerator), x.denominator
+    rn, rd = _bisect_root(Fraction(n), q), _bisect_root(Fraction(d), q)
+    if rn ** q == n and rd ** q == d:
+        v = Fraction(rn, rd) ** p
+        return (v, v) if x >= 0 else (-v, -v)
+    s = prec - max(p * (n.bit_length() - d.bit_length() - 1) // q, 0)
+    r = _bisect_root(abs(x) ** p * Fraction(2) ** (q * s), q)
+    step = Fraction(2) ** -s
+    lo, hi = r * step, (r + 1) * step
+    return (lo, hi) if x > 0 else (-hi, -lo)
+
+
+_exact_powers = st.builds(lambda r, q, neg: (-1) ** neg * r ** q,
+                          st.fractions(min_value=Fraction(1, 50),
+                                       max_value=50, max_denominator=50),
+                          st.integers(1, 5), st.booleans())
+_large = st.builds(lambda m, e: m * Fraction(2) ** e,
+                   st.fractions(min_value=-8, max_value=8,
+                                max_denominator=1000).filter(bool),
+                   st.integers(140, 400))
+_kernel_maps = st.one_of(
+    st.builds(lambda p, q: f"power:{p}/{q}", st.integers(1, 5),
+              st.integers(1, 5)),
+    st.sampled_from(["power:1/2+affine:3,-1", "power:1/3+power:3/2",
+                     "affine:1/2,-1/4+power:1/3+power:2",
+                     "power:2/3+affine:5/3,1/7+power:1/2",
+                     _PL, _PL + "+power:2/3", "affine:7/5,-2/9"]))
+
+
+@given(_kernel_maps,
+       st.one_of(_nonzero, _exact_powers, _large, st.just(Fraction(4, 9)),
+                 st.just(Fraction(27, 8)), st.just(Fraction(0))),
+       st.sampled_from([8, 53, 128]))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_fraction_reference(text, x, prec):
+    fmap = parse_map(text)
+    lo, hi, den = fmap.bounds(x.numerator, x.denominator, prec)
+    assert all(type(v) is int for v in (lo, hi, den)) and den > 0
+    assert (Fraction(lo, den), Fraction(hi, den)) \
+        == fmap.enclose(x, prec) == _reference_enclosure(fmap, x, prec)
+
+
+def test_integer_kernel_cases():
+    # exact q-th powers of both signs, the s < 0 branch of a large |x|, and
+    # a composition whose inner part is inexact
+    assert PowerMap(Fraction(1, 2)).bounds(4, 9, 64) == (2, 2, 3)
+    assert PowerMap(Fraction(2, 3)).bounds(-27, 8, 64) == (-9, -9, 4)
+    x = Fraction(3 * 2 ** 300, 7)
+    cube = PowerMap(Fraction(3, 2))
+    lo, hi, den = cube.bounds(x.numerator, x.denominator, 8)
+    # s = 8 - 3·(302 - 3 - 1)//2 = -439: integer bounds 2^439 apart
+    assert den == 1 and hi - lo == 2 ** 439
+    assert (lo, hi) == _reference_enclosure(cube, x, 8)
+    lo, hi = parse_map("power:1/2+affine:3,-1").enclose(Fraction(1, 2), 64)
+    assert lo < hi
+    assert ((lo + 1) / 3) ** 2 <= Fraction(1, 2) <= ((hi + 1) / 3) ** 2
+
+
+def test_image_branches_hold_integers():
+    fmap = parse_map("power:1/2")
+    img = _image("skew10", "power:1/2")
+    inexact = 0
+    for src_level, level in zip(img.source.explicit, img.levels):
+        for src, br in zip(src_level, level):
+            assert all(type(v) is int for v in (br.lo_num, br.hi_num, br.den))
+            assert Fraction(br.lo_num, br.den) == br.lo
+            assert Fraction(br.hi_num, br.den) == br.hi
+            assert (br.lo, br.hi) == (fmap.enclose(src.lo, 128)[0],
+                                      fmap.enclose(src.hi, 128)[1])
+            inexact += not br.exact
+    assert inexact > 0
+
+
 def test_large_exponent_enclosure_certified():
     tree = _tree("cantor3", 2)
     img = image_tree(parse_map("power:1000/999"), tree)
@@ -329,6 +433,14 @@ def test_exponent_rounding_to_0_or_1_rejected(d):
 
 # -- ratio series -----------------------------------------------------------
 
+@pytest.mark.parametrize("K", [0, -1, 4, 9])
+def test_ratio_series_level_range(K):
+    mu = build_mu_d(image_tree(IdentityMap(), _tree("cantor3", 3)), 0.5)
+    with pytest.raises(DomainError, match=f"K={K} .* 1..3"):
+        prop1_ratio_series(mu, K)
+    assert prop1_ratio_series(mu, 2).levels == [1, 2]
+
+
 def test_negative_control_growth_factor():
     img = image_tree(IdentityMap(), _tree("cantor3", 8))
     rs = prop1_ratio_series(build_mu_d(img, 0.9))
@@ -403,3 +515,13 @@ def test_sandwich_power2():
     assert fit.q <= 2.0 + 0.05
     assert fit.p >= 0.5 - 0.05
 
+
+@pytest.mark.parametrize("text,domain", [
+    ("affine:2,0+power:700", (0, 1)),
+    ("power:2000+affine:3,0", (0, 3)),
+    ("identity", (Fraction(0), Fraction(10) ** 400)),
+])
+def test_sandwich_past_float_range_names_the_map(text, domain):
+    fmap = parse_map(text)
+    with pytest.raises(PrecisionError, match=re.escape(fmap.describe())):
+        sandwich_audit(fmap, domain, 200, 5)

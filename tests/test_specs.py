@@ -1,5 +1,6 @@
 """Parameter containers, gap policies, validation, presets, config loading."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from moranset.errors import (ConfigError, InconsistentSpecError,
                              InvalidSpecError, RuleEvalError)
-from moranset.specs import (GapPolicy, MoranSpec, SequenceRule, constant,
-                            format_rational, parse_rational, preset,
+from moranset.specs import (WEIGHT_SPAN, GapPolicy, MoranSpec, SequenceRule,
+                            constant, format_rational, parse_rational, preset,
                             preset_names, spec_from_config, validate_spec)
 from moranset.tree import level_stats
 
@@ -82,6 +83,19 @@ def test_seeded_gaps_reproducible_and_exact(seed, k, sigma, count):
     assert a == b
     assert sum(a) == slack
     assert all(g > 0 for g in a)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, -3, 2**40])
+def test_seeded_gap_weights_are_the_randint_stream(seed):
+    # the draw stream is part of every seeded digest: the weights must stay
+    # randint(1, WEIGHT_SPAN) from one Random per parent, seeded by its text
+    policy = GapPolicy("seeded-random", seed=seed)
+    for k in (1, 2, 5):
+        for sigma in [(), (1,), (3, 7), (10, 1, 4), (2,) * 9]:
+            for count in range(1, 13):
+                rng = random.Random(f"{seed}|{k}|{','.join(map(str, sigma))}")
+                want = tuple(rng.randint(1, WEIGHT_SPAN) for _ in range(count))
+                assert policy.gap_weights(sigma, k, count) == want
 
 
 def test_preset_catalog():
