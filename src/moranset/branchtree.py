@@ -24,14 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .dimension import ConditionCert, check_conditions
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError)
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
-from .tree import DEFAULT_NODE_BUDGET
+from .tree import DEFAULT_NODE_BUDGET, Interval, Node
 
 
 @dataclass
@@ -107,29 +107,22 @@ def balanced_groups(q: int, M: int) -> list[int]:
 # Branch records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Interval):
     """One branch: the span of the trimmed intervals with indices [a, b) of
-    its stage, from the left end of interval a to the right end of b-1."""
-    lo: Fraction
-    hi: Fraction
-    a: int
-    b: int
-    parent: int             # index into the previous level's branch list
+    its stage, from the left end of interval a to the right end of b-1,
+    over their shared denominator (each run of siblings has one)."""
+    __slots__ = ("a", "b", "parent")
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
+    def __init__(self, lo_num: int, hi_num: int, den: int, a: int, b: int,
+                 parent: int):
+        super().__init__(lo_num, hi_num, den)
+        self.a = a
+        self.b = b
+        self.parent = parent    # index into the previous level's branch list
 
     @property
     def span(self) -> int:
         return self.b - self.a
-
-
-class Interval(NamedTuple):
-    """The endpoints of one trimmed interval of a stage, made once."""
-    lo: Fraction
-    hi: Fraction
 
 
 @dataclass
@@ -144,21 +137,24 @@ class BranchStats:
 
 
 def refine_stage(runs: list[tuple[int, int]], steps: int, M: int,
-                 nodes: list[Interval]) -> Iterator[list[Branch]]:
+                 nodes: list[Node]) -> Iterator[list[Branch]]:
     """The `steps` levels of one stage, coarsest first.
 
     Each run [a, b) of indices into the stage's trimmed intervals `nodes`
     splits into M balanced groups, except at the stage's last step, where
     every trimmed interval becomes its own branch.  A branch's parent is the
     index of its run, so each run's children are contiguous and in run
-    order.
+    order.  Every run lies inside one parent's siblings, which share one
+    denominator, so a branch takes its first node's `lo_num` and its last
+    node's `hi_num` over that denominator.
     """
     for t in range(1, steps + 1):
         branches = []
         for pi, (a, b) in enumerate(runs):
             sizes = [1] * (b - a) if t == steps else balanced_groups(b - a, M)
             for size in sizes:
-                branches.append(Branch(nodes[a].lo, nodes[a + size - 1].hi,
+                first, last = nodes[a], nodes[a + size - 1]
+                branches.append(Branch(first.lo_num, last.hi_num, first.den,
                                        a, a + size, pi))
                 a += size
         yield branches
@@ -169,9 +165,9 @@ class BranchTree:
     """The interpolated refinement hierarchy.
 
     `levels[m]` holds the level-m branches (level 0: the trimmed root) and
-    `stages[k]` the trimmed level-k intervals that the stage-k branches
-    span, as `Interval`s whose `Fraction`s the branches share; in template
-    mode both cover only the first parent of each stage.
+    `stages[k]` the trimmed level-k `Node`s that the stage-k branches span,
+    as `iter_level` yields them; in template mode both cover only the first
+    parent of each stage.
     The children of each level-m branch are one contiguous run of
     `levels[m+1]`, runs in parent order; `families(m)` reads them, and every
     per-parent statistic comes from those runs.
@@ -179,7 +175,7 @@ class BranchTree:
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
                  m_max: int, mode: str, levels: list[list[Branch]],
-                 stages: dict[int, list[Interval]]):
+                 stages: dict[int, list[Node]]):
         self.spec = spec
         self.schedule = schedule
         self.star = star
@@ -227,13 +223,6 @@ class BranchTree:
         counts = [len(kids) for _, kids in self.families(m)]
         return max(counts), min(counts)
 
-    def chi(self, m: int) -> Fraction:
-        """Largest branch/parent length ratio at level m (m >= 1), exact."""
-        if m < 1:
-            raise DomainError("chi is defined for m >= 1")
-        return max(max(kid.length for kid in kids) / br.length
-                   for br, kids in self.families(m - 1))
-
 
 def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
             mode: str = "auto", budget: int = DEFAULT_NODE_BUDGET) -> BranchTree:
@@ -270,15 +259,15 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
                     f"trimmed intervals (> budget {budget})")
     stop = schedule.m[k_build] if template else m_max
     top, = star.level(0)
-    levels = [[Branch(top.lo, top.hi, 0, 1, 0)]]
-    stages: dict[int, list[Interval]] = {}
+    levels = [[Branch(top.lo_num, top.hi_num, top.den, 0, 1, 0)]]
+    stages: dict[int, list[Node]] = {}
     for k in range(1, k_build + 1):
         if len(levels) > stop:
             break
         # template: the trimmed children of the first parent, one path of
         # the level; explicit: the whole level, its budget checked above
-        nodes = [Interval(nd.lo, nd.hi) for nd in
-                 islice(star.iter_level(k), spec.n(k) if template else None)]
+        nodes = list(islice(star.iter_level(k),
+                            spec.n(k) if template else None))
         stages[k] = nodes
         n_k = spec.n(k)
         runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec, format_rational
-from .tree import Node, level_stats
+from .tree import Interval, level_stats
 
 
 def log_fraction(x: Fraction) -> float:
@@ -32,8 +32,9 @@ def power_ratio(num: int, den: int, wnum: int, wden: int, t: float) -> float:
     wden > 0, reduced or not; 0.0 when either numerator is 0.  Int true
     division rounds correctly, so normal floats give the bytes of
     `float(mu) / float(w) ** t`; where a float would not be normal the ratio
-    comes from the exact integers' logs instead.  A ratio past float range
-    raises OverflowError."""
+    comes from the logs of the two rationals reduced to lowest terms, so it
+    depends on their values, not on how they are written.  A ratio past
+    float range raises OverflowError."""
     if num == 0 or wnum == 0:
         return 0.0
     try:
@@ -42,6 +43,8 @@ def power_ratio(num: int, den: int, wnum: int, wden: int, t: float) -> float:
             return mu / w
     except OverflowError:
         pass
+    g, h = math.gcd(num, den), math.gcd(wnum, wden)
+    num, den, wnum, wden = num // g, den // g, wnum // h, wden // h
     return math.exp(math.log(num) - math.log(den)
                     - t * (math.log(wnum) - math.log(wden)))
 
@@ -203,15 +206,15 @@ class BoxCountResult:
     slope: float
 
 
-def box_count(intervals: Iterable[Node | tuple[Fraction, Fraction]],
+def box_count(intervals: Iterable[Interval],
               epsilons: Sequence[Fraction]) -> BoxCountResult:
     """Count grid cells meeting the union of sorted disjoint-interior
     intervals, for each cell width, then fit log N against log(1/eps).
 
-    An interval is a `Node`, whose integer numerators and denominator are
-    read as they are, or a `(lo, hi)` pair of `Fraction`s.  Cells are walked
-    per interval with a running high-water index per width, so each cell is
-    counted once; no point sampling, all index arithmetic is exact.
+    Each interval is a `tree.Interval` record (a level's `Node`s), whose
+    integer numerators and denominator are read as they are.  Cells are
+    walked per interval with a running high-water index per width, so each
+    cell is counted once; no point sampling, all index arithmetic is exact.
     """
     eps_list = [Fraction(e) for e in epsilons]
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -224,13 +227,7 @@ def box_count(intervals: Iterable[Node | tuple[Fraction, Fraction]],
     last = [None] * len(eps_list)
     den, cells = None, []
     for item in intervals:
-        if isinstance(item, Node):
-            lo_num, hi_num, d = item.lo_num, item.hi_num, item.den
-        else:
-            lo, hi = item
-            d = math.lcm(lo.denominator, hi.denominator)
-            lo_num = lo.numerator * (d // lo.denominator)
-            hi_num = hi.numerator * (d // hi.denominator)
+        lo_num, hi_num, d = item.lo_num, item.hi_num, item.den
         if d != den:
             den, cells = d, [(p, d * q) for p, q in grid]
         for i, (p, dq) in enumerate(cells):

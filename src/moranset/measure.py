@@ -139,12 +139,6 @@ def threshold_level(star: StarState, t: float, k_max: int) -> int:
         f"for t = {t}")
 
 
-def _ratio(mu: Fraction, width: Fraction, t: float) -> float:
-    """mu / width^t for a window (`dimension.power_ratio`)."""
-    return power_ratio(mu.numerator, mu.denominator,
-                       width.numerator, width.denominator, t)
-
-
 def frostman_audit(measure: MassMeasure, condition: str, t: float,
                    k_range: tuple[int, int], mode: str = "exhaustive",
                    cert: ConditionCert | None = None,
@@ -226,7 +220,9 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         best, wit, cnt = -1.0, None, 0
         for a, b, mu in windows(k):
             cnt += 1
-            r = _ratio(mu, b - a, t)
+            width = b - a
+            r = power_ratio(mu.numerator, mu.denominator,
+                            width.numerator, width.denominator, t)
             if r > best:
                 best, wit = r, (a, b, k)
         return best, wit, cnt

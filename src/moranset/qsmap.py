@@ -13,8 +13,9 @@ otherwise lies in `[r, r+1]/2^s` for the floor integer root `r` of
 `|x|^p·2^{q·s}`, and a composition pushes the lower bound through lower
 bounds and the upper bound through upper bounds, since every part is
 increasing (directed rounding; Moore, Kearfott & Cloud, *Introduction to
-Interval Analysis*, SIAM 2009).  `ImageBranch` keeps those integers, the
-two numerators over one denominator, and makes `Fraction`s only on read.
+Interval Analysis*, SIAM 2009).  `ImageBranch` extends the package's one
+interval record, `tree.Interval`: it keeps those integers, the two
+numerators over one denominator, and makes `Fraction`s only on read.
 
 The length-power measure `mu_d` (`build_mu_d`) is one integer pass.  Each
 parent's sibling lengths are the differences of their numerators over their
@@ -46,6 +47,7 @@ from .dimension import fit_slope, log_series, power_ratio
 from .errors import (ConfigError, DegenerateSpecError, DomainError,
                      InvalidSpecError, PrecisionError)
 from .reconstruct import StarState
+from .tree import Interval
 
 _GUARD_BITS = 32
 DEFAULT_PRECISION_BITS = 128
@@ -149,12 +151,6 @@ class QsMap:
         rational.  This default reads `exact_eval`."""
         v = self.exact_eval(Fraction(num, den))
         return v.numerator, v.numerator, v.denominator
-
-    def enclose(self, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-        """Certified (lo, hi) with lo <= f(x) <= hi; lo == hi exactly when
-        f(x) is the exact rational.  A read of `bounds`."""
-        lo, hi, den = self.bounds(x.numerator, x.denominator, prec)
-        return Fraction(lo, den), Fraction(hi, den)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -359,40 +355,17 @@ def _over_one_den(lo: int, lo_den: int, hi: int,
     return lo * (den // lo_den), hi * (den // hi_den), den
 
 
-class ImageBranch:
+class ImageBranch(Interval):
     """One image branch [lo_num/den, hi_num/den], its endpoint enclosures'
-    integers over one unreduced denominator; `lo`, `hi` and `length` are
-    reduced `Fraction`s made on each read.  `lo` and `hi` are rationals, or
-    numerators when `den` is given."""
-    __slots__ = ("lo_num", "hi_num", "den", "parent", "exact")
+    integers over one unreduced denominator, with its parent's index and
+    whether both endpoints are exact images."""
+    __slots__ = ("parent", "exact")
 
-    def __init__(self, lo: Fraction | int, hi: Fraction | int, parent: int,
-                 exact: bool, den: int | None = None):
-        if den is None:
-            lo, hi = Fraction(lo), Fraction(hi)
-            lo, hi, den = _over_one_den(lo.numerator, lo.denominator,
-                                        hi.numerator, hi.denominator)
-        self.lo_num = lo
-        self.hi_num = hi
-        self.den = den
+    def __init__(self, lo_num: int, hi_num: int, den: int, parent: int,
+                 exact: bool):
+        super().__init__(lo_num, hi_num, den)
         self.parent = parent
         self.exact = exact
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_num, self.den)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_num, self.den)
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(self.hi_num - self.lo_num, self.den)
-
-    def __repr__(self) -> str:
-        return (f"ImageBranch(lo={self.lo!r}, hi={self.hi!r}, "
-                f"parent={self.parent}, exact={self.exact})")
 
 
 class ImageTree:
@@ -426,13 +399,13 @@ def image_tree(fmap: QsMap, tree: BranchTree,
     check_precision_bits(precision_bits)
     if tree.mode != "explicit":
         raise DomainError("image trees need an explicitly built branch hierarchy")
-    # keyed by the reduced (numerator, denominator): hashing a Fraction costs
-    # a modular inverse per call
+    # keyed by the endpoint reduced by one gcd, as `bounds` takes it
     cache: dict[tuple[int, int], tuple[int, int, int]] = {}
     bounds = fmap.bounds
 
-    def enclose(x: Fraction) -> tuple[int, int, int]:
-        key = (x.numerator, x.denominator)
+    def enclose(num: int, den: int) -> tuple[int, int, int]:
+        g = math.gcd(num, den)
+        key = (num // g, den // g)
         box = cache.get(key)
         if box is None:
             box = cache[key] = bounds(*key, precision_bits)
@@ -442,15 +415,15 @@ def image_tree(fmap: QsMap, tree: BranchTree,
     for m, branches in enumerate(tree.explicit):
         out = []
         for i, br in enumerate(branches):
-            lo, lo_hi, lo_den = enclose(br.lo)
-            hi_lo, hi, den = enclose(br.hi)
-            if lo_hi * den >= hi_lo * lo_den and br.hi > br.lo:
+            lo, lo_hi, lo_den = enclose(br.lo_num, br.den)
+            hi_lo, hi, den = enclose(br.hi_num, br.den)
+            if lo_hi * den >= hi_lo * lo_den and br.hi_num > br.lo_num:
                 raise PrecisionError(
                     f"branch {i} at level {m} collapses at "
                     f"{precision_bits} bits; raise the precision")
             exact = lo == lo_hi and hi_lo == hi
-            lo, hi, den = _over_one_den(lo, lo_den, hi, den)
-            out.append(ImageBranch(lo, hi, br.parent, exact, den))
+            out.append(ImageBranch(*_over_one_den(lo, lo_den, hi, den),
+                                   br.parent, exact))
         levels.append(out)
     return ImageTree(fmap, tree, precision_bits, levels)
 

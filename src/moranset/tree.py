@@ -1,10 +1,12 @@
 """Exact enumeration of the level-k intervals of a Moran construction.
 
-A `Node` holds its endpoints as two integer numerators over one shared,
-unreduced denominator; `lo`, `hi` and `length` read them as reduced
-`fractions.Fraction`s.  Nothing in this module rounds.  Levels can be
-materialized as lists (within a node budget) or streamed in left-to-right
-order for deep constructions.
+Every interval of the package, a level node, a branch of the second
+reconstruction and its image under a map, is one record, `Interval`: two
+integer numerators over one shared, unreduced denominator, whose `lo`, `hi`
+and `length` read them as reduced `fractions.Fraction`s.  `Node` adds the
+address.  Nothing in this module rounds.  Levels can be materialized as
+lists (within a node budget) or streamed in left-to-right order for deep
+constructions.
 
 A left endpoint is the initial lo plus one integer child offset per level
 (`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every gap
@@ -29,17 +31,16 @@ Address = tuple[int, ...]
 DEFAULT_NODE_BUDGET = 2**21
 
 
-class Node:
-    """One level-k interval with its address: [lo_num/den, hi_num/den].
+class Interval:
+    """A closed interval [lo_num/den, hi_num/den] with exact endpoints.
 
-    The numerators share the level kernel's denominator unreduced; `lo`,
-    `hi` and `length` are reduced `Fraction`s made on each read.  Nodes
-    compare and hash by address and exact endpoints, whatever their
-    denominators."""
-    __slots__ = ("address", "lo_num", "hi_num", "den")
+    The numerators share one denominator, not necessarily reduced; `lo`,
+    `hi` and `length` are reduced `Fraction`s made on each read.  `Node`,
+    `branchtree.Branch` and `qsmap.ImageBranch` extend it with their own
+    fields, which the repr lists after the endpoints."""
+    __slots__ = ("lo_num", "hi_num", "den")
 
-    def __init__(self, address: Address, lo_num: int, hi_num: int, den: int):
-        self.address = address
+    def __init__(self, lo_num: int, hi_num: int, den: int):
         self.lo_num = lo_num
         self.hi_num = hi_num
         self.den = den
@@ -55,6 +56,26 @@ class Node:
     @property
     def length(self) -> Fraction:
         return Fraction(self.hi_num - self.lo_num, self.den)
+
+    def __repr__(self) -> str:
+        fields = "".join(f", {name}={getattr(self, name)!r}"
+                         for name in type(self).__slots__)
+        return f"{type(self).__name__}(lo={self.lo!r}, hi={self.hi!r}{fields})"
+
+
+class Node(Interval):
+    """One level-k interval with its address: [lo_num/den, hi_num/den].
+
+    The numerators share the level kernel's denominator unreduced.  Nodes
+    compare and hash by address and exact endpoints, whatever their
+    denominators."""
+    __slots__ = ("address",)
+
+    def __init__(self, address: Address, lo_num: int, hi_num: int, den: int):
+        self.address = address
+        self.lo_num = lo_num
+        self.hi_num = hi_num
+        self.den = den
 
     def __eq__(self, other):
         if not isinstance(other, Node):

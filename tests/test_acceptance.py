@@ -183,8 +183,9 @@ def test_criterion_07_box_count_cross_check():
         spec = preset(rng.choice(names))
         depth = rng.randint(1, 4 if spec.n(1) == 10 else 9)
         eps = Fraction(1, rng.choice([2, 3, 5, 10]) ** rng.randint(1, 6))
-        intervals = [(nd.lo, nd.hi) for nd in iter_level(spec, depth)]
-        got = box_count(intervals, [eps, eps / 2]).counts[0]
+        nodes = list(iter_level(spec, depth))
+        intervals = [(nd.lo, nd.hi) for nd in nodes]
+        got = box_count(nodes, [eps, eps / 2]).counts[0]
         want = naive_box_count(intervals, eps).value
         exact &= got == want
     eps_grid = [Fraction(1, 3 ** j) for j in range(3, 11)]

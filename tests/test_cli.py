@@ -319,7 +319,7 @@ def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
     # before measuring a single window of level 1
     def no_windows(*args, **kwargs):
         raise AssertionError("a window was measured before the budget check")
-    monkeypatch.setattr(measure, "_ratio", no_windows)
+    monkeypatch.setattr(measure, "power_ratio", no_windows)
     res = runner.invoke(main, ["measure-audit", "--preset", "skew10",
                                "--t", "0.3", "--k-hi", "3",
                                "--out", str(tmp_path)])

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from moranset.dimension import (box_count, check_conditions, cover_sum,
-                                dim_formula_seq, log_fraction)
+                                dim_formula_seq, log_fraction, power_ratio)
 from moranset.errors import DomainError
 from moranset.oracle import dim1_binary_s, naive_box_count
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import GapPolicy, MoranSpec, constant, preset
-from moranset.tree import iter_level
+from moranset.tree import Node, iter_level
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -114,7 +114,7 @@ def test_box_count_cantor3_exact_and_slope():
 
 
 def test_box_count_full_interval():
-    res = box_count([(Fraction(0), Fraction(1))],
+    res = box_count([Node((), 0, 1, 1)],
                     [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)])
     assert res.counts == [10, 100, 1000]
     assert abs(res.slope - 1.0) < 1e-9
@@ -132,9 +132,9 @@ def test_box_count_errors():
     with pytest.raises(DomainError):
         box_count([], [Fraction(1, 10)])
     with pytest.raises(DomainError):
-        box_count([(Fraction(0), Fraction(1))], [])
+        box_count([Node((), 0, 1, 1)], [])
     with pytest.raises(DomainError):
-        box_count([(Fraction(0), Fraction(1))], [Fraction(1, 10)])
+        box_count([Node((), 0, 1, 1)], [Fraction(1, 10)])
 
 
 def test_box_count_matches_oracle_random_instances():
@@ -147,7 +147,48 @@ def test_box_count_matches_oracle_random_instances():
         base = rng.choice([2, 3, 5, 10])
         j = rng.randint(1, 6)
         eps = Fraction(1, base ** j)
-        intervals = [(n.lo, n.hi) for n in iter_level(spec, depth)]
-        got = box_count(intervals, [eps, eps / 2])
+        nodes = list(iter_level(spec, depth))
+        intervals = [(n.lo, n.hi) for n in nodes]
+        got = box_count(nodes, [eps, eps / 2])
         want = naive_box_count(intervals, eps).value
         assert got.counts[0] == want
+
+
+@pytest.mark.parametrize("num,den,wnum,wden,t", [
+    (1, 2 ** 1100, 1, 3 ** 700, 0.5),
+    (3, 7 ** 400, 2, 5 ** 500, 0.6),
+], ids=["mass-underflow", "both-small"])
+def test_power_ratio_fallback_reads_values(num, den, wnum, wden, t):
+    # past float's normal range the ratio comes from logs, of the reduced
+    # rationals whatever pair they are handed as
+    want = power_ratio(num, den, wnum, wden, t)
+    for g, h in ((3, 1), (1, 5 ** 9), (11 ** 20, 7 ** 30)):
+        assert power_ratio(num * g, den * g, wnum * h, wden * h, t) == want
+
+
+def test_image_ratio_fallback_reads_values():
+    # cantor3 under affine:2,0+power:700: level-3 masses and lengths lie
+    # below float's normal range; the ratio is the same float from the
+    # image's unreduced integers, from reduced ones and from pairs scaled
+    # by the length's denominator
+    from moranset.branchtree import build_T, choose_M
+    from moranset.qsmap import (build_mu_d, image_tree, parse_map,
+                                prop1_ratio_series)
+    spec = preset("cantor3")
+    sched = choose_M(spec, "A", 4)
+    tree = build_T(spec, sched, sched.m_max, mode="explicit")
+    image = image_tree(parse_map("affine:2,0+power:700"), tree, 128)
+    mu = build_mu_d(image, Fraction(1, 2))
+    level = 3
+    got = []
+    for br, (num, den) in zip(image.levels[level], mu.pairs[level]):
+        mass, length = Fraction(num, den), br.length
+        ratio = power_ratio(num, den, br.hi_num - br.lo_num, br.den, 0.5)
+        assert ratio < 1e-100
+        assert ratio == power_ratio(mass.numerator, mass.denominator,
+                                    length.numerator, length.denominator, 0.5)
+        assert ratio == power_ratio(num * br.den, den * br.den,
+                                    (br.hi_num - br.lo_num) * br.den,
+                                    br.den ** 2, 0.5)
+        got.append(ratio)
+    assert prop1_ratio_series(mu, level).ratios[-1] == max(got)

@@ -12,7 +12,7 @@ from moranset import measure
 from moranset.errors import DomainError, RegimeError
 from moranset.measure import (MassMeasure, bound_constant, frostman_audit,
                               mu_window, threshold_level)
-from moranset.dimension import check_conditions
+from moranset.dimension import check_conditions, power_ratio
 from moranset.oracle import (cantor3_frostman_single_interval,
                              exhaustive_mu_sweep, oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
@@ -188,11 +188,11 @@ def test_frostman_rejects_nonpositive_exponent(t):
 
 def test_ratio_past_float_underflow():
     # float(3^-700) is 0.0: the ratio comes from exact logs instead
-    mu, width = Fraction(1, 2 ** 700), Fraction(1, 3 ** 700)
     expected = math.exp(700 * (0.6 * math.log(3) - math.log(2)))
-    assert math.isclose(measure._ratio(mu, width, 0.6), expected, rel_tol=1e-9)
+    assert math.isclose(power_ratio(1, 2 ** 700, 1, 3 ** 700, 0.6), expected,
+                        rel_tol=1e-9)
     # normal floats keep the float quotient
-    assert measure._ratio(Fraction(1, 4), Fraction(1, 9), 0.5) == 0.25 / (1 / 9) ** 0.5
+    assert power_ratio(1, 4, 1, 9, 0.5) == 0.25 / (1 / 9) ** 0.5
 
 
 def test_frostman_rejects_zero_threads():

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from moranset.branchtree import Branch
 from moranset.errors import BudgetExceededError, DomainError
 from moranset.oracle import (cantor3_dim, dim1_binary_s, naive_box_count,
                              oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
+from moranset.qsmap import ImageBranch
 from moranset.specs import preset
-from moranset.tree import build_level
+from moranset.tree import Interval, Node, build_level
 
 
 def test_naive_box_count_cantor3():
@@ -163,3 +165,34 @@ def test_tree_alone_places_intervals():
     assert "gap_weights" in offsets
     assert "interior_gaps" not in offsets
     assert "interior_gaps" in _calls_in(PACKAGE_DIR / "oracle.py", "oracle_level")
+
+
+def _interval_fields() -> dict[str, set[str]]:
+    """The package source files that define a `lo`, `hi` or `length`
+    property, or `__slots__` naming `lo_num`, by name."""
+    found: dict[str, set[str]] = {}
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "lo", "hi", "length") and any(
+                    getattr(d, "id", getattr(d, "attr", None))
+                    in ("property", "cached_property")
+                    for d in node.decorator_list):
+                found.setdefault(node.name, set()).add(path.name)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__"
+                    for t in node.targets) and "lo_num" in {
+                    c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)}:
+                found.setdefault("lo_num", set()).add(path.name)
+    return found
+
+
+def test_tree_alone_defines_interval_views():
+    """One interval record: only `tree` defines the `lo`, `hi` and `length`
+    views or a `lo_num` slot, and `Node`, `Branch` and `ImageBranch`
+    extend its `Interval`."""
+    assert _interval_fields() == {name: {"tree.py"} for name
+                                  in ("lo", "hi", "length", "lo_num")}
+    for record in (Node, Branch, ImageBranch):
+        assert record.__bases__ == (Interval,)
