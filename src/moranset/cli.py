@@ -356,10 +356,12 @@ def report(spec, out, depth, map_text, d_exp, condition):
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)
     fmap = qsmap.parse_map(map_text)
-    # the identity on uniform gaps has a closed-form ratio series; any other
-    # map is evaluated on the image of every branch, so it needs them all
+    # the identity on uniform gaps, every stage refining in one step, has a
+    # closed-form ratio series; any other case is evaluated on the image of
+    # every branch, so it needs them all
     closed_form = (isinstance(fmap, qsmap.IdentityMap)
-                   and spec.gaps.kind == "uniform")
+                   and spec.gaps.kind == "uniform"
+                   and all(i == 1 for i in schedule.i))
     built = branchtree.build_T(spec, schedule, schedule.m_max,
                                mode="auto" if closed_form else "explicit")
     star = built.star

@@ -5,16 +5,17 @@ sandwich audit.
 Maps are restricted to families with known increasing structure (identity,
 affine, signed power, piecewise linear, compositions).  An image endpoint is
 the exact rational when the map preserves rationality, and otherwise a
-certified enclosure `lo <= f(x) <= hi`.  Each family has one integer
-enclosure, `QsMap.bounds`, from a reduced `(num, den)` to `(lo_num, hi_num,
-den)`: identity, affine and piecewise-linear maps are exact on rationals, a
-power `|x|^{p/q}` is exact when `num` and then `den` are q-th powers and
-otherwise lies in `[r, r+1]/2^s` for the floor integer root `r` of
-`|x|^p·2^{q·s}`, and a composition pushes the lower bound through lower
-bounds and the upper bound through upper bounds, since every part is
-increasing (directed rounding; Moore, Kearfott & Cloud, *Introduction to
-Interval Analysis*, SIAM 2009).  `ImageBranch` extends the package's one
-interval record, `tree.Interval`: it keeps those integers, the two
+certified enclosure `lo <= f(x) <= hi`.  Each family defines one exact
+evaluator, the integer enclosure `QsMap.bounds` from a reduced `(num, den)`
+to `(lo_num, hi_num, den)`: identity, affine and piecewise-linear maps are
+exact on rationals, a power `|x|^{p/q}` is exact when `num` and then `den`
+are q-th powers and otherwise lies in `[r, r+1]/2^s` for the floor integer
+root `r` of `|x|^p·2^{q·s}`, and a composition pushes the lower bound
+through lower bounds and the upper bound through upper bounds, since every
+part is increasing (directed rounding; Moore, Kearfott & Cloud,
+*Introduction to Interval Analysis*, SIAM 2009).  `float_eval` serves only
+the sandwich audit's float samples.  `ImageBranch` extends the package's
+one interval record, `tree.Interval`: it keeps those integers, the two
 numerators over one denominator, and makes `Fraction`s only on read.
 
 The length-power measure `mu_d` (`build_mu_d`) is one integer pass.  Each
@@ -86,7 +87,7 @@ def check_samples(samples: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational powers
+# Integer roots
 # ---------------------------------------------------------------------------
 
 def _floor_root(n: int, q: int) -> int:
@@ -115,31 +116,12 @@ def _iroot(n: int, q: int) -> int | None:
     return r if r ** q == n else None
 
 
-def rational_pow(x: Fraction, a: Fraction) -> Fraction | None:
-    """x^a as an exact rational for x >= 0, or None when irrational."""
-    if x < 0:
-        raise DomainError("rational_pow needs x >= 0")
-    if x == 0:
-        return Fraction(0) if a > 0 else None
-    p, q = a.numerator, a.denominator
-    num = _iroot(x.numerator, q)
-    den = _iroot(x.denominator, q)
-    if num is None or den is None:
-        return None
-    base = Fraction(num, den)
-    return base ** p
-
-
 # ---------------------------------------------------------------------------
 # Map families
 # ---------------------------------------------------------------------------
 
 class QsMap:
     """Strictly increasing homeomorphism of the real line."""
-
-    def exact_eval(self, x: Fraction) -> Fraction | None:
-        """Exact image when representable, else None."""
-        raise NotImplementedError
 
     def float_eval(self, x: float) -> float:
         raise NotImplementedError
@@ -148,9 +130,8 @@ class QsMap:
         """The integer enclosure of f(num/den), for num/den reduced and
         den > 0: `(lo, hi, d)` with lo/d <= f(x) <= hi/d, d > 0 and not
         necessarily reduced; lo == hi exactly when f(x) is the exact
-        rational.  This default reads `exact_eval`."""
-        v = self.exact_eval(Fraction(num, den))
-        return v.numerator, v.numerator, v.denominator
+        rational.  Each family defines it: its one exact evaluator."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -158,8 +139,8 @@ class QsMap:
 
 @dataclass(frozen=True)
 class IdentityMap(QsMap):
-    def exact_eval(self, x):
-        return x
+    def bounds(self, num, den, prec):
+        return num, num, den
 
     def float_eval(self, x):
         return x
@@ -176,9 +157,6 @@ class AffineMap(QsMap):
     def __post_init__(self):
         if self.a <= 0:
             raise InvalidSpecError(f"affine slope must be positive, got {self.a}")
-
-    def exact_eval(self, x):
-        return self.a * x + self.b
 
     def bounds(self, num, den, prec):
         (an, ad), (bn, bd) = (self.a.as_integer_ratio(),
@@ -201,12 +179,6 @@ class PowerMap(QsMap):
     def __post_init__(self):
         if self.a <= 0:
             raise InvalidSpecError(f"power exponent must be positive, got {self.a}")
-
-    def exact_eval(self, x):
-        v = rational_pow(abs(x), self.a)
-        if v is None:
-            return None
-        return -v if x < 0 else v
 
     def float_eval(self, x):
         return math.copysign(abs(x) ** float(self.a), x) if x else 0.0
@@ -259,15 +231,18 @@ class PiecewiseLinearMap(QsMap):
         self.slopes = [(y1 - y0) / (x1 - x0)
                        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:])]
 
-    def exact_eval(self, x):
-        x = Fraction(x)
+    def bounds(self, num, den, prec):
+        x = Fraction(num, den)
         i = bisect_right(self.points, x, key=itemgetter(0)) - 1
         i = min(max(i, 0), len(self.slopes) - 1)
         x0, y0 = self.points[i]
-        return y0 + self.slopes[i] * (x - x0)
+        v = y0 + self.slopes[i] * (x - x0)
+        return v.numerator, v.numerator, v.denominator
 
     def float_eval(self, x):
-        return float(self.exact_eval(Fraction(x)))
+        # int true division rounds correctly
+        lo, _, den = self.bounds(*x.as_integer_ratio(), 0)
+        return lo / den
 
     def describe(self):
         pts = ";".join(f"{x},{y}" for x, y in self.points)
@@ -281,13 +256,6 @@ class CompositionMap(QsMap):
         if not parts:
             raise InvalidSpecError("empty composition")
         self.parts = list(parts)
-
-    def exact_eval(self, x):
-        for p in self.parts:
-            x = p.exact_eval(x)
-            if x is None:
-                return None
-        return x
 
     def float_eval(self, x):
         for p in self.parts:
@@ -567,7 +535,9 @@ def prop1_ratio_series(measure: ImageMeasure, K: int | None = None) -> RatioSeri
 def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries:
     """Closed form of the ratio series for the identity map on a construction
     whose siblings all share one length: every level-k branch then carries
-    mass 1/(interval count), so the max ratio is count^-1 * length^-d."""
+    mass 1/(interval count), so the max ratio is count^-1 * length^-d.  It
+    is the `mu_d` series of the branch hierarchy only when every stage
+    refines in one step, so that branch levels are construction levels."""
     check_length_power(d)
     logs = list(log_series(star, K))
 

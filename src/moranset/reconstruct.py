@@ -49,40 +49,31 @@ class StarState:
     def delta_star(self, k: int) -> Fraction:
         return self.spec.delta(k) - self.spec.L(k + 1) - self.spec.R(k + 1)
 
-    def L_star(self, k: int) -> Fraction:
-        return self.spec.L(k + 1)
-
-    def R_star(self, k: int) -> Fraction:
-        return self.spec.R(k + 1)
-
-    def boundary_shift(self, k: int) -> Fraction:
-        """What every level-k interior gap gains from trimming: L_{k+1} + R_{k+1}."""
-        return self.spec.L(k + 1) + self.spec.R(k + 1)
-
     def stats(self, k: int) -> StarStats:
         if k not in self._stats:
             base = level_stats(self.spec, k)
-            shift = self.boundary_shift(k)
+            L, R = self.spec.L(k + 1), self.spec.R(k + 1)
             length = self.delta_star(k)
             self._stats[k] = StarStats(
                 k, base.count, length, base.count * length,
-                base.max_gap + shift, base.min_gap + shift,
-                base.slack + (self.spec.n(k) - 1) * shift,
-                self.L_star(k), self.R_star(k))
+                base.max_gap + L + R, base.min_gap + L + R,
+                base.slack + (self.spec.n(k) - 1) * (L + R), L, R)
         return self._stats[k]
 
     # -- trimmed intervals --------------------------------------------------
 
     def level(self, k: int, budget: int = DEFAULT_NODE_BUDGET) -> LevelSet:
-        return build_level(self.spec, k, budget, (self.L_star(k), self.R_star(k)))
+        trim = (self.spec.L(k + 1), self.spec.R(k + 1))
+        return build_level(self.spec, k, budget, trim)
 
     def iter_level(self, k: int) -> Iterator[Node]:
-        return iter_level(self.spec, k, (self.L_star(k), self.R_star(k)))
+        trim = (self.spec.L(k + 1), self.spec.R(k + 1))
+        return iter_level(self.spec, k, trim)
 
     def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
         """Trimmed interior gaps of parent sigma at level k: each base gap
         plus the children's trimmed-off boundary gaps L_{k+1} + R_{k+1}."""
-        shift = self.boundary_shift(k)
+        shift = self.spec.L(k + 1) + self.spec.R(k + 1)
         return tuple(g + shift for g in self.spec.interior_gaps(sigma, k))
 
 

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 import moranset
 from moranset import branchtree, dimension, measure
 from moranset.cli import EXIT_CODES, main
+from moranset.qsmap import (IdentityMap, build_mu_d, image_tree,
+                            prop1_ratio_series)
 from moranset.reconstruct import StarState
+from moranset.specs import preset
 
 
 @pytest.fixture
@@ -199,6 +202,23 @@ def test_qs_and_report(runner, tmp_path):
     assert bundle["refinement_length_bound_ok"] is True
     for row in bundle["branch_length_identity"]:
         assert row["l_Tmk"] == row["expected"]
+
+
+def test_report_multi_step_stages_use_explicit_series(runner, tmp_path):
+    # wide10 refines every stage in two steps (i_k = 2), so its level-m
+    # branches are not one construction level's equal intervals: the
+    # identity's series is the explicit mu_d series over branch levels
+    res = _run(runner, ["report", "--preset", "wide10", "--depth", "3",
+                        "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    bundle = json.loads((tmp_path / "report.json").read_text())
+    spec = preset("wide10")
+    schedule = branchtree.choose_M(spec, "A", 3)
+    assert schedule.i == [2, 2, 2]
+    tree = branchtree.build_T(spec, schedule, schedule.m_max, mode="explicit")
+    want = prop1_ratio_series(build_mu_d(image_tree(IdentityMap(), tree), 0.5))
+    assert bundle["ratio_series"]["levels"] == want.levels == list(range(1, 7))
+    assert bundle["ratio_series"]["ratios"] == want.ratios
 
 
 def test_rerun_byte_identical(runner, tmp_path):

@@ -120,7 +120,7 @@ GOLDEN = {
     ('report-identity', 'dim1_binary'): (0, {'report.json': '3ecd0196d87658f1'}),
     ('report-identity', 'padded2'): (0, {'report.json': '7e80436eefebef6b'}),
     ('report-identity', 'skew10'): (0, {'report.json': 'ec1e65d2d2f2ec3c'}),
-    ('report-identity', 'wide10'): (0, {'report.json': '4949b72f7eb880f4'}),
+    ('report-identity', 'wide10'): (0, {'report.json': '8feeaa0fcae0af5f'}),
     ('report-power', 'cantor3'): (0, {'report.json': '34069d1d83a9bc44'}),
     ('report-power', 'dim1_binary'): (0, {'report.json': '265c1fd29961dfd2'}),
     ('report-power', 'padded2'): (0, {'report.json': '7a6c1d9fd39843a2'}),

@@ -12,7 +12,8 @@ from moranset.errors import BudgetExceededError, DomainError
 from moranset.oracle import (cantor3_dim, dim1_binary_s, naive_box_count,
                              oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
-from moranset.qsmap import ImageBranch
+from moranset.qsmap import (AffineMap, CompositionMap, IdentityMap,
+                            ImageBranch, PiecewiseLinearMap, PowerMap)
 from moranset.specs import preset
 from moranset.tree import Interval, Node, build_level
 
@@ -196,3 +197,16 @@ def test_tree_alone_defines_interval_views():
                                   in ("lo", "hi", "length", "lo_num")}
     for record in (Node, Branch, ImageBranch):
         assert record.__bases__ == (Interval,)
+
+
+def test_one_evaluator_per_map_family():
+    """`bounds` is each map family's one exact evaluator: the only `*_eval`
+    function any package source defines is the sandwich audit's
+    `float_eval`, and each of the five families defines `bounds` itself
+    rather than inheriting it."""
+    evaluators = {name for path in PACKAGE_DIR.glob("*.py")
+                  for name in _defined_in(path) if name.endswith("_eval")}
+    assert evaluators == {"float_eval"}
+    for family in (IdentityMap, AffineMap, PowerMap, PiecewiseLinearMap,
+                   CompositionMap):
+        assert "bounds" in vars(family), family.__name__

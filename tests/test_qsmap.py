@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -18,8 +19,8 @@ from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
                             PiecewiseLinearMap, PowerMap, _floor_root, build_mu_d, image_tree,
                             parse_map, prop1_ratio_series,
-                            prop1_ratio_series_uniform, rational_pow,
-                            sandwich_audit, stats_series)
+                            prop1_ratio_series_uniform, sandwich_audit,
+                            stats_series)
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import preset
 
@@ -32,25 +33,39 @@ def _tree(name, depth, mode="explicit"):
 
 # -- map families -----------------------------------------------------------
 
-def test_rational_pow():
-    assert rational_pow(Fraction(4), Fraction(1, 2)) == 2
-    assert rational_pow(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
-    assert rational_pow(Fraction(2), Fraction(1, 2)) is None
-    assert rational_pow(Fraction(0), Fraction(3)) == 0
+def _enclose(fmap, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """The enclosure `fmap.bounds` gives f(x), as two `Fraction`s."""
+    lo, hi, den = fmap.bounds(x.numerator, x.denominator, prec)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def test_power_bounds_exact_powers():
+    # exact q-th powers give lo == hi; an irrational power gives lo < hi
+    assert _enclose(PowerMap(Fraction(1, 2)), Fraction(4), 64) == (2, 2)
+    assert _enclose(PowerMap(Fraction(2, 3)), Fraction(8, 27), 64) \
+        == (Fraction(4, 9), Fraction(4, 9))
+    lo, hi = _enclose(PowerMap(Fraction(1, 2)), Fraction(2), 64)
+    assert lo < hi
+    assert _enclose(PowerMap(Fraction(3)), Fraction(0), 64) == (0, 0)
 
 
 def test_parse_map_families():
-    assert isinstance(parse_map("identity"), IdentityMap)
+    identity = parse_map("identity")
+    assert isinstance(identity, IdentityMap)
+    assert identity.bounds(3, 7, 64) == (3, 3, 7)
     a = parse_map("affine:2,1")
-    assert a.exact_eval(Fraction(3)) == 7
+    assert _enclose(a, Fraction(3), 64) == (7, 7)
     p = parse_map("power:2")
-    assert p.exact_eval(Fraction(1, 2)) == Fraction(1, 4)
-    assert p.exact_eval(Fraction(-1, 2)) == Fraction(-1, 4)
+    assert _enclose(p, Fraction(1, 2), 64) == (Fraction(1, 4), Fraction(1, 4))
+    assert _enclose(p, Fraction(-1, 2), 64) \
+        == (Fraction(-1, 4), Fraction(-1, 4))
     pl = parse_map("pl:0,0;1/2,1/4;1,1")
-    assert pl.exact_eval(Fraction(1, 4)) == Fraction(1, 8)
-    assert pl.exact_eval(Fraction(3, 4)) == Fraction(1, 4) + Fraction(3, 8)
+    assert _enclose(pl, Fraction(1, 4), 64) == (Fraction(1, 8), Fraction(1, 8))
+    v = Fraction(1, 4) + Fraction(3, 8)
+    assert _enclose(pl, Fraction(3, 4), 64) == (v, v)
     comp = parse_map("power:2+affine:3,-1")
-    assert comp.exact_eval(Fraction(1, 2)) == 3 * Fraction(1, 4) - 1
+    v = 3 * Fraction(1, 4) - 1
+    assert _enclose(comp, Fraction(1, 2), 64) == (v, v)
     with pytest.raises(ConfigError):
         parse_map("spline:1")
     with pytest.raises(ConfigError):
@@ -114,13 +129,39 @@ def test_image_requires_explicit_tree():
         image_tree(IdentityMap(), tree)
 
 
+def _pl_value(points, x: Fraction) -> Fraction:
+    """The polyline through `points` at x, its end segments extended."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x <= x1:
+            break
+    return y0 + (y1 - y0) / (x1 - x0) * (x - x0)
+
+
+_steps = st.fractions(min_value=Fraction(1, 100), max_value=5,
+                      max_denominator=100)
+_pl_points = st.lists(st.tuples(_steps, _steps), min_size=1, max_size=5).map(
+    lambda steps: list(accumulate(
+        steps, lambda pt, step: (pt[0] + step[0], pt[1] + step[1]),
+        initial=(Fraction(-1), Fraction(-2)))))
+
+
+@given(_pl_points,
+       st.one_of(st.fractions(min_value=-20, max_value=30,
+                              max_denominator=10 ** 6),
+                 st.floats(min_value=-20, max_value=30)))
+@settings(max_examples=200, deadline=None)
+def test_piecewise_linear_bounds_exact(points, x):
+    # breakpoints span [-1, 24] at most: x falls inside them and beyond
+    # either end, where the end slopes extrapolate
+    pl = PiecewiseLinearMap(points)
+    v = _pl_value(points, Fraction(x))
+    num, den = x.as_integer_ratio()
+    lo, hi, d = pl.bounds(num, den, 64)
+    assert lo == hi and Fraction(lo, d) == v
+    assert pl.float_eval(x) == float(v)
+
+
 # -- certified enclosures ---------------------------------------------------
-
-def _enclose(fmap, x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """The enclosure `fmap.bounds` gives f(x), as two `Fraction`s."""
-    lo, hi, den = fmap.bounds(x.numerator, x.denominator, prec)
-    return Fraction(lo, den), Fraction(hi, den)
-
 
 @given(st.integers(min_value=0, max_value=2 ** 700),
        st.integers(min_value=1, max_value=40))
@@ -160,7 +201,7 @@ def test_power_enclosure_certified(x, p, q, prec):
     a = Fraction(p, q)
     lo, hi = _enclose(PowerMap(a), x, prec)
     p, q = a.numerator, a.denominator
-    exact = rational_pow(abs(x), a)
+    exact = _exact_power(abs(x), a)
     if exact is not None:
         assert lo == hi == (exact if x > 0 else -exact)
         return
@@ -198,8 +239,8 @@ def _iv(iv, x: Fraction):
     ("affine:1/2,-1/4+power:1/3",
      lambda iv, x: _iv_signed_power(iv, _iv(iv, x / 2 - Fraction(1, 4)), 1, 3)),
     (_PL + "+power:2/3",
-     lambda iv, x: _iv_signed_power(iv, _iv(iv, parse_map(_PL).exact_eval(x)),
-                                    2, 3)),
+     lambda iv, x: _iv_signed_power(
+         iv, _iv(iv, _pl_value(parse_map(_PL).points, x)), 2, 3)),
 ])
 def test_composition_enclosures_contain_interval_arithmetic(text, iv_eval):
     """Every endpoint of the image contains mpmath's interval-arithmetic
@@ -236,12 +277,22 @@ def _bisect_root(n: Fraction, q: int) -> int:
     return lo
 
 
+def _exact_power(x: Fraction, a: Fraction) -> Fraction | None:
+    """x^a for x >= 0 when x's numerator and denominator are q-th powers
+    (a = p/q), else None."""
+    p, q = a.numerator, a.denominator
+    n, d = x.numerator, x.denominator
+    rn, rd = _bisect_root(Fraction(n), q), _bisect_root(Fraction(d), q)
+    return Fraction(rn, rd) ** p if rn ** q == n and rd ** q == d else None
+
+
 def _reference_enclosure(fmap, x: Fraction, prec: int):
     """The documented enclosure in `Fraction`s, apart from the kernels: a
     power is exact when |x|'s numerator and denominator are q-th powers,
     else [r, r+1]·2^-s for the largest r with (r·2^-s)^q <= |x|^p; a
     composition pushes lower through lower and upper through upper, with
-    guard bits on its inner parts; every other family is exact."""
+    guard bits on its inner parts; identity, affine and piecewise-linear
+    values are computed here from `a`, `b` and `points`, and exact."""
     if isinstance(fmap, CompositionMap):
         lo = hi = x
         for i, part in enumerate(fmap.parts):
@@ -249,14 +300,18 @@ def _reference_enclosure(fmap, x: Fraction, prec: int):
             lo, hi = (_reference_enclosure(part, lo, bits)[0],
                       _reference_enclosure(part, hi, bits)[1])
         return lo, hi
-    if not isinstance(fmap, PowerMap):
-        v = fmap.exact_eval(x)
+    if isinstance(fmap, IdentityMap):
+        return x, x
+    if isinstance(fmap, AffineMap):
+        v = fmap.a * x + fmap.b
+        return v, v
+    if isinstance(fmap, PiecewiseLinearMap):
+        v = _pl_value(fmap.points, x)
         return v, v
     p, q = fmap.a.numerator, fmap.a.denominator
     n, d = abs(x.numerator), x.denominator
-    rn, rd = _bisect_root(Fraction(n), q), _bisect_root(Fraction(d), q)
-    if rn ** q == n and rd ** q == d:
-        v = Fraction(rn, rd) ** p
+    v = _exact_power(abs(x), fmap.a)
+    if v is not None:
         return (v, v) if x >= 0 else (-v, -v)
     s = prec - max(p * (n.bit_length() - d.bit_length() - 1) // q, 0)
     r = _bisect_root(abs(x) ** p * Fraction(2) ** (q * s), q)
@@ -279,7 +334,8 @@ _kernel_maps = st.one_of(
     st.sampled_from(["power:1/2+affine:3,-1", "power:1/3+power:3/2",
                      "affine:1/2,-1/4+power:1/3+power:2",
                      "power:2/3+affine:5/3,1/7+power:1/2",
-                     _PL, _PL + "+power:2/3", "affine:7/5,-2/9"]))
+                     _PL, _PL + "+power:2/3", "affine:7/5,-2/9",
+                     "identity", "identity+power:1/2"]))
 
 
 @given(_kernel_maps,
