@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec, format_rational
-from .tree import Interval, level_stats
+from .tree import Interval, level_stats, stats_parents
 
 
 def log_fraction(x: Fraction) -> float:
@@ -43,10 +43,8 @@ def power_ratio(num: int, den: int, wnum: int, wden: int, t: float) -> float:
             return mu / w
     except OverflowError:
         pass
-    g, h = math.gcd(num, den), math.gcd(wnum, wden)
-    num, den, wnum, wden = num // g, den // g, wnum // h, wden // h
-    return math.exp(math.log(num) - math.log(den)
-                    - t * (math.log(wnum) - math.log(wden)))
+    return math.exp(log_fraction(Fraction(num, den))
+                    - t * log_fraction(Fraction(wnum, wden)))
 
 
 @dataclass
@@ -57,10 +55,8 @@ class DimSeries:
     series plus the minimum over the trailing half-window and never claims
     a limit.
     """
-    K: int
     s: list[float]          # s[i] is the level-(i+1) value
-    tail_start: int         # first level of the trailing window
-    tail_min: float
+    tail_min: float         # minimum over levels K // 2..K
 
     def value(self, k: int) -> float:
         return self.s[k - 1]
@@ -103,8 +99,7 @@ def dim_formula_seq(spec: MoranSpec, K: int) -> DimSeries:
                 f"trimmed length {dk} at level {k} does not contract below "
                 f"the initial interval length {unit}")
         s.append(log_count / -log_len)
-    tail_start = max(1, K // 2)
-    return DimSeries(K, s, tail_start, min(s[tail_start - 1:]))
+    return DimSeries(s, min(s[max(1, K // 2) - 1:]))
 
 
 @dataclass
@@ -161,6 +156,9 @@ def check_conditions(spec: MoranSpec, K: int) -> ConditionCert:
     w1 = w2 = w3 = None
     zero_gap = False
     unit = spec.interval[1] - spec.interval[0]
+    # counts never shrink, so the deepest level's parents pass the node
+    # budget first: check them before any level's gaps are drawn
+    stats_parents(spec, K)
     for k in range(1, K + 1):
         st = level_stats(spec, k)
         contraction = spec.delta(k) / unit          # c_1 c_2 ... c_k

@@ -1,15 +1,14 @@
 """Uniform-branching mass distribution and Frostman-type window audits.
 
 The measure gives every trimmed level-k interval mass 1/(n_1...n_k).  The
-trimmed level is sorted, so the exact mass of a closed window [a, b] is a
-difference of two ranks, (#{lo <= b} - #{hi < a}) / N_k.  The audits check
+trimmed level is sorted, so a closed window [a, b] has the exact mass
+(#{lo <= b} - #{hi < a}) / N_k, two `StarState.rank` calls.  The audits check
 that mu(U) <= C |U|^t for windows U in the per-level size regime, with C the
 constant tied to whichever dimension condition holds.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
 from .errors import (BudgetExceededError, ConditionInapplicableError,
                      DomainError, RegimeError)
 from .reconstruct import StarState
-from .specs import MoranSpec, format_rational
+from .specs import format_rational
 
 #: Cap on exhaustively enumerated windows per audited level.
 DEFAULT_WINDOW_BUDGET = 10**6
@@ -34,30 +33,6 @@ class MassMeasure:
 
     def __init__(self, star: StarState):
         self.star = star
-        self.spec = star.spec
-
-
-def _rank(spec: MoranSpec, k: int, y: Fraction, find) -> int:
-    """`find(xs, y)` (`bisect_right` or `bisect_left`) for the sorted list xs
-    of untrimmed level-k left endpoints measured from the initial lo, by one
-    root-to-leaf path carrying y - lo as integers rn / rd.  An offset num /
-    den is <= y - lo iff num <= floor(rn den / rd), and < y - lo iff num <
-    ceil(rn den / rd); the children left of the one holding y at level j
-    add N_k / N_j each."""
-    def scaled(den: int) -> int:       # floor, or ceil for bisect_left
-        return -(-rn * den // rd) if find is bisect_left else rn * den // rd
-
-    rn, rd, sigma, rank = y.numerator, y.denominator, (), 0
-    for j in range(1, k + 1):
-        den, nums = spec.child_offsets(sigma, j)
-        i = find(nums, scaled(den))
-        if i == 0:
-            return rank
-        rank += (i - 1) * (spec.count(k) // spec.count(j))
-        m = math.lcm(rd, den)
-        rn, rd = rn * (m // rd) - nums[i - 1] * (m // den), m
-        sigma += (i,)
-    return rank + find((0,), scaled(1))
 
 
 def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
@@ -68,13 +43,11 @@ def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
     a, b = Fraction(U[0]), Fraction(U[1])
     if a > b:
         raise DomainError(f"window [{a}, {b}] is empty")
-    spec = measure.spec
-    lo = spec.interval[0]
-    # a trimmed interval [x + L_{k+1}, x + delta_k - R_{k+1}] with untrimmed
-    # left endpoint x starts at or before b, or ends before a
-    starts = _rank(spec, k, b - spec.L(k + 1) - lo, bisect_right)
-    ends = _rank(spec, k, a + spec.R(k + 1) - spec.delta(k) - lo, bisect_left)
-    return Fraction(starts - ends, spec.count(k))
+    star = measure.star
+    # an interval [x, x + delta*_k] starts at or before b, or ends before a
+    starts = star.rank(k, b, bisect_right)
+    ends = star.rank(k, a - star.delta_star(k), bisect_left)
+    return Fraction(starts - ends, star.spec.count(k))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +74,6 @@ class WindowAudit:
     condition: str
     constant: Fraction
     k0: int
-    k_range: tuple[int, int]
     worst_ratio: float
     witness: tuple[Fraction, Fraction, int] | None
     windows: int
@@ -140,13 +112,12 @@ def threshold_level(star: StarState, t: float, k_max: int) -> int:
 
 
 def frostman_audit(measure: MassMeasure, condition: str, t: float,
-                   k_range: tuple[int, int], mode: str = "exhaustive",
+                   level_range: tuple[int, int], mode: str = "exhaustive",
                    cert: ConditionCert | None = None,
                    samples: int = 2000, seed: int = 0,
-                   window_budget: int = DEFAULT_WINDOW_BUDGET,
                    threads: int = 1) -> WindowAudit:
     """Audit mu(U) <= C |U|^t over windows with trimmed-(k+1) length <= |U|
-    < trimmed-k length, for k in k_range (clamped below by the threshold
+    < trimmed-k length, for k in level_range (clamped below by the threshold
     level).  Exhaustive mode sweeps all windows spanned by pairs of
     depth-(k+1) trimmed-interval endpoints in that size regime, where the
     ratio is locally maximized; sampled mode draws seeded random windows.
@@ -159,10 +130,10 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         raise DomainError(f"unknown audit mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise DomainError(f"sample count {samples} must be >= 1 in sampled mode")
-    star, spec = measure.star, measure.spec
-    k_lo, k_hi = k_range
+    star, spec = measure.star, measure.star.spec
+    k_lo, k_hi = level_range
     if k_lo < 1 or k_hi < k_lo:
-        raise DomainError(f"bad level range {k_range}")
+        raise DomainError(f"bad level range {level_range}")
     series = dim_formula_seq(spec, k_hi + 1)
     if t >= series.tail_min:
         raise RegimeError(
@@ -183,13 +154,14 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         # window [pts[i], pts[j]] then has mass (starts[j] - ends[i]) / N
         sweeps = {}
         for k in levels:
+            # N distinct left endpoints and a last right endpoint past them
+            # all make at least N(N+1)/2 pairs: checked before the level exists
+            size = spec.count(k + 1)
+            _check_windows(k, size * (size + 1) // 2, "at least ")
             los, his = zip(*((n.lo, n.hi) for n in star.iter_level(k + 1)))
             pts = sorted(set(los + his))
             m = len(pts)
-            if m * (m - 1) // 2 > window_budget:
-                raise BudgetExceededError(
-                    f"level {k} exhaustive audit needs {m * (m - 1) // 2} "
-                    f"windows (> budget {window_budget})")
+            _check_windows(k, m * (m - 1) // 2)
             starts = [bisect_right(los, p) for p in pts]
             ends = [bisect_left(his, p) for p in pts]
             sweeps[k] = pts, starts, ends, len(los)
@@ -237,5 +209,12 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
     # (leftmost, lowest-level) witness among ties
     worst, witness, _ = max(results, key=lambda result: result[0])
     total = sum(cnt for _, _, cnt in results)
-    return WindowAudit(t, condition, constant, k0, (k_lo, k_hi),
-                       max(worst, 0.0), witness, total, mode)
+    return WindowAudit(t, condition, constant, k0, max(worst, 0.0), witness,
+                       total, mode)
+
+
+def _check_windows(k: int, pairs: int, least: str = "") -> None:
+    if pairs > DEFAULT_WINDOW_BUDGET:
+        raise BudgetExceededError(
+            f"level {k} exhaustive audit needs {least}{pairs} windows "
+            f"(> budget {DEFAULT_WINDOW_BUDGET})")

@@ -429,14 +429,12 @@ class ImageMeasure:
 
 def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
     """Integer weights proportional to `a^d` for the integer sibling lengths
-    `a`: all 1 for equal lengths; `r^p` for `d = p/q` when every length over
-    the lengths' gcd is a q-th power `r^q` (exactly when every length ratio
-    has an exact d-th power); otherwise mpmath's round-to-nearest `a^d` at
-    `prec + 32` bits, its mantissas shifted to the smallest exponent."""
+    `a`: `r^p` for `d = p/q` when every length over the lengths' gcd is a
+    q-th power `r^q` (exactly when every length ratio has an exact d-th
+    power; all 1 for equal lengths); otherwise mpmath's round-to-nearest
+    `a^d` at `prec + 32` bits, its mantissas shifted to the smallest exponent."""
     if min(lengths) <= 0:
         raise DegenerateSpecError("zero-length image branch; cannot weight by length")
-    if lengths.count(lengths[0]) == len(lengths):
-        return [1] * len(lengths)
     g = math.gcd(*lengths)
     lengths = [a // g for a in lengths]
     p, q = d.numerator, d.denominator
@@ -560,7 +558,6 @@ class QsStats:
     compare level m to m-1 (defined for 1 <= m <= m_top).
     """
     m_top: int
-    M: int
     beta: list[Fraction]
     theta: list[Fraction]
     kappa: list[Fraction]
@@ -633,7 +630,7 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
         st = tree.star.stats(k)
         gam_s.append(st.max_gap / prev.min_len)
         gam_u.append(st.min_gap / prev.max_len)
-    return QsStats(m_top, tree.schedule.M, beta, theta, kappa, chi,
+    return QsStats(m_top, beta, theta, kappa, chi,
                    lam_s, lam_u, gam_s, gam_u,
                    [s.total_len for s in stats])
 

@@ -2,7 +2,8 @@
 
 The trimmed ("star") interval of a level-k node drops L_{k+1} on the left and
 R_{k+1} on the right, so its children's boundary gaps migrate into the
-interior gaps of the parent.  All derived identities are exact-rational.
+interior gaps of the parent.  Every trimmed quantity reads `StarState.trim`.
+All derived identities are exact-rational.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Iterator
 
 from .errors import DegenerateSpecError, DomainError
 from .specs import MoranSpec
-from .tree import (DEFAULT_NODE_BUDGET, LevelSet, LevelStats, Node, build_level,
-                   iter_level, level_stats)
+from .tree import (LevelSet, LevelStats, Node, build_level, iter_level,
+                   level_stats, rank)
 
 
 @dataclass
@@ -36,7 +37,7 @@ class StarState:
         if K < 0:
             raise DomainError(f"depth {K} is out of range: trimming needs depth >= 0")
         self.spec = spec
-        self.K = K
+        self._trims: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
         self._stats: dict[int, StarStats] = {}
         for k in range(K + 1):
             if self.delta_star(k) <= 0:
@@ -46,14 +47,21 @@ class StarState:
 
     # -- per-level scalars --------------------------------------------------
 
+    def trim(self, k: int) -> tuple[Fraction, Fraction, Fraction]:
+        """(L_{k+1}, R_{k+1}, delta*_k): level k's trim and trimmed length,
+        cached per level (idempotently, so threads may share a state)."""
+        if k not in self._trims:
+            L, R = self.spec.L(k + 1), self.spec.R(k + 1)
+            self._trims[k] = L, R, self.spec.delta(k) - L - R
+        return self._trims[k]
+
     def delta_star(self, k: int) -> Fraction:
-        return self.spec.delta(k) - self.spec.L(k + 1) - self.spec.R(k + 1)
+        return self.trim(k)[2]
 
     def stats(self, k: int) -> StarStats:
         if k not in self._stats:
             base = level_stats(self.spec, k)
-            L, R = self.spec.L(k + 1), self.spec.R(k + 1)
-            length = self.delta_star(k)
+            L, R, length = self.trim(k)
             self._stats[k] = StarStats(
                 k, base.count, length, base.count * length,
                 base.max_gap + L + R, base.min_gap + L + R,
@@ -62,18 +70,20 @@ class StarState:
 
     # -- trimmed intervals --------------------------------------------------
 
-    def level(self, k: int, budget: int = DEFAULT_NODE_BUDGET) -> LevelSet:
-        trim = (self.spec.L(k + 1), self.spec.R(k + 1))
-        return build_level(self.spec, k, budget, trim)
+    def level(self, k: int) -> LevelSet:
+        return build_level(self.spec, k, shrink=self.trim(k)[:2])
 
     def iter_level(self, k: int) -> Iterator[Node]:
-        trim = (self.spec.L(k + 1), self.spec.R(k + 1))
-        return iter_level(self.spec, k, trim)
+        return iter_level(self.spec, k, self.trim(k)[:2])
+
+    def rank(self, k: int, y: Fraction, find) -> int:
+        """`tree.rank` over the trimmed level-k left endpoints."""
+        return rank(self.spec, k, y - self.trim(k)[0], find)
 
     def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
         """Trimmed interior gaps of parent sigma at level k: each base gap
         plus the children's trimmed-off boundary gaps L_{k+1} + R_{k+1}."""
-        shift = self.spec.L(k + 1) + self.spec.R(k + 1)
+        shift = sum(self.trim(k)[:2])
         return tuple(g + shift for g in self.spec.interior_gaps(sigma, k))
 
 

@@ -11,16 +11,18 @@ constructions.
 A left endpoint is the initial lo plus one integer child offset per level
 (`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every gap
 policy and hands those integers to `Node` as they are.  The bulk consumers,
-`export_level` and `dimension.box_count`, read the integers directly.
+`export_level` and `dimension.box_count`, read the integers directly, and
+`rank` descends them along one path; no other module reads the offsets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import BudgetExceededError, DomainError
 from .specs import MoranSpec
@@ -174,6 +176,29 @@ def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
         yield from _walk(spec, depth, sigma + (i,), num * (m // den) + off * (m // d), m)
 
 
+def rank(spec: MoranSpec, k: int, y: Fraction, find) -> int:
+    """`find(xs, y)` (`bisect_right` or `bisect_left`) for the sorted list xs
+    of level-k left endpoints, by one root-to-leaf path carrying y - lo, lo
+    the initial one, as integers rn / rd.  An offset num / den is <= y - lo
+    iff num <= floor(rn den / rd), and < y - lo iff num < ceil(rn den / rd);
+    the children left of the one holding y at level j add N_k / N_j each."""
+    def scaled(den: int) -> int:       # floor, or ceil for bisect_left
+        return -(-rn * den // rd) if find is bisect_left else rn * den // rd
+
+    y = y - spec.interval[0]
+    rn, rd, sigma, r = y.numerator, y.denominator, (), 0
+    for j in range(1, k + 1):
+        den, nums = spec.child_offsets(sigma, j)
+        i = find(nums, scaled(den))
+        if i == 0:
+            return r
+        r += (i - 1) * (spec.count(k) // spec.count(j))
+        m = lcm(rd, den)
+        rn, rd = rn * (m // rd) - nums[i - 1] * (m // den), m
+        sigma += (i,)
+    return r + find((0,), scaled(1))
+
+
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,
                 shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> LevelSet:
     """Materialize level k as an ordered list of exact intervals."""
@@ -196,13 +221,7 @@ def level_stats(spec: MoranSpec, k: int,
     if k < 1:
         raise DomainError(f"level {k} is out of range: level stats start at k = 1")
     slack = spec.slack(k)
-    parents = [()]
-    if not spec.gaps.node_independent:
-        if spec.count(k - 1) > budget:
-            raise BudgetExceededError(
-                f"gap stats at level {k} need {spec.count(k - 1)} parents "
-                f"(> budget {budget})")
-        parents = iter_addresses(spec, k - 1)
+    parents = stats_parents(spec, k, budget)
     n_gaps = spec.n(k) - 1
     widest = narrowest = None   # (w, total) pairs; a gap is slack * w / total
     for sigma in parents:
@@ -218,6 +237,19 @@ def level_stats(spec: MoranSpec, k: int,
     return LevelStats(k, count, length, count * length,
                       slack * widest[0] / widest[1],
                       slack * narrowest[0] / narrowest[1], slack)
+
+
+def stats_parents(spec: MoranSpec, k: int,
+                  budget: int = DEFAULT_NODE_BUDGET) -> Iterable[Address]:
+    """The level-(k-1) parents whose gaps `level_stats(spec, k)` ranges over:
+    the first alone for node-independent gaps, else all, within the budget."""
+    if spec.gaps.node_independent:
+        return [()]
+    if spec.count(k - 1) > budget:
+        raise BudgetExceededError(
+            f"gap stats at level {k} need {spec.count(k - 1)} parents "
+            f"(> budget {budget})")
+    return iter_addresses(spec, k - 1)
 
 
 def iter_addresses(spec: MoranSpec, k: int) -> Iterator[Address]:

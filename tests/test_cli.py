@@ -17,7 +17,7 @@ from moranset.cli import EXIT_CODES, main
 from moranset.qsmap import (IdentityMap, build_mu_d, image_tree,
                             prop1_ratio_series)
 from moranset.reconstruct import StarState
-from moranset.specs import preset
+from moranset.specs import GapPolicy, preset
 
 
 @pytest.fixture
@@ -346,6 +346,42 @@ def test_audit_budget_checked_before_any_window(runner, tmp_path, monkeypatch):
     assert res.exit_code == 7, res.output
     assert ("level 2 exhaustive audit needs 1999000 windows "
             "(> budget 1000000)") in res.output
+
+
+def test_audit_budget_bound_checked_before_the_level_is_built(
+        runner, tmp_path, monkeypatch):
+    # wide10 level 6 has 10^6 intervals, so level 5 spans at least
+    # 10^6 (10^6 + 1) / 2 endpoint pairs: the run stops on that bound
+    # without streaming a single trimmed interval
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a level was built before the budget check")
+    monkeypatch.setattr(StarState, "iter_level", no_levels)
+    start = time.perf_counter()
+    res = runner.invoke(main, ["measure-audit", "--preset", "wide10",
+                               "--t", "0.6", "--k-lo", "5", "--k-hi", "5",
+                               "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 7, res.output
+    assert ("level 5 exhaustive audit needs at least 500000500000 windows "
+            "(> budget 1000000)") in res.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["conditions", "--depth", "8"], ["report"], ["branches"]])
+def test_certificate_budget_checked_before_any_level(runner, tmp_path,
+                                                     monkeypatch, args):
+    # skew10's level 8 needs 10^7 parents, past the node budget: the
+    # certificate stops before drawing the gaps of any shallower level
+    def no_gaps(*args, **kwargs):
+        raise AssertionError("gaps were drawn before the budget check")
+    monkeypatch.setattr(GapPolicy, "gap_weights", no_gaps)
+    res = runner.invoke(main, args + ["--preset", "skew10",
+                                      "--out", str(tmp_path)])
+    assert res.exit_code == 7, res.output
+    assert ("gap stats at level 8 need 10000000 parents "
+            "(> budget 2097152)") in res.output
+    assert not any(tmp_path.iterdir())
 
 
 def test_power_root_past_size_cap_exits_12_at_once(runner, tmp_path):

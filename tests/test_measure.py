@@ -1,6 +1,8 @@
 """Window masses and Frostman-type audits."""
 
 import math
+import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -217,6 +219,24 @@ def test_sampled_mode_deterministic_and_thread_independent():
     assert a.worst_ratio == b.worst_ratio == c.worst_ratio
     assert a.witness == b.witness == c.witness
     assert a.passed
+
+
+def test_trim_cache_filled_from_audit_threads():
+    # a state trimmed through level 0 leaves the levels the sampled windows
+    # are ranked at to the audit's threads, switching every microsecond
+    kwargs = dict(mode="sampled", samples=200, seed=3)
+    want = frostman_audit(_measure("cantor3", 0), "A", 0.6, (2, 5), **kwargs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        got = frostman_audit(_measure("cantor3", 0), "A", 0.6, (2, 5),
+                             threads=8, **kwargs)
+        assert time.perf_counter() - start < 30
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.worst_ratio, got.witness, got.windows) == (
+        want.worst_ratio, want.witness, want.windows)
 
 
 def test_audit_report_shape():

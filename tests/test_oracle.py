@@ -154,18 +154,28 @@ def _calls_in(path: Path, function: str) -> set[str]:
 
 def test_tree_alone_places_intervals():
     """Child offsets become intervals in one module: only `tree` builds a
-    `Node`, and only it and `measure._rank` read `child_offsets`.  Gap
+    `Node`, and only it reads `child_offsets` (`tree.rank` included).  Gap
     weights are split into gaps in `specs` and compared in `tree` only.
     `child_offsets` reads the weights as integers, never the `Fraction`
     gaps of `interior_gaps`, so the oracle, which places children by those
     gaps, shares no split with the fast path."""
     assert _callers("Node") == {"tree.py"}
-    assert _callers("child_offsets") == {"tree.py", "measure.py"}
+    assert _callers("child_offsets") == {"tree.py"}
     assert _callers("gap_weights") == {"specs.py", "tree.py"}
     offsets = _calls_in(PACKAGE_DIR / "specs.py", "child_offsets")
     assert "gap_weights" in offsets
     assert "interior_gaps" not in offsets
     assert "interior_gaps" in _calls_in(PACKAGE_DIR / "oracle.py", "oracle_level")
+
+
+def test_star_state_alone_trims():
+    """The trim [x + L_{k+1}, x + delta_k - R_{k+1}] is read in one place,
+    `StarState.trim`: besides `specs`, which defines the rules, and the
+    oracle, only `reconstruct` calls `L` or `R`.  `measure` reads the level
+    it audits through `StarState` and calls no `delta`."""
+    assert _callers("L") == _callers("R") == {"specs.py", "reconstruct.py",
+                                              "oracle.py"}
+    assert "measure.py" not in _callers("delta")
 
 
 def _interval_fields() -> dict[str, set[str]]:
