@@ -4,7 +4,9 @@ The measure gives every trimmed level-k interval mass 1/(n_1...n_k).  The
 trimmed level is sorted, so a closed window [a, b] has the exact mass
 (#{lo <= b} - #{hi < a}) / N_k, two `StarState.rank` calls.  The audits check
 that mu(U) <= C |U|^t for windows U in the per-level size regime, with C the
-constant tied to whichever dimension condition holds.
+constant tied to whichever dimension condition holds.  An audited level's
+windows and masses are integers over one denominator per level, in both
+modes; only the reported witness becomes a `Fraction`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
                         log_series, power_ratio)
@@ -24,7 +27,8 @@ from .specs import format_rational
 #: Cap on exhaustively enumerated windows per audited level.
 DEFAULT_WINDOW_BUDGET = 10**6
 
-_SAMPLE_SPAN = 2**30
+_SAMPLE_BITS = 30
+_SAMPLE_SPAN = 1 << _SAMPLE_BITS
 
 
 class MassMeasure:
@@ -139,9 +143,6 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
         raise RegimeError(
             f"t = {t} is not below the trailing dimension-series minimum "
             f"{series.tail_min:.6f}; the bound is not claimed there")
-    if cert is None:
-        cert = check_conditions(spec, k_hi + 1)
-    constant = bound_constant(cert, condition)
     k0 = threshold_level(star, t, k_hi)
     k_lo = max(k_lo, k0)
     if k_lo > k_hi:
@@ -150,53 +151,30 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
 
     levels = list(range(k_lo, k_hi + 1))
     if mode == "exhaustive":
-        # every level's budget is checked before any window is measured; a
-        # window [pts[i], pts[j]] then has mass (starts[j] - ends[i]) / N
+        # every level's budget is checked before the certificate and before
+        # any window is measured: N distinct left endpoints and a last right
+        # endpoint past them all make at least N(N+1)/2 pairs, checked
+        # before the level exists, and the exact count once it does
         sweeps = {}
         for k in levels:
-            # N distinct left endpoints and a last right endpoint past them
-            # all make at least N(N+1)/2 pairs: checked before the level exists
             size = spec.count(k + 1)
             _check_windows(k, size * (size + 1) // 2, "at least ")
-            los, his = zip(*((n.lo, n.hi) for n in star.iter_level(k + 1)))
-            pts = sorted(set(los + his))
-            m = len(pts)
-            _check_windows(k, m * (m - 1) // 2)
-            starts = [bisect_right(los, p) for p in pts]
-            ends = [bisect_left(his, p) for p in pts]
-            sweeps[k] = pts, starts, ends, len(los)
-
-    def windows(k: int):
-        """(a, b, mass) of each audited level-k window, in audit order."""
-        lo_w = star.delta_star(k + 1)
-        hi_w = star.delta_star(k)
-        if mode == "exhaustive":
-            pts, starts, ends, count = sweeps[k]
-            for i, a in enumerate(pts):
-                for j in range(bisect_left(pts, a + lo_w), len(pts)):
-                    if pts[j] - a >= hi_w:
-                        break
-                    yield a, pts[j], Fraction(starts[j] - ends[i], count)
-        else:
-            rng = random.Random(f"{seed}|{k}")
-            hull_lo, hull_hi = spec.interval
-            for _ in range(samples):
-                u = Fraction(rng.randrange(_SAMPLE_SPAN), _SAMPLE_SPAN)
-                width = lo_w + (hi_w - lo_w) * u
-                span = hull_hi - hull_lo - width
-                v = Fraction(rng.randrange(_SAMPLE_SPAN), _SAMPLE_SPAN)
-                a = hull_lo + span * v
-                yield a, a + width, mu_window(measure, (a, a + width), k + 1)
+            sweeps[k] = _sweep(star, k)
+    if cert is None:
+        cert = check_conditions(spec, k_hi + 1)
+    constant = bound_constant(cert, condition)
 
     def audit_level(k: int):
+        den, count, windows = (sweeps[k] if mode == "exhaustive"
+                               else _draws(star, k, samples, seed))
         best, wit, cnt = -1.0, None, 0
-        for a, b, mu in windows(k):
+        for a, b, mass in windows:
             cnt += 1
-            width = b - a
-            r = power_ratio(mu.numerator, mu.denominator,
-                            width.numerator, width.denominator, t)
+            r = power_ratio(mass, count, b - a, den, t)
             if r > best:
-                best, wit = r, (a, b, k)
+                best, wit = r, (a, b)
+        if wit is not None:
+            wit = Fraction(wit[0], den), Fraction(wit[1], den), k
         return best, wit, cnt
 
     if threads > 1:
@@ -211,6 +189,62 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
     total = sum(cnt for _, _, cnt in results)
     return WindowAudit(t, condition, constant, k0, max(worst, 0.0), witness,
                        total, mode)
+
+
+def _sweep(star: StarState, k: int):
+    """The exhaustive level-k windows, over the trimmed level k+1, as
+    (den, N, windows): N = N_{k+1}, and windows yields (a, b, m) for each
+    window [a / den, b / den] of mass m / N, in audit order.  Everything is
+    an integer over den, the lcm of the level's denominators and the
+    widths'; the level is built, and its exact pair count checked, here.
+    A window spans two endpoints, [pts[i], pts[j]], so its mass is
+    (#{lo <= pts[j]} - #{hi < pts[i]}) / N."""
+    nodes = list(star.iter_level(k + 1))
+    lo_w, hi_w = star.delta_star(k + 1), star.delta_star(k)
+    den = lcm(lo_w.denominator, hi_w.denominator, *{n.den for n in nodes})
+    lo_w, hi_w = (x.numerator * (den // x.denominator) for x in (lo_w, hi_w))
+    los = [n.lo_num * (den // n.den) for n in nodes]
+    his = [n.hi_num * (den // n.den) for n in nodes]
+    pts = sorted(set(los + his))
+    _check_windows(k, len(pts) * (len(pts) - 1) // 2)
+    starts = [bisect_right(los, p) for p in pts]
+    ends = [bisect_left(his, p) for p in pts]
+
+    def windows():
+        for i, a in enumerate(pts):
+            for j in range(bisect_left(pts, a + lo_w), len(pts)):
+                if pts[j] - a >= hi_w:
+                    break
+                yield a, pts[j], starts[j] - ends[i]
+    return den, len(nodes), windows()
+
+
+def _draws(star: StarState, k: int, samples: int, seed: int):
+    """The sampled level-k windows as (den, N, windows) like `_sweep`: each
+    of `samples` seeded draws has width w = lo_w + (hi_w - lo_w) u and left
+    end hull_lo + (hull length - w) v, with lo_w = delta*_{k+1}, hi_w =
+    delta*_k and u, v multiples of 2^-30 in [0, 1).  Over den = E 2^60, E
+    the lcm of those four rationals' denominators, all are integers, and
+    each mass is two integer rank descents at level k+1."""
+    lo_w, hi_w = star.delta_star(k + 1), star.delta_star(k)
+    hull_lo, hull_hi = star.spec.interval
+    e = lcm(*(x.denominator for x in (lo_w, hi_w, hull_lo, hull_hi)))
+    lo_w, hi_w, hull_lo, hull_hi = (x.numerator * (e // x.denominator)
+                                    for x in (lo_w, hi_w, hull_lo, hull_hi))
+    bits = _SAMPLE_BITS
+    den, reach = e << 2 * bits, lo_w << 2 * bits    # reach: delta*_{k+1} den
+    rng = random.Random(f"{seed}|{k}")
+
+    def windows():
+        for _ in range(samples):
+            # the width over E 2^30, the ends over E 2^60
+            width = (lo_w << bits) + (hi_w - lo_w) * rng.randrange(_SAMPLE_SPAN)
+            span = ((hull_hi - hull_lo) << bits) - width
+            a = (hull_lo << 2 * bits) + span * rng.randrange(_SAMPLE_SPAN)
+            b = a + (width << bits)
+            yield a, b, (star.rank(k + 1, b, bisect_right, den)
+                         - star.rank(k + 1, a - reach, bisect_left, den))
+    return den, star.spec.count(k + 1), windows()
 
 
 def _check_windows(k: int, pairs: int, least: str = "") -> None:

@@ -3,7 +3,9 @@
 The trimmed ("star") interval of a level-k node drops L_{k+1} on the left and
 R_{k+1} on the right, so its children's boundary gaps migrate into the
 interior gaps of the parent.  Every trimmed quantity reads `StarState.trim`.
-All derived identities are exact-rational.
+All derived identities are exact-rational; `StarState.rank` takes its query
+as an integer over a denominator, so an audit's windows stay integers
+through the trim into `tree.rank`.
 """
 
 from __future__ import annotations
@@ -76,9 +78,12 @@ class StarState:
     def iter_level(self, k: int) -> Iterator[Node]:
         return iter_level(self.spec, k, self.trim(k)[:2])
 
-    def rank(self, k: int, y: Fraction, find) -> int:
-        """`tree.rank` over the trimmed level-k left endpoints."""
-        return rank(self.spec, k, y - self.trim(k)[0], find)
+    def rank(self, k: int, y: Fraction, find, den: int = 1) -> int:
+        """`tree.rank` over the trimmed level-k left endpoints, for y / den
+        (y an int or a `Fraction`)."""
+        ln, ld = self.trim(k)[0].as_integer_ratio()
+        den *= y.denominator
+        return rank(self.spec, k, y.numerator * ld - ln * den, find, den * ld)
 
     def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
         """Trimmed interior gaps of parent sigma at level k: each base gap

@@ -11,8 +11,11 @@ constructions.
 A left endpoint is the initial lo plus one integer child offset per level
 (`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every gap
 policy and hands those integers to `Node` as they are.  The bulk consumers,
-`export_level` and `dimension.box_count`, read the integers directly, and
-`rank` descends them along one path; no other module reads the offsets.
+`export_level` and `dimension.box_count`, read the integers directly.
+`rank` is the one descent of the offsets along one path: the query is
+rounded once onto the lcm of the offsets' denominators, so every level is
+one bisect and one subtraction on integers.  No other module reads the
+offsets.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import IO, Iterable, Iterator
@@ -176,27 +180,65 @@ def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
         yield from _walk(spec, depth, sigma + (i,), num * (m // den) + off * (m // d), m)
 
 
-def rank(spec: MoranSpec, k: int, y: Fraction, find) -> int:
-    """`find(xs, y)` (`bisect_right` or `bisect_left`) for the sorted list xs
-    of level-k left endpoints, by one root-to-leaf path carrying y - lo, lo
-    the initial one, as integers rn / rd.  An offset num / den is <= y - lo
-    iff num <= floor(rn den / rd), and < y - lo iff num < ceil(rn den / rd);
-    the children left of the one holding y at level j add N_k / N_j each."""
-    def scaled(den: int) -> int:       # floor, or ceil for bisect_left
-        return -(-rn * den // rd) if find is bisect_left else rn * den // rd
+def rank(spec: MoranSpec, k: int, y: Fraction, find, den: int = 1) -> int:
+    """`find(xs, y / den)` (`bisect_right` or `bisect_left`) for the sorted
+    list xs of level-k left endpoints, y an int or a `Fraction`, by one
+    root-to-leaf descent on integers.
 
-    y = y - spec.interval[0]
-    rn, rd, sigma, r = y.numerator, y.denominator, (), 0
-    for j in range(1, k + 1):
-        den, nums = spec.child_offsets(sigma, j)
-        i = find(nums, scaled(den))
+    Every left endpoint is the initial lo plus one child offset per level,
+    so over M, the lcm of their denominators, it is an integer: x <= y iff
+    x M <= floor(y M), and x < y iff x M < ceil(y M).  So y is rounded once,
+    at the top, and each level bisects the rest against the child offsets,
+    pre-scaled to M, and subtracts the one it passes; the children left of
+    it at level j add N_k / N_j each.  Node-independent offsets come
+    pre-scaled (`_prescaled`); a per-node parent's own offsets are scaled on
+    the way down, and one whose denominator does not divide M first widens
+    M and rounds y again."""
+    yn, yd = y.numerator, y.denominator * den
+    up = find is bisect_left
+    m, lo, levels = _prescaled(spec, k)
+    r, sigma, total = _rounded(yn * m, yd, up) - lo, (), 0
+    for nums, weight in levels:
+        own = nums is None              # a per-node parent's own offsets
+        if own:
+            d, nums = spec.child_offsets(sigma, len(sigma) + 1)
+            if m % d:
+                wide = lcm(m, d)
+                r = (_rounded(yn * wide, yd, up)
+                     - (_rounded(yn * m, yd, up) - r) * (wide // m))
+                m = wide
+            nums = [num * (m // d) for num in nums]
+        i = find(nums, r)
         if i == 0:
-            return r
-        r += (i - 1) * (spec.count(k) // spec.count(j))
-        m = lcm(rd, den)
-        rn, rd = rn * (m // rd) - nums[i - 1] * (m // den), m
-        sigma += (i,)
-    return r + find((0,), scaled(1))
+            return total
+        total += (i - 1) * weight
+        r -= nums[i - 1]
+        if own:
+            sigma += (i,)
+    return total + find((0,), r)
+
+
+def _rounded(num: int, den: int, up: bool) -> int:
+    """ceil(num / den) if up, else floor(num / den)."""
+    return -(-num // den) if up else num // den
+
+
+@lru_cache(maxsize=256)
+def _prescaled(spec: MoranSpec, k: int) -> tuple[int, int, tuple]:
+    """(M, lo, ((nums, N_k / N_j) for j = 1..k)) for `rank`: the initial lo
+    and the node-independent child offsets as numerators over M, the lcm of
+    their denominators; for per-node gaps M is lo's denominator and every
+    nums None.  Cached per spec and depth (a race computes one entry twice,
+    so threads may share them)."""
+    weights = [spec.count(k) // spec.count(j) for j in range(1, k + 1)]
+    lo = spec.interval[0]
+    if not spec.gaps.node_independent:
+        return lo.denominator, lo.numerator, tuple((None, w) for w in weights)
+    offsets = [spec.child_offsets((), j) for j in range(1, k + 1)]
+    m = lcm(lo.denominator, *(d for d, _ in offsets))
+    return (m, lo.numerator * (m // lo.denominator),
+            tuple((tuple(num * (m // d) for num in nums), w)
+                  for (d, nums), w in zip(offsets, weights)))
 
 
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,

@@ -367,6 +367,24 @@ def test_audit_budget_bound_checked_before_the_level_is_built(
     assert not any(tmp_path.iterdir())
 
 
+def test_window_budget_checked_before_the_certificate(runner, tmp_path,
+                                                      monkeypatch):
+    # the audit's certificate through level 6 would draw the gaps of
+    # skew10's 111,111 parents; level 5's window bound stops the run first
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the certificate ran before the window budget")
+    monkeypatch.setattr(measure, "check_conditions", no_certificate)
+    start = time.perf_counter()
+    res = runner.invoke(main, ["measure-audit", "--preset", "skew10",
+                               "--t", "0.3", "--k-lo", "5", "--k-hi", "5",
+                               "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 7, res.output
+    assert ("level 5 exhaustive audit needs at least 500000500000 windows "
+            "(> budget 1000000)") in res.output
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ["conditions", "--depth", "8"], ["report"], ["branches"]])
 def test_certificate_budget_checked_before_any_level(runner, tmp_path,

@@ -1,20 +1,22 @@
 """Window masses and Frostman-type audits."""
 
 import math
+import random
 import sys
 import time
+import types
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranset import measure
 from moranset.errors import DomainError, RegimeError
 from moranset.measure import (MassMeasure, bound_constant, frostman_audit,
                               mu_window, threshold_level)
-from moranset.dimension import check_conditions, power_ratio
+from moranset.dimension import check_conditions, dim_formula_seq, power_ratio
 from moranset.oracle import (cantor3_frostman_single_interval,
                              exhaustive_mu_sweep, oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
@@ -244,3 +246,115 @@ def test_audit_report_shape():
     d = frostman_audit(mm, "A", 0.6, (1, 2)).to_dict()
     assert set(d) >= {"t", "k0", "constant", "worst_ratio", "witness"}
     assert set(d["witness"]) == {"a", "b", "k"}
+
+
+def _fraction_stream(spec, t, levels, samples, seed, stream=random.Random):
+    """The sampled audit as its `Fraction` draws define it: per level k, the
+    stream `random.Random(f"{seed}|{k}")` gives u then v per window, of
+    width w = d*_{k+1} + (d*_k - d*_{k+1}) u and left end hull_lo +
+    (hull length - w) v, each measured by the oracle's linear scan over
+    its own trimmed level k+1.  Returns (worst ratio, witness, windows)."""
+    span = 2**30
+    best, witness, count = -1.0, None, 0
+    hull_lo, hull_hi = spec.interval
+    for k in levels:
+        stars = oracle_level(spec, k + 1, trimmed=True)
+        lo_w = stars[0][1] - stars[0][0]
+        top = oracle_level(spec, k, trimmed=True)[0]
+        hi_w = top[1] - top[0]
+        rng = stream(f"{seed}|{k}")
+        for _ in range(samples):
+            width = lo_w + (hi_w - lo_w) * Fraction(rng.randrange(span), span)
+            a = hull_lo + (hull_hi - hull_lo - width) * Fraction(
+                rng.randrange(span), span)
+            mu = oracle_mu(stars, a, a + width)
+            ratio = power_ratio(mu.numerator, mu.denominator,
+                                width.numerator, width.denominator, t)
+            count += 1
+            if ratio > best:
+                best, witness = ratio, (a, a + width, k)
+    return max(best, 0.0), witness, count
+
+
+#: Per preset, a Frostman exponent below the series and the top audited
+#: level, whose level k+1 the oracle rebuilds for every window.
+_STREAM_CASES = {"cantor3": (0.6, 4), "dim1_binary": (0.6, 4),
+                 "padded2": (0.4, 4), "wide10": (0.6, 2), "skew10": (0.6, 2)}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(_STREAM_CASES))
+def test_sampled_audit_is_the_fraction_stream(name, threads):
+    spec = preset(name)
+    t, k_hi = _STREAM_CASES[name]
+    audit = frostman_audit(MassMeasure(first_reconstruct(spec, k_hi + 2)),
+                           "A", t, (1, k_hi), mode="sampled", samples=60,
+                           seed=11, threads=threads)
+    levels = range(audit.k0, k_hi + 1)
+    assert (audit.worst_ratio, audit.witness, audit.windows) == \
+        _fraction_stream(spec, t, levels, 60, 11)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@given(spec=level_specs(), k_hi=st.integers(1, 2), seed=st.integers(0, 99))
+@settings(max_examples=40, deadline=None)
+def test_sampled_audit_is_the_fraction_stream_drawn(spec, k_hi, seed, threads):
+    # seeded gaps, boundary gaps and an origin off 0; t is half the series
+    # minimum, so some audited level is past the threshold, and condition B
+    # applies to every construction
+    tail_min = dim_formula_seq(spec, k_hi + 1).tail_min
+    assume(tail_min > 0)
+    t = tail_min / 2
+    audit = frostman_audit(MassMeasure(first_reconstruct(spec, k_hi + 2)),
+                           "B", t, (1, k_hi), mode="sampled", samples=20,
+                           seed=seed, threads=threads)
+    levels = range(audit.k0, k_hi + 1)
+    assert (audit.worst_ratio, audit.witness, audit.windows) == \
+        _fraction_stream(spec, t, levels, 20, seed)
+
+
+class _Touching:
+    """A `random.Random` stand-in whose first draws (u, v) = (0, 1/8) put
+    cantor3's level-1 window on [1/9, 2/9], a right end and a left end of
+    level 2, and (0, 0) on [0, 1/9]; the seeded stream follows."""
+    script = [0, 2**27, 0, 0]
+
+    def __init__(self, seed):
+        self.draws = iter(self.script)
+        self.rest = random.Random(seed)
+
+    def randrange(self, n):
+        value = next(self.draws, None)
+        return self.rest.randrange(n) if value is None else value
+
+
+def test_sampled_audit_counts_windows_touching_endpoints(monkeypatch):
+    # a closed window holds the intervals it touches: ranks at a window's
+    # ends count an endpoint on them, which random draws almost never hit
+    spec = preset("cantor3")
+    monkeypatch.setattr(measure, "random", types.SimpleNamespace(Random=_Touching))
+    audit = frostman_audit(MassMeasure(first_reconstruct(spec, 3)), "A", 0.6,
+                           (1, 1), mode="sampled", samples=5, seed=2)
+    assert (audit.worst_ratio, audit.witness, audit.windows) == \
+        _fraction_stream(spec, 0.6, [1], 5, 2, _Touching)
+    assert audit.witness == (Fraction(1, 9), Fraction(2, 9), 1)
+
+
+def test_sampled_audit_builds_no_fraction_per_window(monkeypatch):
+    # with the certificate passed in, the audit builds a fixed number of
+    # Fractions per level, whatever the sample count: 5,600 windows here
+    spec = preset("cantor3")
+    mm = MassMeasure(first_reconstruct(spec, 9))
+    cert = check_conditions(spec, 8)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    audit = frostman_audit(mm, "A", 0.6, (1, 7), mode="sampled", samples=800,
+                           seed=0, cert=cert)
+    monkeypatch.undo()
+    assert audit.windows == 5600
+    assert len(built) < 200

@@ -3,8 +3,10 @@
 import io
 import json
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from moranset.dimension import box_count
 from moranset.errors import BudgetExceededError, DomainError
 from moranset.oracle import naive_box_count, oracle_level
 from moranset.reconstruct import StarState
+from moranset import tree
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
 from moranset.tree import (DEFAULT_NODE_BUDGET, Node, build_level,
                            export_level, iter_addresses, iter_level,
@@ -312,3 +315,85 @@ def test_level_holds_integers_only():
     finally:
         tracemalloc.stop()
     assert held / len(lv) < 320, f"{held / len(lv):.0f} bytes per interval"
+
+
+@st.composite
+def _rank_query(draw, los, his, hull):
+    """A left endpoint, one or half a unit of M either side of one (M the
+    lcm of the endpoints' denominators), a point inside a gap or an
+    interval, a point left or right of the hull, or a random rational."""
+    m = lcm(*(x.denominator for x in los))
+    kind = draw(st.sampled_from(["endpoint", "unit", "half", "gap", "inside",
+                                 "outside", "random"]))
+    x = draw(st.sampled_from(los))
+    if kind == "endpoint":
+        return x
+    if kind in ("unit", "half"):
+        step = Fraction(1, m) if kind == "unit" else Fraction(1, 2 * m)
+        return x + draw(st.sampled_from([-step, step]))
+    if kind == "gap":
+        gaps = [(hi + lo) / 2 for hi, lo in zip(his, los[1:]) if lo > hi]
+        return draw(st.sampled_from(gaps)) if gaps else x
+    if kind == "inside":
+        return x + (his[0] - los[0]) / 3
+    if kind == "outside":
+        width = hull[1] - hull[0]
+        return draw(st.sampled_from([hull[0] - width / 7, hull[0] - 1,
+                                     hull[1] + width / 7, hull[1] + 1]))
+    return draw(st.fractions(hull[0] - 1, hull[1] + 1, max_denominator=10**6))
+
+
+#: `test_rank_matches_bisect` on `skew10`, whose level-2 parents' offset
+#: denominators do not all divide the level-1 one, as well as on drawn specs.
+SKEW = "skew10"
+
+
+@pytest.mark.parametrize("source", ["level_specs", SKEW])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_rank_matches_bisect(source, data):
+    if source == SKEW:
+        spec, k = preset(SKEW), data.draw(st.integers(0, 2), label="k")
+    else:
+        spec = data.draw(level_specs(), label="spec")
+        k = data.draw(st.integers(0, 3), label="k")
+    for trimmed in (False, True):
+        level = oracle_level(spec, k, trimmed=trimmed)
+        los, his = [lo for lo, _ in level], [hi for _, hi in level]
+        y = data.draw(_rank_query(los, his, spec.interval), label="y")
+        for find in (bisect_left, bisect_right):
+            want = find(los, y)
+            if trimmed:
+                star = StarState(spec, k)
+                assert star.rank(k, y, find) == want
+                assert star.rank(k, y.numerator * 3, find, y.denominator * 3) == want
+            else:
+                assert tree.rank(spec, k, y, find) == want
+                assert tree.rank(spec, k, y.numerator * 6, find,
+                                 y.denominator * 6) == want
+
+
+def test_seeded_rank_widens_its_denominator():
+    # the parents of skew10's level 2 have offset denominators that the
+    # level-1 one does not divide, so descents through them widen M
+    spec = preset(SKEW)
+    first = spec.child_offsets((), 1)[0]
+    dens = {spec.child_offsets((i,), 2)[0] for i in range(1, spec.n(1) + 1)}
+    assert any(first % d for d in dens)
+    assert len(dens) > 1
+
+
+def test_rank_reads_prescaled_offsets(monkeypatch):
+    # node-independent offsets are scaled once per spec and depth: a
+    # descent through 12 levels takes no lcm and reads no child offsets
+    spec = preset("padded2")
+    queries = [Fraction(i, 97) for i in range(-3, 101)]
+    want = [tree.rank(spec, 12, y, find) for y in queries
+            for find in (bisect_left, bisect_right)]
+
+    def no_call(*args):
+        raise AssertionError("the descent rescaled its offsets")
+    monkeypatch.setattr(tree, "lcm", no_call)
+    monkeypatch.setattr(spec, "child_offsets", no_call)
+    assert [tree.rank(spec, 12, y, find) for y in queries
+            for find in (bisect_left, bisect_right)] == want
