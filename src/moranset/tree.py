@@ -5,13 +5,18 @@ reconstruction and its image under a map, is one record, `Interval`: two
 integer numerators over one shared, unreduced denominator, whose `lo`, `hi`
 and `length` read them as reduced `fractions.Fraction`s.  `Node` adds the
 address.  Nothing in this module rounds.  Levels can be materialized as
-lists (within a node budget) or streamed in left-to-right order for deep
+runs (within a node budget) or streamed in left-to-right order for deep
 constructions.
 
 A left endpoint is the initial lo plus one integer child offset per level
-(`MoranSpec.child_offsets`); one kernel, `iter_level`, serves every gap
-policy and hands those integers to `Node` as they are.  The bulk consumers,
-`export_level` and `dimension.box_count`, read the integers directly.
+(`MoranSpec.child_offsets`); one kernel, `_runs`, serves every gap policy.
+It yields a level as runs, one per head some levels above k: the head's
+address, a denominator, the common span, the head's left-endpoint
+numerator and the offsets of the intervals below it, whose addresses are
+the head's plus one tail shared by every run (for node-independent gaps
+the offsets are shared too).  `iter_level` and `LevelSet` make each `Node`
+from a run as it is read; `export_level` writes the runs without making
+any.
 `rank` is the one descent of the offsets along one path: the query is
 rounded once onto the lcm of the offsets' denominators, so every level is
 one bisect and one subtraction on integers.  No other module reads the
@@ -99,15 +104,23 @@ class Node(Interval):
 
 @dataclass
 class LevelSet:
-    """All level-k intervals, in spatial (= lexicographic address) order."""
+    """All level-k intervals, in spatial (= lexicographic address) order:
+    the runs of `_runs` and their shared tail addresses.  Iteration and
+    `nodes` make each `Node` on read; no `Node` is stored."""
     level: int
-    nodes: list[Node]
+    tail: list[Address]
+    runs: list[tuple]
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes)
+        return _nodes(self.tail, self.runs)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.tail) * len(self.runs)
+
+    @property
+    def nodes(self) -> list[Node]:
+        """A new list of the level's nodes on every read."""
+        return list(self)
 
 
 @dataclass
@@ -127,14 +140,31 @@ NO_SHRINK = (Fraction(0), Fraction(0))
 def iter_level(spec: MoranSpec, k: int,
                shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> Iterator[Node]:
     """Stream the level-k intervals left to right without materializing the
-    level.  Each interval loses shrink[0] on the left and shrink[1] on the
-    right (the trimmed levels of `reconstruct`).
+    level, each `Node` made from the runs of `_runs` as it is read.  Each
+    interval loses shrink[0] on the left and shrink[1] on the right (the
+    trimmed levels of `reconstruct`)."""
+    return _nodes(*_runs(spec, k, shrink))
 
-    `_walk` gives the level-h heads lazily, and below one head the tail,
-    levels h+1..k, as a list of numerators over one denominator, translated
-    per head: node-independent gaps take the trailing levels whose count
-    first reaches `_TAIL` and share that list, per-node gaps take each
-    head's own children."""
+
+def _nodes(tail: list[Address], runs: Iterable[tuple]) -> Iterator[Node]:
+    for head, den, span, base, offsets in runs:
+        for address, off in zip(tail, offsets):
+            lo = base + off
+            yield Node(head + address, lo, lo + span, den)
+
+
+#: Fewest intervals in a node-independent tail of `_runs`.
+_TAIL = 2**10
+
+
+def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
+          ) -> tuple[list[Address], Iterator[tuple]]:
+    """The level's tail addresses and, lazily, one run per level-h head:
+    (head address, den, span, base, offsets), whose i-th interval is
+    [base + offsets[i], base + offsets[i] + span] / den at head + tail[i].
+    The tail spans levels h+1..k: node-independent gaps take the trailing
+    levels whose count first reaches `_TAIL` and share one list of offsets,
+    per-node gaps take each head's own children."""
     if k < 0:
         raise DomainError(f"depth {k} is out of range: levels start at depth 0")
     lo_pad, hi_pad = shrink
@@ -144,27 +174,26 @@ def iter_level(spec: MoranSpec, k: int,
     h = max(k - 1, 0)
     while shared and h and spec.count(k) < _TAIL * spec.count(h):
         h -= 1
+    tail = list(product(*(range(1, spec.n(j) + 1) for j in range(h + 1, k + 1))))
 
-    def nodes() -> Iterator[Node]:      # apart, so bad arguments raise at once
-        addresses = iter_addresses(spec, k)
-        tail = None
-        for sigma, num, den in _walk(spec, h, (), *origin.as_integer_ratio()):
-            if tail is None or not shared:
-                tail, dens = zip(*((off, d) for _, off, d in
-                                   _walk(spec, k, sigma, 0, 1)))
-            tail_den = dens[0]
-            m = lcm(den, tail_den, length.denominator)
-            base, scale = num * (m // den), m // tail_den
-            span = length.numerator * (m // length.denominator)
-            for off, address in zip(tail, addresses):
-                lo = base + off * scale
-                yield Node(address, lo, lo + span, m)
+    def runs() -> Iterator[tuple]:      # apart, so bad arguments raise at once
+        offsets = None
+        for head, num, den in _walk(spec, h, (), *origin.as_integer_ratio()):
+            if offsets is None or not shared:
+                # level by level along the first path below the head: a
+                # shared tail's offsets are every parent's, a per-node tail
+                # is one level; every head of a shared tail has this den
+                m, offsets, sigma = lcm(den, length.denominator), [0], head
+                for j in range(h + 1, k + 1):
+                    d, kids = spec.child_offsets(sigma, j)
+                    wide = lcm(m, d)
+                    offsets = [off * (wide // m) + kid * (wide // d)
+                               for off in offsets for kid in kids]
+                    m, sigma = wide, sigma + (1,)
+                span = length.numerator * (m // length.denominator)
+            yield head, m, span, num * (m // den), offsets
 
-    return nodes()
-
-
-#: Fewest intervals in a node-independent tail of `iter_level`.
-_TAIL = 2**10
+    return tail, runs()
 
 
 def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
@@ -243,13 +272,14 @@ def _prescaled(spec: MoranSpec, k: int) -> tuple[int, int, tuple]:
 
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,
                 shrink: tuple[Fraction, Fraction] = NO_SHRINK) -> LevelSet:
-    """Materialize level k as an ordered list of exact intervals."""
-    nodes = iter_level(spec, k, shrink)
+    """Materialize level k as the ordered runs of `_runs`, within the budget,
+    which is checked before any run is walked."""
+    tail, runs = _runs(spec, k, shrink)
     if spec.count(k) > budget:
         raise BudgetExceededError(
             f"level {k} has {spec.count(k)} intervals (> budget {budget}); "
             "use iter_level for streaming traversal")
-    return LevelSet(k, list(nodes))
+    return LevelSet(k, tail, list(runs))
 
 
 def level_stats(spec: MoranSpec, k: int,
@@ -305,18 +335,20 @@ def iter_addresses(spec: MoranSpec, k: int) -> Iterator[Address]:
 
 def export_level(level: LevelSet, fp: IO[str]) -> None:
     """One record per line, byte for byte what `json.dumps` writes for
-    {"level", "address", "lo", "hi"} with its default separators; each
-    endpoint is reduced from its node's integers as it is written."""
-    head = f'{{"level": {level.level}, "address": ['
-    # an address's repr, brackets cut, is its JSON list body: "1, 2" from
-    # (1, 2), but "1," from the one-tuple (1,)
-    cut = -2 if level.level == 1 else -1
+    {"level", "address", "lo", "hi"} with its default separators.  The
+    address text is made once per head and once per tail address, and each
+    endpoint is reduced from its run's integers as it is written."""
+    start = f'{{"level": {level.level}, "address": ['
+    tail = [", ".join(map(str, address)) for address in level.tail]
 
     def lines() -> Iterator[str]:
-        for node in level.nodes:
-            m, lo, hi = node.den, node.lo_num, node.hi_num
-            g, h = gcd(lo, m), gcd(hi, m)
-            yield (f'{head}{repr(node.address)[1:cut]}], '
-                   f'"lo": "{lo // g}/{m // g}", "hi": "{hi // h}/{m // h}"}}\n')
+        for head, m, span, base, offsets in level.runs:
+            prefix = start + "".join(f"{i}, " for i in head)
+            for address, off in zip(tail, offsets):
+                lo = base + off
+                hi = lo + span
+                g, h = gcd(lo, m), gcd(hi, m)
+                yield (f'{prefix}{address}], '
+                       f'"lo": "{lo // g}/{m // g}", "hi": "{hi // h}/{m // h}"}}\n')
 
     fp.writelines(lines())

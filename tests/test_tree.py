@@ -317,6 +317,83 @@ def test_level_holds_integers_only():
     assert held / len(lv) < 320, f"{held / len(lv):.0f} bytes per interval"
 
 
+def _oracle_export(spec, k, trimmed):
+    """The level-k records as `json.dumps` writes them, from the oracle's
+    endpoints and `iter_addresses`."""
+    return "".join(
+        json.dumps({"level": k, "address": list(address),
+                    "lo": f"{lo.numerator}/{lo.denominator}",
+                    "hi": f"{hi.numerator}/{hi.denominator}"}) + "\n"
+        for address, (lo, hi) in zip(iter_addresses(spec, k),
+                                     oracle_level(spec, k, trimmed=trimmed)))
+
+
+def _exported(lv):
+    buf = io.StringIO()
+    export_level(lv, buf)
+    return buf.getvalue()
+
+
+@given(level_specs(), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_export_matches_oracle(spec, k):
+    if not spec.gaps.node_independent:
+        k = min(k, 3)
+    assert _exported(build_level(spec, k)) == _oracle_export(spec, k, False)
+    assert _exported(StarState(spec, k).level(k)) == _oracle_export(spec, k, True)
+
+
+@pytest.mark.parametrize("name, k, trimmed, heads", [
+    ("cantor3", 0, False, 1), ("cantor3", 1, True, 1), ("skew10", 1, False, 1),
+    ("cantor3", 11, False, 2), ("padded2", 12, True, 4), ("wide10", 5, False, 10),
+    ("skew10", 3, True, 100)])
+def test_multi_run_export_matches_oracle(name, k, trimmed, heads):
+    # levels whose tail is shared by several heads, and a seeded level with
+    # one run per parent
+    spec = preset(name)
+    lv = StarState(spec, k).level(k) if trimmed else build_level(spec, k)
+    assert len(lv.runs) == heads
+    assert _exported(lv) == _oracle_export(spec, k, trimmed)
+
+
+def test_level_makes_no_nodes_until_read(monkeypatch):
+    # building and exporting a level makes no per-interval record, and a
+    # held level keeps its runs' integers and one shared tail of addresses
+    def no_node(*args):
+        raise AssertionError("a Node was made")
+    spec = preset("wide10")
+    with monkeypatch.context() as patch:
+        patch.setattr(Node, "__init__", no_node)
+        lv = build_level(spec, 5)
+        export_level(lv, io.StringIO())
+        assert len(lv) == spec.count(5)
+    del lv
+    tracemalloc.start()
+    try:
+        lv = build_level(spec, 5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(lv) < 64, f"{held / len(lv):.0f} bytes per interval"
+
+
+def test_level_set_contract(monkeypatch):
+    spec = preset("padded2")
+    lv = build_level(spec, 6)
+    assert len(lv) == spec.count(6)
+    assert lv.nodes == lv.nodes and lv.nodes is not lv.nodes   # made on read
+    top, = StarState(spec, 0).level(0)       # as `branchtree.build_T` reads it
+    assert [(top.lo, top.hi)] == oracle_level(spec, 0, trimmed=True)
+    with pytest.raises(DomainError):
+        iter_level(spec, -1)                 # at the call, not on next()
+
+    def no_walk(*args):
+        raise AssertionError("a run was walked")
+    monkeypatch.setattr(tree, "_walk", no_walk)
+    with pytest.raises(BudgetExceededError):
+        build_level(preset("cantor3"), 22)
+
+
 @st.composite
 def _rank_query(draw, los, his, hull):
     """A left endpoint, one or half a unit of M either side of one (M the
