@@ -27,8 +27,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from .dimension import ConditionCert, check_conditions
-from .errors import (BudgetExceededError, ConditionInapplicableError,
-                     DomainError)
+from .errors import BudgetExceededError, DomainError
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec
 from .tree import DEFAULT_NODE_BUDGET, Interval, Node
@@ -67,7 +66,9 @@ def spread_bound(condition: str, omega: Fraction) -> Fraction:
     2*(omega+1) under condition B."""
     if condition == "A":
         return 2 * omega
-    return 2 * (omega + 1)
+    if condition == "B":
+        return 2 * (omega + 1)
+    raise DomainError(f"refinement requires condition A or B, got {condition!r}")
 
 
 def choose_M(spec: MoranSpec, condition: str, K: int,
@@ -75,14 +76,9 @@ def choose_M(spec: MoranSpec, condition: str, K: int,
     """Pick the refinement base M (smallest integer above the comparability
     bound) and the per-stage step counts i_k with M^{i_k} <= n_k < M^{i_k+1}
     (i_k = 1 for n_k < M)."""
-    if condition not in ("A", "B"):
-        raise DomainError(f"refinement requires condition A or B, got {condition!r}")
     if cert is None:
         cert = check_conditions(spec, K)
     omega = cert.omega(condition)
-    if omega is None:
-        raise ConditionInapplicableError(
-            "condition A is inapplicable (a level has a zero interior gap)")
     bound = spread_bound(condition, omega)
     M = int(bound) + 1 if bound == int(bound) else math.ceil(bound)
     i = []

@@ -114,20 +114,24 @@ def command(name: str, *options, out: bool = True):
 
     The body gets the spec, the run directory (if `out`) and the option
     values.  It computes everything and returns its artifacts (file name to
-    text, or to a function that writes to an open file), its manifest params
-    and, for a finished run with a failing verdict, an exit status.  Only
-    then are the artifacts written, `manifest.json` last, so a run that
-    fails writes no file.  A `MoranError` exits with its `EXIT_CODES` code.
+    text, or to a function that writes to an open file) or, for a run whose
+    verdict can fail, the artifacts and an exit status.  Only then are the
+    artifacts written, `manifest.json` last, recording every option but the
+    spec source and the run directory as given, keyed by its flag name
+    (`--k-lo` as `k_lo`); so a run that fails writes no file.  A
+    `MoranError` exits with its `EXIT_CODES` code.
     """
     def register(body):
         def run(preset, config_path, **values):
             try:
                 spec, source = _load_spec(preset, config_path)
-                artifacts, params, *status = body(spec, **values)
+                result = body(spec, **values)
             except MoranError as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(_exit_code(exc))
+            artifacts, status = result if isinstance(result, tuple) else (result, 0)
             if out:
+                params = {flag: values[key] for key, flag in flags.items()}
                 values["out"].mkdir(parents=True, exist_ok=True)
                 artifacts["manifest.json"] = _manifest(name, source, params)
                 for fname, content in artifacts.items():
@@ -136,12 +140,15 @@ def command(name: str, *options, out: bool = True):
                             fp.write(content)
                         else:
                             content(fp)
-            if status and status[0]:
-                sys.exit(status[0])
+            if status:
+                sys.exit(status)
         run_options = (*_SPEC_OPTIONS, *((_OUT_OPTION,) if out else ()), *options)
         for option in reversed(run_options):
             run = option(run)
-        return main.command(name, help=body.__doc__)(run)
+        cmd = main.command(name, help=body.__doc__)(run)
+        flags = {p.name: p.opts[0][2:].replace("-", "_") for p in cmd.params
+                 if p.name not in ("preset", "config_path", "out")}
+        return cmd
     return register
 
 
@@ -152,7 +159,7 @@ def validate(spec, depth):
     """Check the structural constraints level by level."""
     report = specs.validate_spec(spec, depth)
     click.echo(_json(report.to_dict()), nl=False)
-    return {}, {}, 0 if report.ok else EXIT_CODES[InvalidSpecError]
+    return {}, 0 if report.ok else EXIT_CODES[InvalidSpecError]
 
 
 @command("build",
@@ -169,10 +176,9 @@ def build(spec, out, depth, budget):
         rows.append((k, st.count, *map(format_rational, (
             st.length, st.max_gap, st.min_gap, st.slack, st.total_length))))
     click.echo(f"wrote {len(level)} intervals and {depth} stat rows to {out}")
-    return ({"intervals.jsonl": lambda fp: tree.export_level(level, fp),
-             "levels.csv": _csv(["k", "N_k", "delta_k", "alpha_bar",
-                                 "alpha_under", "e_k", "l_Ek"], rows)},
-            {"depth": depth, "budget": budget})
+    return {"intervals.jsonl": lambda fp: tree.export_level(level, fp),
+            "levels.csv": _csv(["k", "N_k", "delta_k", "alpha_bar",
+                                "alpha_under", "e_k", "l_Ek"], rows)}
 
 
 @command("dim",
@@ -191,7 +197,7 @@ def dim(spec, out, depth, t_probe):
                                       list(enumerate(sums, start=1)))
     click.echo(f"s_{depth} = {series.value(depth):.10f}; "
                f"trailing-window minimum = {series.tail_min:.10f}")
-    return artifacts, {"depth": depth, "t": t_probe}
+    return artifacts
 
 
 @command("conditions",
@@ -200,7 +206,7 @@ def conditions(spec, out, depth):
     """Exact certificates for the three dimension conditions."""
     text = _json(dimension.check_conditions(spec, depth).to_dict())
     click.echo(text, nl=False)
-    return {"conditions.json": text}, {"depth": depth}
+    return {"conditions.json": text}
 
 
 @command("reconstruct",
@@ -217,10 +223,9 @@ def reconstruct_cmd(spec, out, depth):
         rows.append((k, *map(format_rational, (
             st.length, st.max_gap, st.min_gap, st.slack, st.L, st.R))))
     click.echo(f"wrote trimmed stats for levels 1..{depth} to {out}")
-    return ({"star.csv": _csv(["k", "delta_star", "alpha_bar_star",
-                               "alpha_under_star", "e_star", "L_star",
-                               "R_star"], rows)},
-            {"depth": depth})
+    return {"star.csv": _csv(["k", "delta_star", "alpha_bar_star",
+                              "alpha_under_star", "e_star", "L_star",
+                              "R_star"], rows)}
 
 
 @command("branches",
@@ -261,8 +266,7 @@ def branches(spec, out, depth, m_max, condition, mode, budget):
             for i, br in enumerate(built.explicit[m]))
     click.echo(f"M = {schedule.M}; built {built.mode} hierarchy to level "
                f"{m_max}; artifacts in {out}")
-    return artifacts, {"depth": depth, "m_max": m_max, "condition": condition,
-                       "mode": mode, "budget": budget}
+    return artifacts
 
 
 @command("measure-audit",
@@ -288,11 +292,7 @@ def measure_audit(spec, out, condition, t_exp, k_lo, k_hi, mode, samples,
     status = "PASS" if audit.passed else "FAIL"
     click.echo(f"{status}: worst ratio {audit.worst_ratio:.6f} vs constant "
                f"{float(audit.constant):.6f} over {audit.windows} windows")
-    return ({"audit.json": _json(audit.to_dict())},
-            {"condition": condition, "t": t_exp, "k_lo": k_lo, "k_hi": k_hi,
-             "mode": mode, "samples": samples, "seed": seed,
-             "threads": threads},
-            0 if audit.passed else 1)
+    return {"audit.json": _json(audit.to_dict())}, 0 if audit.passed else 1
 
 
 @command("qs",
@@ -331,15 +331,12 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
         "sandwich": {"p": sandwich.p, "q": sandwich.q, "lam": sandwich.lam},
     })
     click.echo(summary, nl=False)
-    return ({"stats.csv": _csv(["m", "beta", "theta", "chi", "kappa",
-                                "lambda_star", "lambda_under", "gamma_star",
-                                "gamma_under", "l_Tm"], list(stats.rows())),
-             "ratio.csv": _csv(["k", "max_ratio"],
-                               list(zip(ratios.levels, ratios.ratios))),
-             "qs.json": summary},
-            {"map": map_text, "d": d_exp, "depth": depth, "m_max": m_max,
-             "condition": condition, "precision_bits": precision_bits,
-             "samples": samples, "seed": seed})
+    return {"stats.csv": _csv(["m", "beta", "theta", "chi", "kappa",
+                               "lambda_star", "lambda_under", "gamma_star",
+                               "gamma_under", "l_Tm"], list(stats.rows())),
+            "ratio.csv": _csv(["k", "max_ratio"],
+                              list(zip(ratios.levels, ratios.ratios))),
+            "qs.json": summary}
 
 
 @command("report",
@@ -395,9 +392,7 @@ def report(spec, out, depth, map_text, d_exp, condition):
                          "growth_rate": ratios.growth_rate},
     }
     click.echo(f"report written to {out / 'report.json'}")
-    return ({"report.json": _json(bundle)},
-            {"depth": depth, "qs": map_text, "d": d_exp,
-             "condition": condition})
+    return {"report.json": _json(bundle)}
 
 
 if __name__ == "__main__":

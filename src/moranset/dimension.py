@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import ConditionInapplicableError, DomainError
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec, format_rational
 from .tree import Interval, level_stats, stats_parents
@@ -98,6 +98,9 @@ def dim_formula_seq(spec: MoranSpec, K: int) -> DimSeries:
             raise DomainError(
                 f"trimmed length {dk} at level {k} does not contract below "
                 f"the initial interval length {unit}")
+        if dk == 1:
+            raise DomainError(
+                f"trimmed length 1 at level {k} has log 0, so s_{k} is undefined")
         s.append(log_count / -log_len)
     return DimSeries(s, min(s[max(1, K // 2) - 1:]))
 
@@ -109,8 +112,7 @@ class ConditionCert:
     omega1: gap comparability   (max gap <= omega1 * min gap)
     omega2: gap/contraction cap (max gap <= omega2 * c_1...c_k)
     omega3: gap floor           (n_k * min gap >= omega3 * c_1...c_{k-1})
-    Each is exact, with the level witnessing tightness; omega1 is
-    inapplicable when some level has a zero interior gap.
+    Each is exact, with the level witnessing tightness; `omega` reads them.
     """
     K: int
     omega1: Fraction | None
@@ -120,18 +122,23 @@ class ConditionCert:
     omega3: Fraction
     omega3_witness: int
 
-    @property
-    def condition_a_applicable(self) -> bool:
-        return self.omega1 is not None
+    def omega(self, condition: str) -> Fraction:
+        """The certified constant of condition A, B or C.  A zero interior
+        gap leaves omega1 None and omega3 0, so A and C certify nothing."""
+        if condition not in ("A", "B", "C"):
+            raise DomainError(f"unknown condition {condition!r}")
+        if condition != "B" and self.omega1 is None:
+            raise ConditionInapplicableError(
+                f"condition {condition} is inapplicable (a level has a zero "
+                f"interior gap)")
+        return {"A": self.omega1, "B": self.omega2, "C": self.omega3}[condition]
 
-    def omega(self, condition: str) -> Fraction | None:
-        if condition == "A":
-            return self.omega1
-        if condition == "B":
-            return self.omega2
-        if condition == "C":
-            return self.omega3
-        raise DomainError(f"unknown condition {condition!r}")
+    def applies(self, condition: str) -> bool:
+        try:
+            self.omega(condition)
+        except ConditionInapplicableError:
+            return False
+        return True
 
     def to_dict(self) -> dict:
         def fmt(x):
@@ -144,7 +151,7 @@ class ConditionCert:
             "witnesses": {"omega1": self.omega1_witness,
                           "omega2": self.omega2_witness,
                           "omega3": self.omega3_witness},
-            "applicable": {"A": self.condition_a_applicable, "B": True, "C": True},
+            "applicable": {c: self.applies(c) for c in "ABC"},
         }
 
 

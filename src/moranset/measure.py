@@ -19,8 +19,7 @@ from math import lcm
 
 from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
                         log_series, power_ratio)
-from .errors import (BudgetExceededError, ConditionInapplicableError,
-                     DomainError, RegimeError)
+from .errors import BudgetExceededError, DomainError, RegimeError
 from .reconstruct import StarState
 from .specs import format_rational
 
@@ -60,16 +59,12 @@ def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
 
 def bound_constant(cert: ConditionCert, condition: str) -> Fraction:
     """The per-condition Frostman constant."""
+    omega = cert.omega(condition)
     if condition == "A":
-        if not cert.condition_a_applicable:
-            raise ConditionInapplicableError(
-                "condition A certificate is inapplicable (zero interior gap)")
-        return 32 * cert.omega1
+        return 32 * omega
     if condition == "B":
-        return 32 * (4 * cert.omega2 + 1)
-    if condition == "C":
-        return 8 * max(Fraction(1), 1 / cert.omega3)
-    raise DomainError(f"unknown condition {condition!r}")
+        return 32 * (4 * omega + 1)
+    return 8 * max(Fraction(1), 1 / omega)
 
 
 @dataclass

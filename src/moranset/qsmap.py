@@ -52,8 +52,9 @@ from .tree import Interval
 
 _GUARD_BITS = 32
 DEFAULT_PRECISION_BITS = 128
-#: Largest integer, in bits, whose root a power enclosure may take:
-#: `p·bits(x) + q·s` for `power:p/q` at 2^-s.  Past it `PrecisionError`.
+#: Largest integer, in bits, that a power enclosure may make for
+#: `power:p/q`: `p·bits(x^(1/q))` for an exact image, `p·bits(x) + q·s` for
+#: a floor root at 2^-s.  Past it `PrecisionError`.
 MAX_ROOT_BITS = 1 << 20
 #: Largest `precision_bits`: the `mu_d` weights cost grows faster than
 #: linearly in it (0.9 s for cantor3 depth 3 at 2^14 bits, 10 s at 2^16).
@@ -192,6 +193,11 @@ class PowerMap(QsMap):
         if root is not None:
             droot = _iroot(den, q)
             if droot is not None:
+                bits = p * max(root.bit_length(), droot.bit_length())
+                if bits > MAX_ROOT_BITS:
+                    raise PrecisionError(
+                        f"power exponent {self.a} needs a {bits}-bit exact "
+                        f"image; the cap is {MAX_ROOT_BITS} bits")
                 v = root ** p if num >= 0 else -root ** p
                 return v, v, droot ** p
         # s = prec - floor(log2 |v|) for |v| >= 1, from a lower bound on

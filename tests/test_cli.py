@@ -84,6 +84,13 @@ _GOOD_CONFIG = {"n": {"kind": "constant", "values": [2]},
                 "L": {"kind": "constant", "values": ["0"]},
                 "R": {"kind": "constant", "values": ["0"]},
                 "gaps": {"kind": "uniform"}}
+# Spec sources that no preset covers: a zero interior gap, so conditions A
+# and C certify nothing, and an initial interval of length 9, whose trimmed
+# level-2 length is exactly 1, so log delta*_2 = 0.
+_ZERO_GAP_CONFIG = {**_GOOD_CONFIG, "n": {"kind": "constant", "values": [3]},
+                    "c": {"kind": "constant", "values": ["1/4"]},
+                    "gaps": {"kind": "weighted", "weights": ["0", "1"]}}
+_LONG_CONFIG = {**_GOOD_CONFIG, "interval": {"lo": "0", "hi": "9"}}
 
 
 @pytest.mark.parametrize("config,needle", [
@@ -413,6 +420,54 @@ def test_power_root_past_size_cap_exits_12_at_once(runner, tmp_path):
     assert not out.exists()
 
 
+def test_exact_power_image_past_size_cap_exits_12_at_once(runner, tmp_path):
+    # every level-2 endpoint of cantor3 has an exact millionth power, of
+    # at least two million bits
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    res = runner.invoke(main, ["qs", "--preset", "cantor3", "--depth", "3",
+                               "--map", "power:1000000", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 12, res.output
+    assert "power exponent 1000000" in res.output
+    assert not out.exists()
+
+
+def test_zero_gap_leaves_conditions_a_and_c_inapplicable(runner, tmp_path):
+    cfg = tmp_path / "zero_gap.json"
+    cfg.write_text(json.dumps(_ZERO_GAP_CONFIG))
+    res = runner.invoke(main, ["conditions", "--config", str(cfg), "--depth",
+                               "3", "--out", str(tmp_path / "cert")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["applicable"] == {"A": False, "B": True,
+                                                    "C": False}
+    for condition in "AC":
+        out = tmp_path / condition
+        res = runner.invoke(main, ["measure-audit", "--config", str(cfg),
+                                   "--condition", condition, "--t", "0.5",
+                                   "--k-hi", "2", "--out", str(out)])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 9, res.output
+        assert f"condition {condition} is inapplicable" in res.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["dim", "--depth", "3"],
+    ["report", "--depth", "3"],
+    ["measure-audit", "--t", "0.5", "--k-hi", "2"],
+])
+def test_trimmed_length_one_exits_10(runner, tmp_path, args):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(_LONG_CONFIG))
+    out = tmp_path / "run"
+    res = runner.invoke(main, args + ["--config", str(cfg), "--out", str(out)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 10, res.output
+    assert "trimmed length 1 at level 2" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,code", [
     (["measure-audit", "--t", "0.99"], 11),
     (["qs", "--depth", "4", "--samples", "0"], 10),
@@ -483,8 +538,8 @@ _SMALL_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
 def test_manifest_records_every_option(runner, tmp_path, name):
-    # the params are built by hand in each subcommand: they must name every
-    # option except the spec source and the run directory
+    # `command` records the options as click parsed them: every option
+    # except the spec source and the run directory, keyed by flag name
     assert set(_SMALL_RUNS) == {
         cmd for cmd, c in main.commands.items()
         if any("--out" in p.opts for p in c.params)}
@@ -495,6 +550,17 @@ def test_manifest_records_every_option(runner, tmp_path, name):
              for p in main.commands[name].params for opt in p.opts}
     params = json.loads((tmp_path / "manifest.json").read_text())["params"]
     assert set(params) == flags - {"preset", "config", "out"}
+
+
+def test_branches_manifest_records_m_max_as_given(runner, tmp_path):
+    res = runner.invoke(main, ["branches", "--preset", "cantor3", "--depth",
+                               "2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+    assert params["m_max"] is None
+    # the schedule gives the resolved top level
+    last = (tmp_path / "schedule.csv").read_text().splitlines()[-1]
+    assert last.split(",")[2] == "2"
 
 
 def test_failed_audit_verdict_writes_manifest(runner, tmp_path, monkeypatch):
@@ -511,6 +577,8 @@ def test_failed_audit_verdict_writes_manifest(runner, tmp_path, monkeypatch):
 
 
 _PRESETS = ["cantor3", "dim1_binary", "wide10", "skew10", "padded2"]
+#: Config files the fuzz writes out and reads as spec sources.
+_CONFIGS = {"zero_gap": _ZERO_GAP_CONFIG, "long": _LONG_CONFIG}
 _DEPTH = st.integers(-1, 3)
 _SMALL_DEPTH = st.integers(-1, 2)
 _CONDITION = st.sampled_from(["A", "B"])
@@ -549,7 +617,9 @@ _SUBCOMMANDS = {
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
-    argv = [command, "--preset", draw(st.sampled_from(_PRESETS))]
+    argv = [command, *draw(st.sampled_from(
+        [["--preset", p] for p in _PRESETS]
+        + [["--config", c] for c in sorted(_CONFIGS)]))]
     always, maybe = _SUBCOMMANDS[command]
     for option, values in always.items():
         argv += [option, str(draw(values))]
@@ -562,7 +632,12 @@ def _argv(draw):
 @given(_argv())
 @settings(max_examples=100, deadline=None)
 def test_cli_fuzz_exits_with_documented_codes(argv):
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as out, \
+            tempfile.TemporaryDirectory() as configs:
+        if argv[1] == "--config":
+            cfg = Path(configs, argv[2] + ".json")
+            cfg.write_text(json.dumps(_CONFIGS[argv[2]]))
+            argv = [argv[0], argv[1], str(cfg), *argv[3:]]
         args = argv if argv[0] == "validate" else argv + ["--out", out]
         res = CliRunner().invoke(main, args)
         left = sorted(p.name for p in Path(out).iterdir())

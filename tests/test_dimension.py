@@ -8,7 +8,7 @@ import pytest
 
 from moranset.dimension import (box_count, check_conditions, cover_sum,
                                 dim_formula_seq, log_fraction, power_ratio)
-from moranset.errors import DomainError
+from moranset.errors import ConditionInapplicableError, DomainError
 from moranset.oracle import dim1_binary_s, naive_box_count
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import GapPolicy, MoranSpec, constant, preset
@@ -56,7 +56,7 @@ def test_conditions_cantor3():
     assert cert.omega1 == 1
     assert cert.omega2 == 1
     assert cert.omega3 == Fraction(2, 3)
-    assert cert.condition_a_applicable
+    assert all(map(cert.applies, "ABC"))
 
 
 def test_conditions_wide10():
@@ -67,13 +67,17 @@ def test_conditions_wide10():
 
 
 def test_condition_a_inapplicable_on_zero_gap():
+    # omega1 is undefined and omega3 is 0: neither certifies anything
     spec = MoranSpec(constant(3), constant(Fraction(1, 4)),
                      constant(Fraction(0)), constant(Fraction(0)),
                      GapPolicy("weighted", weights=(Fraction(0), Fraction(1))))
     cert = check_conditions(spec, 4)
-    assert cert.omega1 is None
-    assert not cert.condition_a_applicable
-    assert cert.to_dict()["applicable"]["A"] is False
+    assert (cert.omega1, cert.omega3) == (None, 0)
+    for condition in "AC":
+        with pytest.raises(ConditionInapplicableError):
+            cert.omega(condition)
+    assert cert.omega("B") == cert.omega2
+    assert cert.to_dict()["applicable"] == {"A": False, "B": True, "C": False}
 
 
 def test_certificates_are_tight():

@@ -178,6 +178,24 @@ def test_star_state_alone_trims():
     assert "measure.py" not in _callers("delta")
 
 
+def test_condition_cert_alone_reads_the_conditions():
+    """The certified conditions have one reader, `ConditionCert.omega`: no
+    package module but `dimension` raises `ConditionInapplicableError` or
+    reads `omega1`, `omega2` or `omega3`."""
+    raisers, readers = set(), set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if getattr(exc, "id", getattr(exc, "attr", None)) == \
+                        "ConditionInapplicableError":
+                    raisers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr in (
+                    "omega1", "omega2", "omega3"):
+                readers.add(path.name)
+    assert raisers == readers == {"dimension.py"}
+
+
 def _interval_fields() -> dict[str, set[str]]:
     """The package source files that define a `lo`, `hi` or `length`
     property, or `__slots__` naming `lo_num`, by name."""
