@@ -37,8 +37,6 @@ from .tree import DEFAULT_NODE_BUDGET, Interval, Node
 class Schedule:
     """Refinement schedule: step budget i_k per stage and milestones m_k."""
     M: int
-    condition: str              # "A" or "B"
-    omega: Fraction             # the certified constant behind M
     i: list[int]                # i[k-1] = steps of stage k, k = 1..K
     m: list[int]                # m[k] = cumulative steps, m[0] = 0
 
@@ -55,10 +53,6 @@ class Schedule:
         if not 1 <= level <= self.m_max:
             raise DomainError(f"level {level} outside schedule range 1..{self.m_max}")
         return bisect_left(self.m, level)
-
-    @property
-    def spread_bound(self) -> Fraction:
-        return spread_bound(self.condition, self.omega)
 
 
 def spread_bound(condition: str, omega: Fraction) -> Fraction:
@@ -90,7 +84,7 @@ def choose_M(spec: MoranSpec, condition: str, K: int,
             ik += 1
         i.append(ik)
         m.append(m[-1] + ik)
-    return Schedule(M, condition, omega, i, m)
+    return Schedule(M, i, m)
 
 
 def balanced_groups(q: int, M: int) -> list[int]:

@@ -88,20 +88,19 @@ def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def dim_formula_seq(spec: MoranSpec, K: int) -> DimSeries:
-    """s_k = log(n_1...n_k) / -log(trimmed level length) for k = 1..K."""
+    """s_k = log(n_1...n_k) / -log(delta*_k / |I|) for k = 1..K: the trimmed
+    level length over the initial interval's, so the series does not
+    depend on the scale of the initial interval."""
     star = first_reconstruct(spec, K)
     unit = spec.interval[1] - spec.interval[0]
     s = []
-    for k, (log_count, log_len) in enumerate(log_series(star, K), start=1):
+    for k, (log_count, _) in enumerate(log_series(star, K), start=1):
         dk = star.delta_star(k)
         if dk >= unit:
             raise DomainError(
                 f"trimmed length {dk} at level {k} does not contract below "
                 f"the initial interval length {unit}")
-        if dk == 1:
-            raise DomainError(
-                f"trimmed length 1 at level {k} has log 0, so s_{k} is undefined")
-        s.append(log_count / -log_len)
+        s.append(log_count / -log_fraction(dk / unit))
     return DimSeries(s, min(s[max(1, K // 2) - 1:]))
 
 

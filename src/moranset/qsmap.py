@@ -343,10 +343,7 @@ class ImageBranch(Interval):
 
 
 class ImageTree:
-    def __init__(self, fmap: QsMap, source: BranchTree, precision_bits: int,
-                 levels: list[list[ImageBranch]]):
-        self.fmap = fmap
-        self.source = source
+    def __init__(self, precision_bits: int, levels: list[list[ImageBranch]]):
         self.precision_bits = precision_bits
         self.levels = levels
 
@@ -399,7 +396,7 @@ def image_tree(fmap: QsMap, tree: BranchTree,
             out.append(ImageBranch(*_over_one_den(lo, lo_den, hi, den),
                                    br.parent, exact))
         levels.append(out)
-    return ImageTree(fmap, tree, precision_bits, levels)
+    return ImageTree(precision_bits, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +515,17 @@ def _ratio_series(levels: list[int], ratio, d: float) -> RatioSeries:
                                  [math.log(r) for r in ratios]))
 
 
-def prop1_ratio_series(measure: ImageMeasure, K: int | None = None) -> RatioSeries:
+def prop1_ratio_series(measure: ImageMeasure) -> RatioSeries:
     """Per-level max of mass / length^d over the image branches of levels
-    1..K (default: all of them, K = `image.m_max`), with the log-growth
-    rate; boundedness of this series is the audited claim.  A K outside
-    1..m_max raises `DomainError`."""
+    1..`image.m_max`, with the log-growth rate; boundedness of this series
+    is the audited claim."""
     image = measure.image
-    top = image.m_max if K is None else K
-    if not 1 <= top <= image.m_max:
-        raise DomainError(f"ratio series through level K={top} is out of "
-                          f"range: K must lie in 1..{image.m_max}")
     d = float(measure.d)
 
     def ratio(m: int) -> float:
         return max(power_ratio(num, den, br.hi_num - br.lo_num, br.den, d)
                    for br, (num, den) in zip(image.levels[m], measure.pairs[m]))
-    return _ratio_series(list(range(1, top + 1)), ratio, d)
+    return _ratio_series(list(range(1, image.m_max + 1)), ratio, d)
 
 
 def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries:

@@ -183,7 +183,6 @@ class MoranSpec:
         self._delta = {0: self.interval[1] - self.interval[0]}
         self._count = {0: 1}
         self._scalars: dict[int, tuple[int, int, int, int]] = {}
-        self._offsets: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def n(self, k: int) -> int:
         v = self.n_rule(k)
@@ -237,7 +236,7 @@ class MoranSpec:
 
     def _scalars_of(self, k: int) -> tuple[int, int, int, int]:
         """(D, L_k, delta_k, slack_k), the three as integer numerators over
-        one denominator D, cached per level like `child_offsets`."""
+        one denominator D, cached per level."""
         if k not in self._scalars:
             parent, n, step, lo, hi = (self.delta(k - 1), self.n(k),
                                        self.delta(k), self.L(k), self.R(k))
@@ -265,11 +264,9 @@ class MoranSpec:
         This is the one copy of child placement.  A gap is slack_k w / W for
         its integer weight w and the weight total W, so offset i is
         (W (L_k + i delta_k) + slack_k (w_1 + ... + w_i)) / (D W) with the
-        scalars over D from `_scalars_of`.  Node-independent offsets are
-        computed once per level (idempotently, so threads may share a spec)."""
-        cached = self._offsets.get(k)
-        if cached is not None:
-            return cached
+        scalars over D from `_scalars_of`.  Nothing is cached here: the
+        node-independent offsets are held once per spec and depth by
+        `tree._prescaled`."""
         den, lo, step, slack = self._scalars_of(k)
         weights = self.gaps.gap_weights(sigma, k, self.n(k) - 1)
         scale = lcm(*(w.denominator for w in weights))
@@ -279,10 +276,7 @@ class MoranSpec:
         step *= total
         for w in weights:
             nums.append(nums[-1] + step + slack * w)
-        offsets = den * total, tuple(nums)
-        if self.gaps.node_independent:
-            self._offsets[k] = offsets
-        return offsets
+        return den * total, tuple(nums)
 
     def __repr__(self):
         return f"MoranSpec({self.name!r})"

@@ -4,23 +4,21 @@ Every interval of the package, a level node, a branch of the second
 reconstruction and its image under a map, is one record, `Interval`: two
 integer numerators over one shared, unreduced denominator, whose `lo`, `hi`
 and `length` read them as reduced `fractions.Fraction`s.  `Node` adds the
-address.  Nothing in this module rounds.  Levels can be materialized as
+address.  No endpoint is rounded.  Levels can be materialized as
 runs (within a node budget) or streamed in left-to-right order for deep
 constructions.
 
 A left endpoint is the initial lo plus one integer child offset per level
-(`MoranSpec.child_offsets`); one kernel, `_runs`, serves every gap policy.
-It yields a level as runs, one per head some levels above k: the head's
+(`MoranSpec.child_offsets`).  Under `uniform` and `weighted` gaps every
+parent of a level has the same offsets, and `_prescaled` is their one
+table, per spec and depth, over one denominator.  One kernel, `_runs`,
+yields a level as runs, one per head some levels above k: the head's
 address, a denominator, the common span, the head's left-endpoint
 numerator and the offsets of the intervals below it, whose addresses are
-the head's plus one tail shared by every run (for node-independent gaps
-the offsets are shared too).  `iter_level` and `LevelSet` make each `Node`
-from a run as it is read; `export_level` writes the runs without making
-any.
-`rank` is the one descent of the offsets along one path: the query is
-rounded once onto the lcm of the offsets' denominators, so every level is
-one bisect and one subtraction on integers.  No other module reads the
-offsets.
+the head's plus one tail shared by every run.  `iter_level` and
+`LevelSet` make each `Node` from a run as it is read; `export_level`
+writes the runs without making any.  `rank` is the one descent of the
+offsets along one path.  No other module reads the offsets.
 """
 
 from __future__ import annotations
@@ -162,36 +160,43 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
     """The level's tail addresses and, lazily, one run per level-h head:
     (head address, den, span, base, offsets), whose i-th interval is
     [base + offsets[i], base + offsets[i] + span] / den at head + tail[i].
-    The tail spans levels h+1..k: node-independent gaps take the trailing
-    levels whose count first reaches `_TAIL` and share one list of offsets,
-    per-node gaps take each head's own children."""
+
+    Node-independent gaps (and k = 0) read the one offset table,
+    `_prescaled(spec, k)`: the tail is the trailing levels whose count
+    first reaches `_TAIL`, its offsets are sums of table entries, each head
+    adds up its own entries, and the level has one denominator,
+    lcm(M, origin's, length's).  Seeded gaps take level k alone as the
+    tail, below each level-(k-1) parent of `_walk`, from the parent's own
+    child offsets."""
     if k < 0:
         raise DomainError(f"depth {k} is out of range: levels start at depth 0")
     lo_pad, hi_pad = shrink
     origin = spec.interval[0] + lo_pad
     length = spec.delta(k) - lo_pad - hi_pad
-    shared = spec.gaps.node_independent
+    shared = spec.gaps.node_independent or k == 0
     h = max(k - 1, 0)
     while shared and h and spec.count(k) < _TAIL * spec.count(h):
         h -= 1
     tail = list(product(*(range(1, spec.n(j) + 1) for j in range(h + 1, k + 1))))
 
     def runs() -> Iterator[tuple]:      # apart, so bad arguments raise at once
-        offsets = None
-        for head, num, den in _walk(spec, h, (), *origin.as_integer_ratio()):
-            if offsets is None or not shared:
-                # level by level along the first path below the head: a
-                # shared tail's offsets are every parent's, a per-node tail
-                # is one level; every head of a shared tail has this den
-                m, offsets, sigma = lcm(den, length.denominator), [0], head
-                for j in range(h + 1, k + 1):
-                    d, kids = spec.child_offsets(sigma, j)
-                    wide = lcm(m, d)
-                    offsets = [off * (wide // m) + kid * (wide // d)
-                               for off in offsets for kid in kids]
-                    m, sigma = wide, sigma + (1,)
-                span = length.numerator * (m // length.denominator)
-            yield head, m, span, num * (m // den), offsets
+        if not shared:
+            for head, num, den in _walk(spec, h, (), *origin.as_integer_ratio()):
+                d, kids = spec.child_offsets(head, k)
+                m = lcm(den, d, length.denominator)
+                yield (head, m, length.numerator * (m // length.denominator),
+                       num * (m // den), [kid * (m // d) for kid in kids])
+            return
+        m, _, table = _prescaled(spec, k)
+        den = lcm(m, origin.denominator, length.denominator)
+        levels = [[num * (den // m) for num in nums] for nums, _ in table]
+        offsets = [0]
+        for nums in levels[h:]:
+            offsets = [off + num for off in offsets for num in nums]
+        span = length.numerator * (den // length.denominator)
+        base = origin.numerator * (den // origin.denominator)
+        for head, nums in zip(iter_addresses(spec, h), product(*levels[:h])):
+            yield head, den, span, base + sum(nums), offsets
 
     return tail, runs()
 
@@ -199,7 +204,9 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
 def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
           den: int) -> Iterator[tuple[Address, int, int]]:
     """(address, lo numerator, denominator) of each level-`depth` interval
-    below sigma (lo num / den) in order, lazily: the first costs one path."""
+    below sigma (lo num / den) in order, lazily, each parent placing its
+    children by its own offsets: the seeded heads of `_runs`.  The first
+    costs one path."""
     if len(sigma) == depth:
         yield sigma, num, den
         return
@@ -212,62 +219,59 @@ def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
 def rank(spec: MoranSpec, k: int, y: Fraction, find, den: int = 1) -> int:
     """`find(xs, y / den)` (`bisect_right` or `bisect_left`) for the sorted
     list xs of level-k left endpoints, y an int or a `Fraction`, by one
-    root-to-leaf descent on integers.
+    root-to-leaf descent: each level bisects the rest of the query, past
+    the left endpoint of the parent it is in, against that parent's child
+    offsets and subtracts the one it passes; the children left of it at
+    level j add N_k / N_j each.
 
-    Every left endpoint is the initial lo plus one child offset per level,
-    so over M, the lcm of their denominators, it is an integer: x <= y iff
-    x M <= floor(y M), and x < y iff x M < ceil(y M).  So y is rounded once,
-    at the top, and each level bisects the rest against the child offsets,
-    pre-scaled to M, and subtracts the one it passes; the children left of
-    it at level j add N_k / N_j each.  Node-independent offsets come
-    pre-scaled (`_prescaled`); a per-node parent's own offsets are scaled on
-    the way down, and one whose denominator does not divide M first widens
-    M and rounds y again."""
+    Node-independent offsets are the table `_prescaled`, integers over M,
+    so the query is rounded once, floor(y M) for `bisect_right` (x <= y iff
+    x M <= floor(y M)) or ceil(y M) for `bisect_left`, and every level is
+    one bisect and one subtraction on integers.  A seeded parent's own
+    offsets are nums / d, so the rest stays exact, r = rn / rd, and each
+    level bisects nums against r d by cross-multiplying: num <= r d iff
+    num rd <= rn d."""
     yn, yd = y.numerator, y.denominator * den
-    up = find is bisect_left
-    m, lo, levels = _prescaled(spec, k)
-    r, sigma, total = _rounded(yn * m, yd, up) - lo, (), 0
-    for nums, weight in levels:
-        own = nums is None              # a per-node parent's own offsets
-        if own:
-            d, nums = spec.child_offsets(sigma, len(sigma) + 1)
-            if m % d:
-                wide = lcm(m, d)
-                r = (_rounded(yn * wide, yd, up)
-                     - (_rounded(yn * m, yd, up) - r) * (wide // m))
-                m = wide
-            nums = [num * (m // d) for num in nums]
-        i = find(nums, r)
+    if spec.gaps.node_independent:
+        m, lo, levels = _prescaled(spec, k)
+        ym = yn * m
+        r, total = (-(-ym // yd) if find is bisect_left else ym // yd) - lo, 0
+        for nums, weight in levels:
+            i = find(nums, r)
+            if i == 0:
+                return total
+            total += (i - 1) * weight
+            r -= nums[i - 1]
+        return total + find((0,), r)
+    ln, ld = spec.interval[0].as_integer_ratio()
+    rn, rd, sigma, total = yn * ld - ln * yd, yd * ld, (), 0
+    for j in range(1, k + 1):
+        d, nums = spec.child_offsets(sigma, j)
+        x = rn * d
+        i = find(nums, x, key=lambda num: num * rd)
         if i == 0:
             return total
-        total += (i - 1) * weight
-        r -= nums[i - 1]
-        if own:
-            sigma += (i,)
-    return total + find((0,), r)
-
-
-def _rounded(num: int, den: int, up: bool) -> int:
-    """ceil(num / den) if up, else floor(num / den)."""
-    return -(-num // den) if up else num // den
+        total += (i - 1) * (spec.count(k) // spec.count(j))
+        rn, rd = x - nums[i - 1] * rd, rd * d
+        sigma += (i,)
+    return total + find((0,), rn)
 
 
 @lru_cache(maxsize=256)
 def _prescaled(spec: MoranSpec, k: int) -> tuple[int, int, tuple]:
-    """(M, lo, ((nums, N_k / N_j) for j = 1..k)) for `rank`: the initial lo
-    and the node-independent child offsets as numerators over M, the lcm of
-    their denominators; for per-node gaps M is lo's denominator and every
-    nums None.  Cached per spec and depth (a race computes one entry twice,
-    so threads may share them)."""
-    weights = [spec.count(k) // spec.count(j) for j in range(1, k + 1)]
-    lo = spec.interval[0]
-    if not spec.gaps.node_independent:
-        return lo.denominator, lo.numerator, tuple((None, w) for w in weights)
+    """(M, lo, ((nums, N_k / N_j) for j = 1..k)): the initial lo and the
+    child offsets of levels 1..k, the same for every parent of a level
+    under node-independent gaps, as numerators over M, the lcm of their
+    denominators.  The one table of node-independent offsets: `rank`
+    descends it, `_runs` sums it.  Cached per spec and depth (a race
+    computes one entry twice, so threads may share them)."""
     offsets = [spec.child_offsets((), j) for j in range(1, k + 1)]
+    lo = spec.interval[0]
     m = lcm(lo.denominator, *(d for d, _ in offsets))
     return (m, lo.numerator * (m // lo.denominator),
-            tuple((tuple(num * (m // d) for num in nums), w)
-                  for (d, nums), w in zip(offsets, weights)))
+            tuple((tuple(num * (m // d) for num in nums),
+                   spec.count(k) // spec.count(j))
+                  for j, (d, nums) in enumerate(offsets, 1)))
 
 
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,

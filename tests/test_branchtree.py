@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranset.branchtree import balanced_groups, build_T, choose_M
+from moranset.branchtree import balanced_groups, build_T, choose_M, spread_bound
 from moranset.dimension import check_conditions
 from moranset.errors import ConditionInapplicableError, DomainError
 from moranset.qsmap import image_tree, parse_map, stats_series
@@ -33,9 +33,10 @@ def test_choose_M_wide10():
 
 def test_choose_M_condition_B():
     # cantor3 certifies omega2 = 1, so the bound 2*(omega2+1) = 4 gives M = 5
-    sched = choose_M(preset("cantor3"), "B", 4)
+    spec = preset("cantor3")
+    sched = choose_M(spec, "B", 4)
     assert sched.M == 5
-    assert sched.spread_bound == 4
+    assert spread_bound("B", check_conditions(spec, 4).omega2) == 4
 
 
 def test_choose_M_inapplicable():
@@ -224,7 +225,7 @@ def test_explicit_mode_for_seeded_gaps():
     st1 = tree.branch_stats(sched.m[1])
     assert st1.count == 10
     assert st1.total_len == Fraction(1, 2)
-    bound = sched.spread_bound
+    bound = spread_bound("A", check_conditions(spec, 2).omega1)
     for m in range(top + 1):
         bs = tree.branch_stats(m)
         assert bs.max_len <= bound * bs.min_len
@@ -236,9 +237,10 @@ def test_length_comparability(name, cond):
     spec = preset(name)
     sched = choose_M(spec, cond, 4)
     tree = build_T(spec, sched, sched.m[4])
+    bound = spread_bound(cond, check_conditions(spec, 4).omega(cond))
     for m in range(sched.m[4] + 1):
         bs = tree.branch_stats(m)
-        assert bs.max_len <= sched.spread_bound * bs.min_len
+        assert bs.max_len <= bound * bs.min_len
         assert bs.psi_max - bs.psi_min <= 1
 
 

@@ -86,7 +86,7 @@ _GOOD_CONFIG = {"n": {"kind": "constant", "values": [2]},
                 "gaps": {"kind": "uniform"}}
 # Spec sources that no preset covers: a zero interior gap, so conditions A
 # and C certify nothing, and an initial interval of length 9, whose trimmed
-# level-2 length is exactly 1, so log delta*_2 = 0.
+# level-2 length is exactly 1.
 _ZERO_GAP_CONFIG = {**_GOOD_CONFIG, "n": {"kind": "constant", "values": [3]},
                     "c": {"kind": "constant", "values": ["1/4"]},
                     "gaps": {"kind": "weighted", "weights": ["0", "1"]}}
@@ -452,20 +452,27 @@ def test_zero_gap_leaves_conditions_a_and_c_inapplicable(runner, tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["dim", "--depth", "3"],
-    ["report", "--depth", "3"],
-    ["measure-audit", "--t", "0.5", "--k-hi", "2"],
-])
-def test_trimmed_length_one_exits_10(runner, tmp_path, args):
-    cfg = tmp_path / "long.json"
-    cfg.write_text(json.dumps(_LONG_CONFIG))
-    out = tmp_path / "run"
-    res = runner.invoke(main, args + ["--config", str(cfg), "--out", str(out)])
-    assert isinstance(res.exception, SystemExit), res.exception
-    assert res.exit_code == 10, res.output
-    assert "trimmed length 1 at level 2" in res.output
-    assert not out.exists()
+def test_dimension_series_is_scale_free(runner, tmp_path):
+    # s_k reads delta*_k / |I|: initial intervals of length 1, 9 (trimmed
+    # level-2 length exactly 1) and 89/10 write the same dim.csv, and
+    # t = 0.9 lies above the series' minimum log 2 / log 3 on every scale
+    series = []
+    for name, hi in (("unit", "1"), ("long", "9"), ("longer", "89/10")):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**_GOOD_CONFIG,
+                                   "interval": {"lo": "0", "hi": hi}}))
+        res = runner.invoke(main, ["dim", "--config", str(cfg), "--depth", "4",
+                                   "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        series.append((tmp_path / name / "dim.csv").read_bytes())
+        out = tmp_path / f"audit_{name}"
+        res = runner.invoke(main, ["measure-audit", "--config", str(cfg),
+                                   "--t", "0.9", "--k-hi", "3", "--condition",
+                                   "B", "--out", str(out)])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 11, res.output
+        assert not out.exists()
+    assert series[1] == series[0] and series[2] == series[0]
 
 
 @pytest.mark.parametrize("args,code", [

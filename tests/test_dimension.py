@@ -195,4 +195,4 @@ def test_image_ratio_fallback_reads_values():
                                     (br.hi_num - br.lo_num) * br.den,
                                     br.den ** 2, 0.5)
         got.append(ratio)
-    assert prop1_ratio_series(mu, level).ratios[-1] == max(got)
+    assert prop1_ratio_series(mu).ratios[level - 1] == max(got)

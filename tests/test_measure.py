@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranset import measure
@@ -299,17 +299,19 @@ def test_sampled_audit_is_the_fraction_stream(name, threads):
 @given(spec=level_specs(), k_hi=st.integers(1, 2), seed=st.integers(0, 99))
 @settings(max_examples=40, deadline=None)
 def test_sampled_audit_is_the_fraction_stream_drawn(spec, k_hi, seed, threads):
-    # seeded gaps, boundary gaps and an origin off 0; t is half the series
-    # minimum, so some audited level is past the threshold, and condition B
-    # applies to every construction.  An initial interval longer than 1 may
-    # trim to length exactly 1, whose series the product refuses.
-    try:
-        tail_min = dim_formula_seq(spec, k_hi + 1).tail_min
-    except DomainError:
-        reject()
+    # seeded gaps, boundary gaps and an origin off 0; condition B applies
+    # to every construction.  t is half the smaller of the series minimum
+    # and the exponent log N / -log delta* at which level k_hi's count times
+    # its absolute trimmed length^t is 1, so t is in the regime and level
+    # k_hi is past the threshold on an initial interval shorter than 1 too
+    # (a trimmed length of at least 1 passes at every t)
+    tail_min = dim_formula_seq(spec, k_hi + 1).tail_min
     assume(tail_min > 0)
-    t = tail_min / 2
-    audit = frostman_audit(MassMeasure(first_reconstruct(spec, k_hi + 2)),
+    star = first_reconstruct(spec, k_hi + 2)
+    length = star.delta_star(k_hi)
+    reach = math.log(spec.count(k_hi)) / -math.log(length) if length < 1 else math.inf
+    t = min(tail_min, reach) / 2
+    audit = frostman_audit(MassMeasure(star),
                            "B", t, (1, k_hi), mode="sampled", samples=20,
                            seed=seed, threads=threads)
     levels = range(audit.k0, k_hi + 1)

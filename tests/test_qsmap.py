@@ -369,9 +369,10 @@ def test_integer_kernel_cases():
 
 def test_image_branches_hold_integers():
     fmap = parse_map("power:1/2")
-    img = _image("skew10", "power:1/2")
+    source = _tree("skew10", 3)
+    img = image_tree(fmap, source)
     inexact = 0
-    for src_level, level in zip(img.source.explicit, img.levels):
+    for src_level, level in zip(source.explicit, img.levels):
         for src, br in zip(src_level, level):
             assert all(type(v) is int for v in (br.lo_num, br.hi_num, br.den))
             assert Fraction(br.lo_num, br.den) == br.lo
@@ -421,7 +422,7 @@ def _two_siblings(a: Fraction, b: Fraction) -> ImageTree:
     right = (Fraction(1), 1 + b)
     levels = [[_exact_branch(left[0], right[1])],
               [_exact_branch(*left), _exact_branch(*right)]]
-    return ImageTree(IdentityMap(), None, 128, levels)
+    return ImageTree(128, levels)
 
 
 @pytest.mark.parametrize("a,b,d,masses", [
@@ -500,14 +501,6 @@ def test_exponent_rounding_to_0_or_1_rejected(d):
 
 
 # -- ratio series -----------------------------------------------------------
-
-@pytest.mark.parametrize("K", [0, -1, 4, 9])
-def test_ratio_series_level_range(K):
-    mu = build_mu_d(image_tree(IdentityMap(), _tree("cantor3", 3)), 0.5)
-    with pytest.raises(DomainError, match=f"K={K} .* 1..3"):
-        prop1_ratio_series(mu, K)
-    assert prop1_ratio_series(mu, 2).levels == [1, 2]
-
 
 def test_negative_control_growth_factor():
     img = image_tree(IdentityMap(), _tree("cantor3", 8))

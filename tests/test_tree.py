@@ -390,8 +390,29 @@ def test_level_set_contract(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a run was walked")
     monkeypatch.setattr(tree, "_walk", no_walk)
+    monkeypatch.setattr(tree, "_prescaled", no_walk)
     with pytest.raises(BudgetExceededError):
         build_level(preset("cantor3"), 22)
+
+
+def test_node_independent_levels_read_one_table(monkeypatch):
+    # the offset table `_prescaled` is built once per spec and depth; a
+    # node-independent level built again from it walks no parent and reads
+    # no child offsets, plain or trimmed
+    spec = preset("padded2")
+
+    def exported(level):
+        fp = io.StringIO()
+        export_level(level, fp)
+        return fp.getvalue()
+    star = StarState(spec, 12)
+    want = [exported(build_level(spec, 12)), exported(star.level(12))]
+
+    def no_call(*args):
+        raise AssertionError("a level walked its parents")
+    monkeypatch.setattr(MoranSpec, "child_offsets", no_call)
+    monkeypatch.setattr(tree, "_walk", no_call)
+    assert [exported(build_level(spec, 12)), exported(star.level(12))] == want
 
 
 @st.composite
@@ -452,7 +473,8 @@ def test_rank_matches_bisect(source, data):
 
 def test_seeded_rank_widens_its_denominator():
     # the parents of skew10's level 2 have offset denominators that the
-    # level-1 one does not divide, so descents through them widen M
+    # level-1 one does not divide, so no one pre-scale serves the seeded
+    # descent: its rest r widens to each parent's denominator as r d
     spec = preset(SKEW)
     first = spec.child_offsets((), 1)[0]
     dens = {spec.child_offsets((i,), 2)[0] for i in range(1, spec.n(1) + 1)}
