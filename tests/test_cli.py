@@ -452,27 +452,34 @@ def test_zero_gap_leaves_conditions_a_and_c_inapplicable(runner, tmp_path):
         assert not out.exists()
 
 
-def test_dimension_series_is_scale_free(runner, tmp_path):
+@pytest.mark.parametrize("args,series_of", [
+    (["dim", "--depth", "4"], lambda out: (out / "dim.csv").read_bytes()),
+    (["report", "--depth", "4"],
+     lambda out: json.loads((out / "report.json").read_text())["dim_series"]),
+    (["measure-audit", "--t", "0.9", "--k-hi", "3", "--condition", "B"],
+     None),
+], ids=["dim", "report", "measure-audit"])
+def test_dimension_series_is_scale_free(runner, tmp_path, args, series_of):
     # s_k reads delta*_k / |I|: initial intervals of length 1, 9 (trimmed
-    # level-2 length exactly 1) and 89/10 write the same dim.csv, and
-    # t = 0.9 lies above the series' minimum log 2 / log 3 on every scale
+    # level-2 length exactly 1) and 89/10 give dim and report the same
+    # series, and t = 0.9 lies above the series' minimum log 2 / log 3 on
+    # every scale, so measure-audit exits 11
     series = []
     for name, hi in (("unit", "1"), ("long", "9"), ("longer", "89/10")):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({**_GOOD_CONFIG,
                                    "interval": {"lo": "0", "hi": hi}}))
-        res = runner.invoke(main, ["dim", "--config", str(cfg), "--depth", "4",
-                                   "--out", str(tmp_path / name)])
-        assert res.exit_code == 0, res.output
-        series.append((tmp_path / name / "dim.csv").read_bytes())
-        out = tmp_path / f"audit_{name}"
-        res = runner.invoke(main, ["measure-audit", "--config", str(cfg),
-                                   "--t", "0.9", "--k-hi", "3", "--condition",
-                                   "B", "--out", str(out)])
-        assert isinstance(res.exception, SystemExit), res.exception
-        assert res.exit_code == 11, res.output
-        assert not out.exists()
-    assert series[1] == series[0] and series[2] == series[0]
+        out = tmp_path / name
+        res = runner.invoke(main, args + ["--config", str(cfg),
+                                          "--out", str(out)])
+        if series_of is None:
+            assert isinstance(res.exception, SystemExit), res.exception
+            assert res.exit_code == 11, res.output
+            assert not out.exists()
+        else:
+            assert res.exit_code == 0, res.output
+            series.append(series_of(out))
+    assert all(s == series[0] for s in series)
 
 
 @pytest.mark.parametrize("args,code", [
