@@ -164,15 +164,18 @@ class BranchTree:
     """
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
-                 m_max: int, mode: str, levels: list[list[Branch]],
+                 mode: str, levels: list[list[Branch]],
                  stages: dict[int, list[Node]]):
         self.spec = spec
         self.schedule = schedule
         self.star = star
-        self.m_max = m_max
         self.mode = mode
         self.levels = levels
         self.stages = stages
+
+    @property
+    def m_max(self) -> int:
+        return len(self.levels) - 1
 
     @property
     def explicit(self) -> list[list[Branch]] | None:
@@ -216,16 +219,14 @@ class BranchTree:
 
 def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
             mode: str = "auto", budget: int = DEFAULT_NODE_BUDGET) -> BranchTree:
-    """Build the refinement hierarchy through level m_max.
+    """Build the refinement hierarchy, levels 0..m_max, from the trimmed
+    levels 1..stage_of(m_max).
 
     Each stage k refines its parents' trimmed level-k children.  Mode
-    "explicit" refines every parent and stops at level m_max; it is
-    required for per-node (seeded) gap policies and for mapping the
-    branches through a homeomorphism.  Mode "template" refines only the
-    first parent of each stage (valid for node-independent gap policies)
-    and builds one more stage than m_max needs, when the schedule has it,
-    so that the families of level m_max are available.  "auto" picks
-    template whenever legal.
+    "explicit" refines every parent; it is required for per-node (seeded)
+    gap policies and for mapping the branches through a homeomorphism.
+    Mode "template" refines only the first parent of each stage (valid for
+    node-independent gap policies).  "auto" picks template whenever legal.
     """
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
@@ -233,8 +234,8 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         raise DomainError(
             f"schedule covers levels up to {schedule.m_max} < m_max = {m_max}; "
             "extend the schedule depth")
-    k_build = min(schedule.K, schedule.stage_of(m_max) + 1)
-    star = first_reconstruct(spec, k_build)
+    K = schedule.stage_of(m_max)
+    star = first_reconstruct(spec, K)
     if mode == "auto":
         mode = "template" if spec.gaps.node_independent else "explicit"
     template = mode == "template"
@@ -242,28 +243,21 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
         raise DomainError(
             "template mode requires a node-independent gap policy")
     if not template:
-        for k in range(1, schedule.stage_of(m_max) + 1):
+        for k in range(1, K + 1):
             if spec.count(k) > budget:
                 raise BudgetExceededError(
                     f"explicit refinement at stage {k} needs {spec.count(k)} "
                     f"trimmed intervals (> budget {budget})")
-    stop = schedule.m[k_build] if template else m_max
     top, = star.level(0)
     levels = [[Branch(top.lo_num, top.hi_num, top.den, 0, 1, 0)]]
     stages: dict[int, list[Node]] = {}
-    for k in range(1, k_build + 1):
-        if len(levels) > stop:
-            break
+    for k in range(1, K + 1):
         # template: the trimmed children of the first parent, one path of
         # the level; explicit: the whole level, its budget checked above
-        nodes = list(islice(star.iter_level(k),
-                            spec.n(k) if template else None))
-        stages[k] = nodes
         n_k = spec.n(k)
+        nodes = stages[k] = list(islice(star.iter_level(k), n_k if template else None))
         runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]
-        for branches in refine_stage(runs, schedule.i[k - 1], schedule.M, nodes):
-            levels.append(branches)
-            if len(levels) > stop:
-                break
-    return BranchTree(spec, schedule, star, m_max,
-                      "template" if template else "explicit", levels, stages)
+        levels += islice(refine_stage(runs, schedule.i[k - 1], schedule.M, nodes),
+                         m_max + 1 - len(levels))
+    return BranchTree(spec, schedule, star, "template" if template else "explicit",
+                      levels, stages)

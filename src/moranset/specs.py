@@ -115,6 +115,12 @@ class GapPolicy:
                 raise ConfigError("weights must be nonnegative with positive sum")
         if self.kind == "seeded-random" and self.seed is None:
             raise ConfigError("seeded-random gap policy needs a seed")
+        if self.weights and self.kind != "weighted":
+            raise ConfigError("gap 'weights' is read by kind 'weighted' only, "
+                              f"not by kind {self.kind!r}")
+        if self.seed is not None and self.kind != "seeded-random":
+            raise ConfigError("gap 'seed' is read by kind 'seeded-random' only, "
+                              f"not by kind {self.kind!r}")
 
     @property
     def node_independent(self) -> bool:

@@ -15,10 +15,11 @@ table, per spec and depth, over one denominator.  One kernel, `_runs`,
 yields a level as runs, one per head some levels above k: the head's
 address, a denominator, the common span, the head's left-endpoint
 numerator and the offsets of the intervals below it, whose addresses are
-the head's plus one tail shared by every run.  `iter_level` and
-`LevelSet` make each `Node` from a run as it is read; `export_level`
-writes the runs without making any.  `rank` is the one descent of the
-offsets along one path.  No other module reads the offsets.
+the head's plus one tail shared by every run; a seeded level's heads are
+the level above, read from the same kernel.  `iter_level` and `LevelSet`
+make each `Node` from a run as it is read; `export_level` writes the runs
+without making any.  `rank` is the one descent of the offsets along one
+path.  No other module reads the offsets.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
     first reaches `_TAIL`, its offsets are sums of table entries, each head
     adds up its own entries, and the level has one denominator,
     lcm(M, origin's, length's).  Seeded gaps take level k alone as the
-    tail, below each level-(k-1) parent of `_walk`, from the parent's own
-    child offsets."""
+    tail, below each level-(k-1) parent that `iter_level` streams with the
+    same left trim, from the parent's own child offsets."""
     if k < 0:
         raise DomainError(f"depth {k} is out of range: levels start at depth 0")
     lo_pad, hi_pad = shrink
@@ -181,11 +182,12 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
 
     def runs() -> Iterator[tuple]:      # apart, so bad arguments raise at once
         if not shared:
-            for head, num, den in _walk(spec, h, (), *origin.as_integer_ratio()):
-                d, kids = spec.child_offsets(head, k)
-                m = lcm(den, d, length.denominator)
-                yield (head, m, length.numerator * (m // length.denominator),
-                       num * (m // den), [kid * (m // d) for kid in kids])
+            for parent in iter_level(spec, h, (lo_pad, 0)):
+                d, kids = spec.child_offsets(parent.address, k)
+                m = lcm(parent.den, d, length.denominator)
+                yield (parent.address, m, length.numerator * (m // length.denominator),
+                       parent.lo_num * (m // parent.den),
+                       [kid * (m // d) for kid in kids])
             return
         m, _, table = _prescaled(spec, k)
         den = lcm(m, origin.denominator, length.denominator)
@@ -199,21 +201,6 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
             yield head, den, span, base + sum(nums), offsets
 
     return tail, runs()
-
-
-def _walk(spec: MoranSpec, depth: int, sigma: Address, num: int,
-          den: int) -> Iterator[tuple[Address, int, int]]:
-    """(address, lo numerator, denominator) of each level-`depth` interval
-    below sigma (lo num / den) in order, lazily, each parent placing its
-    children by its own offsets: the seeded heads of `_runs`.  The first
-    costs one path."""
-    if len(sigma) == depth:
-        yield sigma, num, den
-        return
-    d, offsets = spec.child_offsets(sigma, len(sigma) + 1)
-    m = lcm(den, d)
-    for i, off in enumerate(offsets, 1):
-        yield from _walk(spec, depth, sigma + (i,), num * (m // den) + off * (m // d), m)
 
 
 def rank(spec: MoranSpec, k: int, y: Fraction, find, den: int = 1) -> int:

@@ -217,6 +217,22 @@ def test_modes_agree(spec):
     assert stats_series(expl, m_top=top) == stats_series(tmpl, m_top=top)
 
 
+@pytest.mark.parametrize("name,mode", [("wide10", "template"), ("wide10", "explicit"),
+                                       ("skew10", "explicit")])
+def test_build_holds_levels_through_m_max(name, mode):
+    # every m_max, milestone or mid-stage, builds levels 0..m_max and the
+    # trimmed stages they span, the same as the full hierarchy's
+    spec = preset(name)
+    sched = choose_M(spec, "A", 3)
+    full = build_T(spec, sched, sched.m_max, mode=mode)
+    for m_max in range(1, sched.m_max + 1):
+        tree = build_T(spec, sched, m_max, mode=mode)
+        assert len(tree.levels) == tree.m_max + 1 == m_max + 1
+        assert list(tree.stages) == list(range(1, sched.stage_of(m_max) + 1))
+        for m in range(m_max + 1):
+            assert tree.branch_stats(m) == full.branch_stats(m)
+
+
 def test_explicit_mode_for_seeded_gaps():
     spec = preset("skew10")
     sched = choose_M(spec, "A", 2)

@@ -107,9 +107,17 @@ _LONG_CONFIG = {**_GOOD_CONFIG, "interval": {"lo": "0", "hi": "9"}}
      "gap 'seed' must be an integer"),
     ({**_GOOD_CONFIG, "n": {"kind": "constant", "values": [3, 4]}},
      "rule 'n': a constant rule takes exactly one value, got 2"),
+    # gap keys the policy kind does not read
+    ({**_GOOD_CONFIG, "gaps": {"kind": "uniform", "weights": ["1", "5"]}},
+     "gap 'weights' is read by kind 'weighted' only, not by kind 'uniform'"),
+    ({**_GOOD_CONFIG, "gaps": {"weights": ["1", "5"]}},
+     "gap 'weights' is read by kind 'weighted' only, not by kind 'uniform'"),
+    ({**_GOOD_CONFIG, "gaps": {"kind": "weighted", "weights": ["1", "5"], "seed": 4}},
+     "gap 'seed' is read by kind 'seeded-random' only, not by kind 'weighted'"),
 ], ids=["n-not-a-number", "interval-without-hi", "config-is-a-string",
         "gaps-is-a-string", "n-not-integral", "values-not-a-list",
-        "seed-not-integer", "constant-with-two-values"])
+        "seed-not-integer", "constant-with-two-values", "weights-on-uniform",
+        "weights-on-default-kind", "seed-on-weighted"])
 def test_malformed_config_exit_code(runner, tmp_path, config, needle):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

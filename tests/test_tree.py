@@ -334,13 +334,24 @@ def _exported(lv):
     return buf.getvalue()
 
 
+def _assert_same_lines(got, want):
+    """got == want, compared line by line, so a mismatch reports its first
+    differing line at once rather than a diff of two whole exports."""
+    got, want = got.split("\n"), want.split("\n")
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert i is None, f"line {i}: exported {got[i]!r}, oracle {want[i]!r}"
+    assert len(got) == len(want), f"{len(got)} lines, oracle {len(want)}"
+
+
 @given(level_specs(), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_export_matches_oracle(spec, k):
     if not spec.gaps.node_independent:
         k = min(k, 3)
-    assert _exported(build_level(spec, k)) == _oracle_export(spec, k, False)
-    assert _exported(StarState(spec, k).level(k)) == _oracle_export(spec, k, True)
+    _assert_same_lines(_exported(build_level(spec, k)),
+                       _oracle_export(spec, k, False))
+    _assert_same_lines(_exported(StarState(spec, k).level(k)),
+                       _oracle_export(spec, k, True))
 
 
 @pytest.mark.parametrize("name, k, trimmed, heads", [
@@ -353,7 +364,7 @@ def test_multi_run_export_matches_oracle(name, k, trimmed, heads):
     spec = preset(name)
     lv = StarState(spec, k).level(k) if trimmed else build_level(spec, k)
     assert len(lv.runs) == heads
-    assert _exported(lv) == _oracle_export(spec, k, trimmed)
+    _assert_same_lines(_exported(lv), _oracle_export(spec, k, trimmed))
 
 
 def test_level_makes_no_nodes_until_read(monkeypatch):
@@ -389,7 +400,7 @@ def test_level_set_contract(monkeypatch):
 
     def no_walk(*args):
         raise AssertionError("a run was walked")
-    monkeypatch.setattr(tree, "_walk", no_walk)
+    monkeypatch.setattr(MoranSpec, "child_offsets", no_walk)
     monkeypatch.setattr(tree, "_prescaled", no_walk)
     with pytest.raises(BudgetExceededError):
         build_level(preset("cantor3"), 22)
@@ -411,8 +422,30 @@ def test_node_independent_levels_read_one_table(monkeypatch):
     def no_call(*args):
         raise AssertionError("a level walked its parents")
     monkeypatch.setattr(MoranSpec, "child_offsets", no_call)
-    monkeypatch.setattr(tree, "_walk", no_call)
     assert [exported(build_level(spec, 12)), exported(star.level(12))] == want
+
+
+def test_seeded_levels_read_each_parent_once(monkeypatch):
+    # a seeded level's heads stream from the level above, so level k reads
+    # the child offsets of every level-j interval once, j < k: N_0 + ... +
+    # N_{k-1} reads, plain or trimmed, and its first interval one path
+    spec = preset("skew10")
+    star = StarState(spec, 4)
+    reads = []
+    child_offsets = MoranSpec.child_offsets
+
+    def counted(self, sigma, k):
+        reads.append(sigma)
+        return child_offsets(self, sigma, k)
+    monkeypatch.setattr(MoranSpec, "child_offsets", counted)
+    for k, want in zip(range(1, 5), (1, 11, 111, 1111)):
+        for read in (lambda: build_level(spec, k), lambda: list(star.iter_level(k))):
+            reads.clear()
+            read()
+            assert len(reads) == want
+    reads.clear()
+    next(star.iter_level(4))
+    assert reads == [(), (1,), (1, 1), (1, 1, 1)]
 
 
 @st.composite
