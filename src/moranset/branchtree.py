@@ -11,14 +11,14 @@ Each parent's children are therefore one contiguous run of the next level,
 and the runs come in parent order.
 
 One builder serves both modes.  Explicit mode refines every parent of each
-stage.  Template mode refines only the first parent: when the gap policy is
-node-independent every parent is a translate of the first, so one parent's
-cell, counted count(k-1) times, gives every statistic.
+stage.  Auto mode builds a template when the gap policy is node-independent:
+every parent is then a translate of the first, so it refines only the first
+parent, whose cell, counted count(k-1) times, gives every statistic; on
+per-node gaps auto mode builds explicitly.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +39,6 @@ class Schedule:
     M: int
     i: list[int]                # i[k-1] = steps of stage k, k = 1..K
     m: list[int]                # m[k] = cumulative steps, m[0] = 0
-
-    @property
-    def K(self) -> int:
-        return len(self.i)
 
     @property
     def m_max(self) -> int:
@@ -74,7 +70,7 @@ def choose_M(spec: MoranSpec, condition: str, K: int,
         cert = check_conditions(spec, K)
     omega = cert.omega(condition)
     bound = spread_bound(condition, omega)
-    M = int(bound) + 1 if bound == int(bound) else math.ceil(bound)
+    M = int(bound) + 1
     i = []
     m = [0]
     for k in range(1, K + 1):
@@ -217,17 +213,20 @@ class BranchTree:
         return max(counts), min(counts)
 
 
-def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
+def build_T(spec: MoranSpec, schedule: Schedule, m_max: int | None = None,
             mode: str = "auto", budget: int = DEFAULT_NODE_BUDGET) -> BranchTree:
-    """Build the refinement hierarchy, levels 0..m_max, from the trimmed
-    levels 1..stage_of(m_max).
+    """Build the refinement hierarchy, levels 0..m_max (default: the
+    schedule's top), from the trimmed levels 1..stage_of(m_max).
 
     Each stage k refines its parents' trimmed level-k children.  Mode
-    "explicit" refines every parent; it is required for per-node (seeded)
-    gap policies and for mapping the branches through a homeomorphism.
-    Mode "template" refines only the first parent of each stage (valid for
-    node-independent gap policies).  "auto" picks template whenever legal.
+    "explicit" refines every parent, as mapping the branches through a
+    homeomorphism needs.  Mode "auto" builds a template, refining only the
+    first parent of each stage, when the gap policy is node-independent,
+    and refines every parent otherwise.
     """
+    if mode not in ("auto", "explicit"):
+        raise DomainError(f"unknown build mode {mode!r}: use 'auto' or 'explicit'")
+    m_max = schedule.m_max if m_max is None else m_max
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
     if schedule.m_max < m_max:
@@ -236,12 +235,7 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int,
             "extend the schedule depth")
     K = schedule.stage_of(m_max)
     star = first_reconstruct(spec, K)
-    if mode == "auto":
-        mode = "template" if spec.gaps.node_independent else "explicit"
-    template = mode == "template"
-    if template and not spec.gaps.node_independent:
-        raise DomainError(
-            "template mode requires a node-independent gap policy")
+    template = mode == "auto" and spec.gaps.node_independent
     if not template:
         for k in range(1, K + 1):
             if spec.count(k) > budget:

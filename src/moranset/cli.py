@@ -44,13 +44,6 @@ EXIT_CODES = {
 }
 
 
-def _exit_code(exc: MoranError) -> int:
-    for cls in type(exc).__mro__:
-        if cls in EXIT_CODES:
-            return EXIT_CODES[cls]
-    return EXIT_CODES[MoranError]
-
-
 def _load_spec(preset: str | None, config_path: str | None):
     """Returns (spec, source descriptor used for the manifest hash)."""
     if (preset is None) == (config_path is None):
@@ -128,7 +121,7 @@ def command(name: str, *options, out: bool = True):
                 result = body(spec, **values)
             except MoranError as exc:
                 click.echo(f"error: {exc}", err=True)
-                sys.exit(_exit_code(exc))
+                sys.exit(EXIT_CODES.get(type(exc), EXIT_CODES[MoranError]))
             artifacts, status = result if isinstance(result, tuple) else (result, 0)
             if out:
                 params = {flag: values[key] for key, flag in flags.items()}
@@ -235,7 +228,7 @@ def reconstruct_cmd(spec, out, depth):
                       help="Top refinement level (default: the full schedule)."),
          click.option("--condition", type=click.Choice(["A", "B"]), default="A",
                       show_default=True),
-         click.option("--mode", type=click.Choice(["auto", "template", "explicit"]),
+         click.option("--mode", type=click.Choice(["auto", "explicit"]),
                       default="auto", show_default=True),
          click.option("--budget", type=int, default=tree.DEFAULT_NODE_BUDGET,
                       show_default=True))
@@ -243,11 +236,9 @@ def branches(spec, out, depth, m_max, condition, mode, budget):
     """The interpolated branch hierarchy (second reconstruction)."""
     _check_budget(budget)
     schedule = branchtree.choose_M(spec, condition, depth)
-    if m_max is None:
-        m_max = schedule.m_max
     built = branchtree.build_T(spec, schedule, m_max, mode=mode, budget=budget)
     rows = []
-    for m in range(m_max + 1):
+    for m in range(built.m_max + 1):
         st = built.branch_stats(m)
         rows.append((m, st.count, *map(format_rational, (
             st.max_len, st.min_len, st.total_len)), st.psi_max, st.psi_min))
@@ -262,10 +253,10 @@ def branches(spec, out, depth, m_max, condition, mode, budget):
         artifacts["branches.jsonl"] = lambda fp: fp.writelines(
             json.dumps({"m": m, "index": i, "lo": format_rational(br.lo),
                         "hi": format_rational(br.hi), "psi": br.span}) + "\n"
-            for m in range(1, m_max + 1)
+            for m in range(1, built.m_max + 1)
             for i, br in enumerate(built.explicit[m]))
     click.echo(f"M = {schedule.M}; built {built.mode} hierarchy to level "
-               f"{m_max}; artifacts in {out}")
+               f"{built.m_max}; artifacts in {out}")
     return artifacts
 
 
@@ -284,7 +275,7 @@ def branches(spec, out, depth, m_max, condition, mode, budget):
 def measure_audit(spec, out, condition, t_exp, k_lo, k_hi, mode, samples,
                   seed, threads):
     """Audit the mass-versus-window-size bound for the uniform measure."""
-    star = reconstruct.first_reconstruct(spec, k_hi + 2)
+    star = reconstruct.first_reconstruct(spec, k_hi + 1)
     mm = measure.MassMeasure(star)
     audit = measure.frostman_audit(mm, condition, t_exp, (k_lo, k_hi),
                                    mode=mode, samples=samples, seed=seed,
@@ -316,8 +307,7 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
     qsmap.check_samples(samples)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
-    top = schedule.m_max if m_max is None else m_max
-    built = branchtree.build_T(spec, schedule, top, mode="explicit")
+    built = branchtree.build_T(spec, schedule, m_max, mode="explicit")
     stats = qsmap.stats_series(built)
     image = qsmap.image_tree(fmap, built, precision_bits)
     mu = qsmap.build_mu_d(image, d_exp)
@@ -359,7 +349,7 @@ def report(spec, out, depth, map_text, d_exp, condition):
     closed_form = (isinstance(fmap, qsmap.IdentityMap)
                    and spec.gaps.kind == "uniform"
                    and all(i == 1 for i in schedule.i))
-    built = branchtree.build_T(spec, schedule, schedule.m_max,
+    built = branchtree.build_T(spec, schedule,
                                mode="auto" if closed_form else "explicit")
     star = built.star
     lemma7 = []
@@ -371,7 +361,7 @@ def report(spec, out, depth, map_text, d_exp, condition):
             "expected": format_rational(
                 Fraction(spec.count(k)) * star.delta_star(k)),
         })
-    stats = qsmap.stats_series(built, m_top=schedule.m_max - 1)
+    stats = qsmap.stats_series(built)
     lemma8_ok = all(
         th >= 1 - (schedule.M ** 2 + 1) * b
         for b, th in zip(stats.beta, stats.theta)

@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConditionInapplicableError, DomainError
@@ -155,35 +156,32 @@ class ConditionCert:
 
 
 def check_conditions(spec: MoranSpec, K: int) -> ConditionCert:
-    """Exact certificates over levels 1..K, with tightness witnesses."""
+    """Exact certificates over levels 1..K, with tightness witnesses.
+
+    Each level gives one row (k, r1, r2, r3) of the three ratios, r1 None
+    where the level's smallest gap is zero; each omega is the extreme of its
+    column, the first level winning ties, and omega1 is None when any row's
+    r1 is."""
     if K < 1:
         raise DomainError(f"depth {K} is out of range: certificates need depth >= 1")
-    omega1 = omega2 = omega3 = None
-    w1 = w2 = w3 = None
-    zero_gap = False
     unit = spec.interval[1] - spec.interval[0]
     # counts never shrink, so the deepest level's parents pass the node
     # budget first: check them before any level's gaps are drawn
     stats_parents(spec, K)
+    rows = []
     for k in range(1, K + 1):
         st = level_stats(spec, k)
-        contraction = spec.delta(k) / unit          # c_1 c_2 ... c_k
-        if st.min_gap == 0:
-            zero_gap = True
-        elif not zero_gap:
-            r1 = st.max_gap / st.min_gap
-            if omega1 is None or r1 > omega1:
-                omega1, w1 = r1, k
-        r2 = st.max_gap / contraction
-        if omega2 is None or r2 > omega2:
-            omega2, w2 = r2, k
-        parent_contraction = spec.delta(k - 1) / unit
-        r3 = spec.n(k) * st.min_gap / parent_contraction
-        if omega3 is None or r3 < omega3:
-            omega3, w3 = r3, k
-    if zero_gap:
-        omega1, w1 = None, None
-    return ConditionCert(K, omega1, w1, omega2, w2, omega3, w3)
+        # r2 and r3 over the contractions c_1...c_k and c_1...c_{k-1}
+        rows.append((k, st.max_gap / st.min_gap if st.min_gap else None,
+                     st.max_gap / (spec.delta(k) / unit),
+                     spec.n(k) * st.min_gap / (spec.delta(k - 1) / unit)))
+
+    def extreme(pick, i):
+        row = pick(rows, key=itemgetter(i))
+        return row[i], row[0]
+
+    omega1 = (None, None) if any(row[1] is None for row in rows) else extreme(max, 1)
+    return ConditionCert(K, *omega1, *extreme(max, 2), *extreme(min, 3))
 
 
 # ---------------------------------------------------------------------------

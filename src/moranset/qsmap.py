@@ -585,24 +585,27 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
     """Exact statistic series through level m_top (default: one below the
     built depth so the refinement at the top level is observable).
 
-    beta, theta, kappa at level m and chi at level m+1 come from one pass
-    over `tree.families(m)`, each parent's children being one contiguous
-    run of level m+1."""
-    if m_top is None:
-        m_top = tree.m_max - 1
+    One pass over levels 0..m_top: at level m, beta, theta, kappa and chi
+    (at m+1) come from `tree.families(m)`, each parent's children being one
+    contiguous run of level m+1, and the level ratios at m+1 from
+    `branch_stats` of levels m and m+1 and the trimmed stats of the stage
+    level m+1 lies in, read once per stage."""
+    m_top = tree.m_max - 1 if m_top is None else m_top
     if m_top < 1:
         raise DomainError(f"m_max = {m_top + 1} is out of range: refinement "
                           "statistics need m_max >= 2")
     beta, theta, kappa, chi = [], [], [], []
-    stage, star_gaps = 0, []
+    lam_s, lam_u, gam_s, gam_u = [], [], [], []
+    stats, stage = [tree.branch_stats(0)], 0     # level 0 is always built
     for m in range(m_top):
-        families = tree.families(m)     # range-checks m before any stage lookup
+        families = tree.families(m)     # range-checks m before any stats read
         k = tree.schedule.stage_of(m + 1)
         if k != stage:
             # the trimmed gaps of the stage whose intervals level m+1 spans
             nodes = tree.stages[k]
             stage = k
             star_gaps = [nxt.lo - prev.hi for prev, nxt in zip(nodes, nodes[1:])]
+            trimmed = tree.star.stats(k)
         b, t, kp, c = [], [], [], []
         for br, kids in families:
             gaps = [kids[0].lo - br.lo, br.hi - kids[-1].hi]
@@ -618,16 +621,12 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
         theta.append(min(t))
         kappa.append(min(kp, default=None))
         chi.append(max(c))
-    stats = [tree.branch_stats(m) for m in range(m_top + 1)]
-    lam_s, lam_u, gam_s, gam_u = [], [], [], []
-    for m in range(1, m_top + 1):
-        cur, prev = stats[m], stats[m - 1]
+        prev, cur = stats[-1], tree.branch_stats(m + 1)
+        stats.append(cur)
         lam_s.append(cur.max_len / prev.min_len)
         lam_u.append(cur.min_len / prev.max_len)
-        k = tree.schedule.stage_of(m)
-        st = tree.star.stats(k)
-        gam_s.append(st.max_gap / prev.min_len)
-        gam_u.append(st.min_gap / prev.max_len)
+        gam_s.append(trimmed.max_gap / prev.min_len)
+        gam_u.append(trimmed.min_gap / prev.max_len)
     return QsStats(m_top, beta, theta, kappa, chi,
                    lam_s, lam_u, gam_s, gam_u,
                    [s.total_len for s in stats])

@@ -40,7 +40,6 @@ class StarState:
             raise DomainError(f"depth {K} is out of range: trimming needs depth >= 0")
         self.spec = spec
         self._trims: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
-        self._stats: dict[int, StarStats] = {}
         for k in range(K + 1):
             if self.delta_star(k) <= 0:
                 raise DegenerateSpecError(
@@ -61,14 +60,11 @@ class StarState:
         return self.trim(k)[2]
 
     def stats(self, k: int) -> StarStats:
-        if k not in self._stats:
-            base = level_stats(self.spec, k)
-            L, R, length = self.trim(k)
-            self._stats[k] = StarStats(
-                k, base.count, length, base.count * length,
-                base.max_gap + L + R, base.min_gap + L + R,
-                base.slack + (self.spec.n(k) - 1) * (L + R), L, R)
-        return self._stats[k]
+        base = level_stats(self.spec, k)
+        L, R, length = self.trim(k)
+        return StarStats(k, base.count, length, base.count * length,
+                         base.max_gap + L + R, base.min_gap + L + R,
+                         base.slack + (self.spec.n(k) - 1) * (L + R), L, R)
 
     # -- trimmed intervals --------------------------------------------------
 

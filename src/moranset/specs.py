@@ -445,6 +445,8 @@ def preset(name: str, **kwargs) -> MoranSpec:
 # ---------------------------------------------------------------------------
 
 def _config_rational(value, where: str) -> Fraction:
+    if isinstance(value, bool):     # a bool is an int to Python, not to JSON
+        raise ConfigError(f"{where}: {str(value).lower()} is not a rational")
     try:
         return parse_rational(value)
     except ConfigError as exc:
@@ -458,10 +460,24 @@ def _config_list(node: dict, key: str, where: str) -> list:
     return raw
 
 
-def _rule_from_config(node: dict, name: str, integer: bool) -> SequenceRule:
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ConfigError(f"rule {name!r} must be an object with a 'kind'")
-    kind = node["kind"]
+def _config_object(node, where: str, required: tuple[str, ...],
+                   optional: tuple[str, ...] = ()) -> dict:
+    """`node`, checked to be an object that holds every `required` key and
+    no key outside `required` and `optional`."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be an object, got {type(node).__name__}")
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{where} is missing key {key!r}")
+    unknown = sorted(node.keys() - {*required, *optional})
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}; "
+                          f"known: {', '.join(required + optional)}")
+    return node
+
+
+def _rule_from_config(node, name: str, integer: bool) -> SequenceRule:
+    kind = _config_object(node, f"rule {name!r}", ("kind",), ("values",))["kind"]
     if kind == "table-function":
         raise ConfigError("table-function rules are API-only, not loadable from config")
     values = []
@@ -482,15 +498,8 @@ def spec_from_config(cfg: dict, name: str = "custom") -> MoranSpec:
              "gaps": {"kind": ..., "seed": int | "weights": [rationals]},
              "interval": {"lo": "p/q", "hi": "p/q"}}   (interval optional)
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("spec config must be an object with keys 'n', 'c', "
-                          f"'L', 'R' and 'gaps', got {type(cfg).__name__}")
-    for key in ("n", "c", "L", "R", "gaps"):
-        if key not in cfg:
-            raise ConfigError(f"spec config missing key {key!r}")
-    gp = cfg["gaps"]
-    if not isinstance(gp, dict):
-        raise ConfigError(f"'gaps' must be an object with a 'kind', got {gp!r}")
+    _config_object(cfg, "spec config", ("n", "c", "L", "R", "gaps"), ("interval",))
+    gp = _config_object(cfg["gaps"], "'gaps'", (), ("kind", "seed", "weights"))
     seed = gp.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         # the seed enters the gap draws as text, so 7.0 would not draw as 7
@@ -500,10 +509,8 @@ def spec_from_config(cfg: dict, name: str = "custom") -> MoranSpec:
         weights=tuple(_config_rational(w, "gap 'weights'")
                       for w in _config_list(gp, "weights", "gap")),
         seed=seed)
-    iv = cfg.get("interval", {"lo": "0", "hi": "1"})
-    if not isinstance(iv, dict) or not {"lo", "hi"} <= iv.keys():
-        raise ConfigError(
-            f"'interval' must be an object with keys 'lo' and 'hi', got {iv!r}")
+    iv = _config_object(cfg.get("interval", {"lo": "0", "hi": "1"}), "'interval'",
+                        ("lo", "hi"))
     return MoranSpec(
         _rule_from_config(cfg["n"], "n", integer=True),
         _rule_from_config(cfg["c"], "c", integer=False),

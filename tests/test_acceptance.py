@@ -132,7 +132,7 @@ def test_criterion_05_refinement_suite():
     cert = check_conditions(spec, 7)
     sched = choose_M(spec, "A", 6, cert=cert)
     assert sched.M == 3 and all(i == 2 for i in sched.i)
-    tree = build_T(spec, sched, sched.m[6], mode="template")
+    tree = build_T(spec, sched, sched.m[6], mode="auto")
     star = tree.star
     ok = True
     totals = []
@@ -240,7 +240,7 @@ def test_criterion_10_trend_suite():
     t0 = time.perf_counter()
     spec = preset("dim1_binary")
     sched = choose_M(spec, "A", 64)
-    tree = build_T(spec, sched, 64, mode="template")
+    tree = build_T(spec, sched, 64, mode="auto")
     stats = stats_series(tree, 64)
     M = sched.M
     refine_ok = all(th >= 1 - (M ** 2 + 1) * b

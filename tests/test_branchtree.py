@@ -101,7 +101,7 @@ def test_template_stages_at_depth_40():
     # first n_k intervals cost one path even where the level has 2^40
     spec = preset("cantor3")
     sched = choose_M(spec, "A", 40)
-    tree = build_T(spec, sched, 40, mode="template")
+    tree = build_T(spec, sched, 40, mode="auto")
     first, second = tree.stages[40]
     assert (first.lo, first.hi) == (0, Fraction(1, 3 ** 40))
     assert (second.lo, second.hi) == (Fraction(2, 3 ** 40), Fraction(1, 3 ** 39))
@@ -146,19 +146,22 @@ def assert_branches_on_sibling_dens(tree) -> None:
             assert Fraction(br.hi_num, br.den) == nodes[br.b - 1].hi, (m, br)
 
 
-@pytest.mark.parametrize("name,mode", [
-    (name, mode) for name in preset_names() for mode in ("explicit", "template")
-    if mode == "explicit" or preset(name).gaps.node_independent])
-def test_children_are_one_run_per_parent(name, mode):
+@pytest.mark.parametrize("name,built", [
+    (name, built) for name in preset_names() for built in ("explicit", "template")
+    if built == "explicit" or preset(name).gaps.node_independent])
+def test_children_are_one_run_per_parent(name, built):
+    # `built` is the hierarchy's mode: mode "auto" builds a template on
+    # node-independent gaps
     spec = preset(name)
     sched = choose_M(spec, "A", 3)
-    tree = build_T(spec, sched, sched.m_max, mode=mode)
+    tree = build_T(spec, sched, mode="auto" if built == "template" else "explicit")
+    assert tree.mode == built
     assert_sibling_runs(tree.levels)
     assert_branches_on_sibling_dens(tree)
     for m in range(len(tree.levels) - 1):
         runs = list(tree.families(m))
         assert [kid for _, kids in runs for kid in kids] == tree.levels[m + 1]
-        if mode == "explicit":
+        if built == "explicit":
             # every branch of an explicit level is refined, in order
             assert [br for br, _ in runs] == tree.levels[m]
 
@@ -179,8 +182,8 @@ def test_image_children_are_one_run_per_parent(name):
 def test_branches_read_sibling_integers(spec, template, depth):
     # condition B always applies; A does not where an interior gap is zero
     sched = choose_M(spec, "B", depth)
-    mode = "template" if template and spec.gaps.node_independent else "explicit"
-    assert_branches_on_sibling_dens(build_T(spec, sched, sched.m_max, mode=mode))
+    mode = "auto" if template else "explicit"
+    assert_branches_on_sibling_dens(build_T(spec, sched, mode=mode))
 
 
 def test_branches_hold_integers_only():
@@ -207,7 +210,7 @@ def test_modes_agree(spec):
     sched = choose_M(spec, "A", 4)
     top = sched.m_max - 1
     expl = build_T(spec, sched, top, mode="explicit")
-    tmpl = build_T(spec, sched, top, mode="template")
+    tmpl = build_T(spec, sched, top, mode="auto")
     assert (expl.mode, tmpl.mode) == ("explicit", "template")
     for m in range(top + 1):
         assert expl.branch_stats(m) == tmpl.branch_stats(m)
@@ -217,14 +220,16 @@ def test_modes_agree(spec):
     assert stats_series(expl, m_top=top) == stats_series(tmpl, m_top=top)
 
 
-@pytest.mark.parametrize("name,mode", [("wide10", "template"), ("wide10", "explicit"),
-                                       ("skew10", "explicit")])
-def test_build_holds_levels_through_m_max(name, mode):
+@pytest.mark.parametrize("name,built", [("wide10", "template"), ("wide10", "explicit"),
+                                        ("skew10", "explicit")])
+def test_build_holds_levels_through_m_max(name, built):
     # every m_max, milestone or mid-stage, builds levels 0..m_max and the
     # trimmed stages they span, the same as the full hierarchy's
     spec = preset(name)
     sched = choose_M(spec, "A", 3)
-    full = build_T(spec, sched, sched.m_max, mode=mode)
+    mode = "auto" if built == "template" else "explicit"
+    full = build_T(spec, sched, mode=mode)
+    assert full.mode == built
     for m_max in range(1, sched.m_max + 1):
         tree = build_T(spec, sched, m_max, mode=mode)
         assert len(tree.levels) == tree.m_max + 1 == m_max + 1
@@ -276,6 +281,25 @@ def test_total_length_sandwich_and_monotonicity():
         anchor = spec.count(k - 1) * star.delta_star(k - 1)
         for m in range(sched.m[k - 1] + 1, sched.m[k]):
             assert lower_factor * anchor <= totals[m] <= anchor
+
+
+@pytest.mark.parametrize("name", ["wide10", "skew10"])
+def test_build_defaults_to_the_schedule_top(name):
+    spec = preset(name)
+    sched = choose_M(spec, "A", 2)
+
+    def fields(tree):
+        return (tree.mode, tree.stages, [
+            [(br.lo_num, br.hi_num, br.den, br.a, br.b, br.parent) for br in level]
+            for level in tree.levels])
+    assert fields(build_T(spec, sched)) == fields(build_T(spec, sched, sched.m_max))
+
+
+@pytest.mark.parametrize("mode", ["template", "Explicit"])
+def test_unknown_build_mode_rejected(mode):
+    spec = preset("wide10")
+    with pytest.raises(DomainError, match=f"unknown build mode {mode!r}"):
+        build_T(spec, choose_M(spec, "A", 2), mode=mode)
 
 
 def test_depth_guards():

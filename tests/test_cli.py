@@ -114,10 +114,27 @@ _LONG_CONFIG = {**_GOOD_CONFIG, "interval": {"lo": "0", "hi": "9"}}
      "gap 'weights' is read by kind 'weighted' only, not by kind 'uniform'"),
     ({**_GOOD_CONFIG, "gaps": {"kind": "weighted", "weights": ["1", "5"], "seed": 4}},
      "gap 'seed' is read by kind 'seeded-random' only, not by kind 'weighted'"),
+    # keys outside the schema, and JSON booleans where a number belongs
+    ({**_GOOD_CONFIG, "inteval": {"lo": "0", "hi": "9"}},
+     "spec config has unknown key 'inteval'"),
+    ({**_GOOD_CONFIG, "c": {"kind": "constant", "valeus": ["1/4"]}},
+     "rule 'c' has unknown key 'valeus'"),
+    ({**_GOOD_CONFIG, "gaps": {"kind": "seeded-random", "seed": 7, "sede": 8}},
+     "'gaps' has unknown key 'sede'"),
+    ({**_GOOD_CONFIG, "interval": {"lo": "0", "hi": "1", "high": "9"}},
+     "'interval' has unknown key 'high'"),
+    ({**_GOOD_CONFIG, "n": {"kind": "constant", "values": [True]}},
+     "rule 'n': true is not a rational"),
+    ({**_GOOD_CONFIG, "interval": {"lo": False, "hi": "1"}},
+     "interval 'lo': false is not a rational"),
+    ({**_GOOD_CONFIG, "gaps": {"kind": "weighted", "weights": [True, "2"]}},
+     "gap 'weights': true is not a rational"),
 ], ids=["n-not-a-number", "interval-without-hi", "config-is-a-string",
         "gaps-is-a-string", "n-not-integral", "values-not-a-list",
         "seed-not-integer", "constant-with-two-values", "weights-on-uniform",
-        "weights-on-default-kind", "seed-on-weighted"])
+        "weights-on-default-kind", "seed-on-weighted", "unknown-top-level-key",
+        "unknown-rule-key", "unknown-gaps-key", "unknown-interval-key",
+        "boolean-rule-value", "boolean-interval-bound", "boolean-gap-weight"])
 def test_malformed_config_exit_code(runner, tmp_path, config, needle):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -199,6 +216,22 @@ def test_measure_audit_pass_and_regime(runner, tmp_path):
     res = runner.invoke(main, ["measure-audit", "--preset", "cantor3",
                                "--t", "0.95", "--out", str(tmp_path)])
     assert res.exit_code == 11
+
+
+def test_measure_audit_reads_rules_through_the_audited_levels(runner, tmp_path):
+    # k_hi = 3 audits windows over trimmed level 4, which trims by L_5 and
+    # R_5: a 5-entry prefix is enough, and the run matches the preset's
+    cfg = tmp_path / "cantor3.json"
+    prefix = {"kind": "explicit-prefix", "values": ["0"] * 5}
+    cfg.write_text(json.dumps({**_GOOD_CONFIG, "L": prefix, "R": prefix}))
+    audits = []
+    for source in (["--config", str(cfg)], ["--preset", "cantor3"]):
+        out = tmp_path / source[0][2:]
+        res = runner.invoke(main, ["measure-audit", *source, "--t", "0.3",
+                                   "--k-hi", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        audits.append((out / "audit.json").read_bytes())
+    assert audits[0] == audits[1]
 
 
 def test_qs_and_report(runner, tmp_path):
@@ -500,7 +533,7 @@ def test_dimension_series_is_scale_free(runner, tmp_path, args, series_of):
     (["qs", "--d", "-1"], 10),
     (["qs", "--precision-bits", "0"], 10),
     (["qs", "--samples", "0"], 10),
-    (["branches", "--preset", "skew10", "--depth", "2", "--mode", "template"], 10),
+    (["branches", "--preset", "skew10", "--depth", "2", "--mode", "template"], 2),
     (["qs", "--depth", "2", "--map", "affine:2,0+power:700"], 12),
     (["qs", "--depth", "2", "--map", "power:2000+affine:3,0"], 12),
 ])
@@ -615,7 +648,7 @@ _SUBCOMMANDS = {
     "reconstruct": ({"--depth": _DEPTH}, {}),
     "branches": ({"--depth": _SMALL_DEPTH},
                  {"--m-max": st.integers(-1, 4), "--condition": _CONDITION,
-                  "--mode": st.sampled_from(["auto", "template", "explicit"])}),
+                  "--mode": st.sampled_from(["auto", "explicit"])}),
     "measure-audit": ({"--t": st.sampled_from([-1, 0, 0.3, 0.6, 0.95]),
                        "--k-hi": st.integers(0, 3),
                        "--samples": st.integers(0, 20)},

@@ -11,7 +11,7 @@ from moranset.dimension import (box_count, check_conditions, cover_sum,
 from moranset.errors import ConditionInapplicableError, DomainError
 from moranset.oracle import dim1_binary_s, naive_box_count
 from moranset.reconstruct import first_reconstruct
-from moranset.specs import GapPolicy, MoranSpec, constant, preset
+from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
 from moranset.tree import Node, iter_level
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -78,6 +78,19 @@ def test_condition_a_inapplicable_on_zero_gap():
             cert.omega(condition)
     assert cert.omega("B") == cert.omega2
     assert cert.to_dict()["applicable"] == {"A": False, "B": True, "C": False}
+
+
+def test_zero_gap_below_level_one():
+    # weights 1, 0 leave a zero gap on the 3-child levels 2 and 4 only:
+    # omega1 is undefined although level 1 has a ratio, and the ties of
+    # omega2 (levels 1 and 3) and omega3 (levels 2 and 4) go to the first
+    spec = MoranSpec(SequenceRule("periodic", (2, 3)), constant(Fraction(1, 5)),
+                     constant(Fraction(0)), constant(Fraction(0)),
+                     GapPolicy("weighted", weights=(Fraction(1), Fraction(0))))
+    cert = check_conditions(spec, 4)
+    assert (cert.omega1, cert.omega1_witness) == (None, None)
+    assert (cert.omega2, cert.omega2_witness) == (3, 1)
+    assert (cert.omega3, cert.omega3_witness) == (0, 2)
 
 
 def test_certificates_are_tight():

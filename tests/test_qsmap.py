@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranset.branchtree import build_T, choose_M
+from moranset.branchtree import BranchTree, build_T, choose_M
 from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
                              PrecisionError)
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
@@ -21,7 +21,7 @@ from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             parse_map, prop1_ratio_series,
                             prop1_ratio_series_uniform, sandwich_audit,
                             stats_series)
-from moranset.reconstruct import first_reconstruct
+from moranset.reconstruct import StarState, first_reconstruct
 from moranset.specs import preset
 
 
@@ -124,7 +124,7 @@ def test_image_ordering_preserved():
 
 
 def test_image_requires_explicit_tree():
-    tree = _tree("cantor3", 3, mode="template")
+    tree = _tree("cantor3", 3, mode="auto")
     with pytest.raises(DomainError):
         image_tree(IdentityMap(), tree)
 
@@ -531,7 +531,7 @@ def test_dim1_binary_ratio_series_vs_oracle():
 # -- statistics -------------------------------------------------------------
 
 def test_cantor3_stats_values():
-    stats = stats_series(_tree("cantor3", 6, mode="template"), 5)
+    stats = stats_series(_tree("cantor3", 6, mode="auto"), 5)
     assert all(b == Fraction(1, 3) for b in stats.beta)
     assert all(t == Fraction(2, 3) for t in stats.theta)
     assert all(c == Fraction(1, 3) for c in stats.chi)
@@ -541,7 +541,7 @@ def test_cantor3_stats_values():
 
 def test_wide10_intermediate_chi_bound():
     spec = preset("wide10")
-    tree = _tree("wide10", 3, mode="template")
+    tree = _tree("wide10", 3, mode="auto")
     stats = stats_series(tree, 4)
     star = tree.star
     st1 = star.stats(1)
@@ -553,12 +553,29 @@ def test_wide10_intermediate_chi_bound():
 def test_refinement_length_bound():
     # child length fraction vs the gap bound, exact, wherever positive
     for name in ("cantor3", "wide10", "padded2"):
-        tree = _tree(name, 4, mode="template")
+        tree = _tree(name, 4, mode="auto")
         stats = stats_series(tree)
         M2 = tree.schedule.M ** 2
         for b, t in zip(stats.beta, stats.theta):
             if 1 - (M2 + 1) * b > 0:
                 assert t >= 1 - (M2 + 1) * b
+
+
+def test_stats_series_reads_each_level_once(monkeypatch):
+    # wide10 stages refine in two steps: one trimmed-stats read per stage
+    # (on seeded gaps each read enumerates the stage's parents) and one
+    # branch_stats per level
+    tree = _tree("wide10", 3)
+    reads = {"star": [], "branch": []}
+    star_stats, branch_stats = StarState.stats, BranchTree.branch_stats
+    monkeypatch.setattr(StarState, "stats", lambda self, k: (
+        reads["star"].append(k), star_stats(self, k))[1])
+    monkeypatch.setattr(BranchTree, "branch_stats", lambda self, m: (
+        reads["branch"].append(m), branch_stats(self, m))[1])
+    stats = stats_series(tree)
+    assert tree.schedule.i == [2, 2, 2]
+    assert reads == {"star": [1, 2, 3], "branch": list(range(6))}
+    assert stats.m_top == 5
 
 
 # -- sampling audits --------------------------------------------------------
