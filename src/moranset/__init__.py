@@ -16,8 +16,8 @@ from .dimension import (ConditionCert, DimSeries, box_count, check_conditions,
 from .branchtree import BranchTree, Schedule, build_T, choose_M
 from .measure import MassMeasure, WindowAudit, frostman_audit, mu_window
 from .qsmap import (ImageMeasure, ImageTree, build_mu_d, image_tree,
-                    parse_map, prop1_ratio_series, prop1_ratio_series_uniform,
-                    sandwich_audit, stats_series)
+                    parse_map, prop1_ratio_series, sandwich_audit,
+                    stats_series)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "BranchTree", "Schedule", "build_T", "choose_M",
     "MassMeasure", "WindowAudit", "frostman_audit", "mu_window",
     "ImageMeasure", "ImageTree", "build_mu_d", "image_tree", "parse_map",
-    "prop1_ratio_series", "prop1_ratio_series_uniform", "sandwich_audit",
-    "stats_series",
+    "prop1_ratio_series", "sandwich_audit", "stats_series",
 ]

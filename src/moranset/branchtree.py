@@ -220,7 +220,7 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int | None = None,
 
     Each stage k refines its parents' trimmed level-k children.  Mode
     "explicit" refines every parent, as mapping the branches through a
-    homeomorphism needs.  Mode "auto" builds a template, refining only the
+    non-affine map needs.  Mode "auto" builds a template, refining only the
     first parent of each stage, when the gap policy is node-independent,
     and refines every parent otherwise.
     """

@@ -307,12 +307,14 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
     qsmap.check_samples(samples)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
-    built = branchtree.build_T(spec, schedule, m_max, mode="explicit")
+    built = branchtree.build_T(spec, schedule, m_max,
+                               mode="auto" if fmap.affine else "explicit")
     stats = qsmap.stats_series(built)
     image = qsmap.image_tree(fmap, built, precision_bits)
     mu = qsmap.build_mu_d(image, d_exp)
     ratios = qsmap.prop1_ratio_series(mu)
-    sandwich = qsmap.sandwich_audit(fmap, image.hull(), samples, seed)
+    top = built.levels[0][0]
+    sandwich = qsmap.sandwich_audit(fmap, (top.lo, top.hi), samples, seed)
     summary = _json({
         "map": fmap.describe(),
         "d": d_exp,
@@ -343,14 +345,8 @@ def report(spec, out, depth, map_text, d_exp, condition):
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)
     fmap = qsmap.parse_map(map_text)
-    # the identity on uniform gaps, every stage refining in one step, has a
-    # closed-form ratio series; any other case is evaluated on the image of
-    # every branch, so it needs them all
-    closed_form = (isinstance(fmap, qsmap.IdentityMap)
-                   and spec.gaps.kind == "uniform"
-                   and all(i == 1 for i in schedule.i))
     built = branchtree.build_T(spec, schedule,
-                               mode="auto" if closed_form else "explicit")
+                               mode="auto" if fmap.affine else "explicit")
     star = built.star
     lemma7 = []
     for k in range(1, depth + 1):
@@ -366,11 +362,8 @@ def report(spec, out, depth, map_text, d_exp, condition):
         th >= 1 - (schedule.M ** 2 + 1) * b
         for b, th in zip(stats.beta, stats.theta)
         if 1 - (schedule.M ** 2 + 1) * b > 0)
-    if closed_form:
-        ratios = qsmap.prop1_ratio_series_uniform(star, d_exp, depth)
-    else:
-        image = qsmap.image_tree(fmap, built)
-        ratios = qsmap.prop1_ratio_series(qsmap.build_mu_d(image, d_exp))
+    image = qsmap.image_tree(fmap, built)
+    ratios = qsmap.prop1_ratio_series(qsmap.build_mu_d(image, d_exp))
     bundle = {
         "spec": spec.name,
         "dim_series": {"s": series.s, "tail_min": series.tail_min},

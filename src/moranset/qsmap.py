@@ -29,6 +29,8 @@ because its cost does not grow with the denominator of `d` (tens of µs per
 weight at 160 bits for `d = 1/2` and for a 12-digit denominator alike, where
 an integer root costs 12 ms at q = 1000).  Masses are unreduced `(num, den)`
 integer pairs, so every level sums to exactly 1 whatever the weights.
+Under an affine map the measure also runs on a template hierarchy: one
+refined cell per stage, hung under the heaviest branch above it.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .branchtree import BranchTree
-from .dimension import fit_slope, log_series, power_ratio
+from .dimension import fit_slope, power_ratio
 from .errors import (ConfigError, DegenerateSpecError, DomainError,
                      InvalidSpecError, PrecisionError)
-from .reconstruct import StarState
 from .tree import Interval
 
 _GUARD_BITS = 32
@@ -122,7 +123,9 @@ def _iroot(n: int, q: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 class QsMap:
-    """Strictly increasing homeomorphism of the real line."""
+    """Strictly increasing homeomorphism of the real line.  `affine` maps
+    send translates to translates, so they may map a template hierarchy."""
+    affine = False
 
     def float_eval(self, x: float) -> float:
         raise NotImplementedError
@@ -140,6 +143,8 @@ class QsMap:
 
 @dataclass(frozen=True)
 class IdentityMap(QsMap):
+    affine = True
+
     def bounds(self, num, den, prec):
         return num, num, den
 
@@ -154,6 +159,7 @@ class IdentityMap(QsMap):
 class AffineMap(QsMap):
     a: Fraction
     b: Fraction
+    affine = True
 
     def __post_init__(self):
         if self.a <= 0:
@@ -262,6 +268,7 @@ class CompositionMap(QsMap):
         if not parts:
             raise InvalidSpecError("empty composition")
         self.parts = list(parts)
+        self.affine = all(p.affine for p in self.parts)
 
     def float_eval(self, x):
         for p in self.parts:
@@ -358,18 +365,23 @@ class ImageTree:
 
 def image_tree(fmap: QsMap, tree: BranchTree,
                precision_bits: int = DEFAULT_PRECISION_BITS) -> ImageTree:
-    """Map every branch through fmap.  Each endpoint becomes its exact
-    image or the certified integer enclosure `fmap.bounds` at
-    `precision_bits` (for a power map at most `max(|v|, 1)·2^-precision_bits`
-    wide); the branch spans the lower end of its lower endpoint to the upper
-    end of its upper one, so it contains the true image, and holds the two
-    numerators over one denominator (the enclosures' own when they share
-    it, as they mostly do at one precision, else their lcm).  A power whose
-    enclosure needs an integer root past `MAX_ROOT_BITS` raises
-    `PrecisionError`, naming the exponent."""
+    """Map every branch of `tree.levels` through fmap.  Each endpoint
+    becomes its exact image or the certified integer enclosure
+    `fmap.bounds` at `precision_bits` (for a power map at most
+    `max(|v|, 1)·2^-precision_bits` wide); the branch spans the lower end of
+    its lower endpoint to the upper end of its upper one, so it contains the
+    true image, and holds the two numerators over one denominator (the
+    enclosures' own when they share it, as they mostly do at one precision,
+    else their lcm).  A power whose enclosure needs an integer root past
+    `MAX_ROOT_BITS` raises `PrecisionError`, naming the exponent.  A
+    template tree holds one parent's cell per stage; an affine map sends the
+    other parents, its translates, to translates of the cell's image, so the
+    image of a template is a template of the image.  Other maps need an
+    explicit tree."""
     check_precision_bits(precision_bits)
-    if tree.mode != "explicit":
-        raise DomainError("image trees need an explicitly built branch hierarchy")
+    if tree.mode != "explicit" and not fmap.affine:
+        raise DomainError(f"non-affine map {fmap.describe()} needs an "
+                          "explicitly built branch hierarchy")
     # keyed by the endpoint reduced by one gcd, as `bounds` takes it
     cache: dict[tuple[int, int], tuple[int, int, int]] = {}
     bounds = fmap.bounds
@@ -383,7 +395,7 @@ def image_tree(fmap: QsMap, tree: BranchTree,
         return box
 
     levels = []
-    for m, branches in enumerate(tree.explicit):
+    for m, branches in enumerate(tree.levels):
         out = []
         for i, br in enumerate(branches):
             lo, lo_hi, lo_den = enclose(br.lo_num, br.den)
@@ -415,7 +427,8 @@ class ImageMeasure:
     denominator of `d`).  A child's mass is the unreduced
     integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`, so sibling
     masses always sum exactly to the parent mass; `masses` reduces the pairs
-    to `Fraction`s on first use.
+    to `Fraction`s on first use.  Template masses are the heaviest
+    translate's, so a template level sums to its stage parent's mass.
     """
 
     def __init__(self, image: ImageTree, d: Fraction,
@@ -465,12 +478,18 @@ def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:
     the run splits the parent's mass by the d-th powers of their lengths.
     The lengths are the runs' `hi_num - lo_num` when the run shares one
     denominator, as it mostly does at one precision, and are put over the
-    lcm of the denominators otherwise."""
+    lcm of the denominators otherwise.  A level that is one run hangs under
+    the heaviest branch above it, by exact comparison of the mass pairs: in
+    an explicit image the only one, in a template the milestone level's
+    heaviest, as every other stage parent is a translate with no more mass
+    and a branch's length does not depend on its parent."""
     d = check_length_power(d)
     prec = image.precision_bits
     pairs: list[list[tuple[int, int]]] = [[(1, 1)]]
     for level in image.levels[1:]:
         parents = pairs[-1]
+        if level[-1].parent == 0:
+            parents = [max(parents, key=lambda pair: Fraction(*pair))]
         out: list[tuple[int, int]] = []
         for parent, kids in groupby(level, key=attrgetter("parent")):
             kids = list(kids)
@@ -497,13 +516,19 @@ class RatioSeries:
         return max(self.ratios)
 
 
-def _ratio_series(levels: list[int], ratio, d: float) -> RatioSeries:
-    """The series `ratio(m)` over `levels` with its log-growth rate.  A
-    level whose ratio is past float range raises `PrecisionError`."""
+def prop1_ratio_series(measure: ImageMeasure) -> RatioSeries:
+    """Per-level max of mass / length^d over the image branches of levels
+    1..`image.m_max`, with the log-growth rate; boundedness of this series
+    is the audited claim.  A level whose ratio is past float range raises
+    `PrecisionError`."""
+    image = measure.image
+    d = float(measure.d)
+    levels = list(range(1, image.m_max + 1))
     ratios = []
     for m in levels:
         try:
-            r = ratio(m)
+            r = max(power_ratio(num, den, br.hi_num - br.lo_num, br.den, d)
+                    for br, (num, den) in zip(image.levels[m], measure.pairs[m]))
         except OverflowError:
             r = math.inf
         if not 0 < r < math.inf:
@@ -513,34 +538,6 @@ def _ratio_series(levels: list[int], ratio, d: float) -> RatioSeries:
     return RatioSeries(levels, ratios,
                        fit_slope([float(m) for m in levels],
                                  [math.log(r) for r in ratios]))
-
-
-def prop1_ratio_series(measure: ImageMeasure) -> RatioSeries:
-    """Per-level max of mass / length^d over the image branches of levels
-    1..`image.m_max`, with the log-growth rate; boundedness of this series
-    is the audited claim."""
-    image = measure.image
-    d = float(measure.d)
-
-    def ratio(m: int) -> float:
-        return max(power_ratio(num, den, br.hi_num - br.lo_num, br.den, d)
-                   for br, (num, den) in zip(image.levels[m], measure.pairs[m]))
-    return _ratio_series(list(range(1, image.m_max + 1)), ratio, d)
-
-
-def prop1_ratio_series_uniform(star: StarState, d: float, K: int) -> RatioSeries:
-    """Closed form of the ratio series for the identity map on a construction
-    whose siblings all share one length: every level-k branch then carries
-    mass 1/(interval count), so the max ratio is count^-1 * length^-d.  It
-    is the `mu_d` series of the branch hierarchy only when every stage
-    refines in one step, so that branch levels are construction levels."""
-    check_length_power(d)
-    logs = list(log_series(star, K))
-
-    def ratio(k: int) -> float:
-        log_count, log_len = logs[k - 1]
-        return math.exp(-log_count - d * log_len)
-    return _ratio_series(list(range(1, K + 1)), ratio, d)
 
 
 # ---------------------------------------------------------------------------

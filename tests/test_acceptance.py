@@ -20,8 +20,7 @@ from moranset.measure import MassMeasure, frostman_audit
 from moranset.oracle import (dim1_binary_prop1_log_ratios,
                              exhaustive_mu_sweep, naive_box_count)
 from moranset.qsmap import (IdentityMap, PowerMap, build_mu_d, image_tree,
-                            parse_map, prop1_ratio_series,
-                            prop1_ratio_series_uniform, stats_series)
+                            parse_map, prop1_ratio_series, stats_series)
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import preset
 from moranset.tree import iter_level, level_stats
@@ -223,17 +222,20 @@ def test_criterion_09_ratio_series_controls():
     rs = prop1_ratio_series(build_mu_d(image_tree(IdentityMap(), tree), 0.9))
     factor = 3 ** 0.9 / 2
     factor_err = max(abs(b / a - factor) for a, b in zip(rs.ratios, rs.ratios[1:]))
-    star = first_reconstruct(preset("dim1_binary"), 30)
-    rs_neg = prop1_ratio_series_uniform(star, 0.9, 30)
+    spec = preset("dim1_binary")
+    template = build_T(spec, choose_M(spec, "A", 30), mode="auto")
+    rs_neg = prop1_ratio_series(
+        build_mu_d(image_tree(IdentityMap(), template), 0.9))
     oracle = dim1_binary_prop1_log_ratios(0.9, 30)
     oracle_err = max(abs(math.log(r) - e)
                      for r, e in zip(rs_neg.ratios, oracle))
     ok = (factor_err < 1e-9 and rs.growth_rate > 0
+          and len(rs_neg.ratios) == len(oracle)
           and rs_neg.growth_rate < 0.02 and oracle_err < 1e-9)
     _report(9, ok, f"growth factor error {factor_err:.2e} < 1e-9 (positive "
                    f"control); bounded-series growth rate "
-                   f"{rs_neg.growth_rate:.5f} < 0.02 vs closed form "
-                   f"(error {oracle_err:.2e})")
+                   f"{rs_neg.growth_rate:.5f} < 0.02 on the template vs the "
+                   f"oracle's closed form (error {oracle_err:.2e})")
 
 
 def test_criterion_10_trend_suite():

@@ -108,17 +108,17 @@ GOLDEN = {
     ('branches-auto-m2', 'wide10'): (0, {'branch_stats.csv': '7d674eea2e8a4461', 'schedule.csv': '592841c0aec38f96'}),
     ('qs-power', 'cantor3'): (0, {'qs.json': '91357fa820098fbf', 'ratio.csv': '1e10efcaff17222f', 'stats.csv': '5e84a03c3b3576cf'}),
     ('qs-power', 'dim1_binary'): (0, {'qs.json': 'e1f776e69c7eb6de', 'ratio.csv': 'c81ffe863a8edf2c', 'stats.csv': '816727398d65f5c1'}),
-    ('qs-power', 'padded2'): (0, {'qs.json': '07ed8b4f3634d08d', 'ratio.csv': '5c4d73380198eec6', 'stats.csv': 'a68443ca8946e0c5'}),
+    ('qs-power', 'padded2'): (0, {'qs.json': '37991102948f89f6', 'ratio.csv': '5c4d73380198eec6', 'stats.csv': 'a68443ca8946e0c5'}),
     ('qs-power', 'skew10'): (0, {'qs.json': '5e0baee43ba59c1a', 'ratio.csv': 'c6bc884c5e411a98', 'stats.csv': 'f611421bc6153984'}),
     ('qs-power', 'wide10'): (0, {'qs.json': '3c45dc82cd6575ae', 'ratio.csv': '5e0933718951307f', 'stats.csv': 'e759b712e74d5e10'}),
     ('qs-pl', 'cantor3'): (0, {'qs.json': 'e36f172625e9e076', 'ratio.csv': 'b2d7e7b7f42d18fb', 'stats.csv': '5e84a03c3b3576cf'}),
     ('qs-pl', 'dim1_binary'): (0, {'qs.json': 'e8ee0a84f89f8f0b', 'ratio.csv': 'b046fe71d60403b0', 'stats.csv': '816727398d65f5c1'}),
-    ('qs-pl', 'padded2'): (0, {'qs.json': 'e45e82357869247d', 'ratio.csv': '09d1dedccd6dea50', 'stats.csv': 'a68443ca8946e0c5'}),
+    ('qs-pl', 'padded2'): (0, {'qs.json': 'b70208deda7c8f62', 'ratio.csv': '09d1dedccd6dea50', 'stats.csv': 'a68443ca8946e0c5'}),
     ('qs-pl', 'skew10'): (0, {'qs.json': 'd855b2ba5b4af854', 'ratio.csv': 'fb522a4a9f78b1d7', 'stats.csv': 'f611421bc6153984'}),
     ('qs-pl', 'wide10'): (0, {'qs.json': '8e1bc9ac82813659', 'ratio.csv': '5854af4ad347e5a2', 'stats.csv': 'e759b712e74d5e10'}),
-    ('report-identity', 'cantor3'): (0, {'report.json': '2cf3ab70900aa5eb'}),
-    ('report-identity', 'dim1_binary'): (0, {'report.json': '3ecd0196d87658f1'}),
-    ('report-identity', 'padded2'): (0, {'report.json': '7e80436eefebef6b'}),
+    ('report-identity', 'cantor3'): (0, {'report.json': 'f7c1d5420af0bed0'}),
+    ('report-identity', 'dim1_binary'): (0, {'report.json': '4fc764ae580afa03'}),
+    ('report-identity', 'padded2'): (0, {'report.json': 'b267842e7f0603a5'}),
     ('report-identity', 'skew10'): (0, {'report.json': 'ec1e65d2d2f2ec3c'}),
     ('report-identity', 'wide10'): (0, {'report.json': '8feeaa0fcae0af5f'}),
     ('report-power', 'cantor3'): (0, {'report.json': '34069d1d83a9bc44'}),

@@ -8,21 +8,21 @@ from itertools import accumulate
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moranset.branchtree import BranchTree, build_T, choose_M
+from moranset.branchtree import BranchTree, Schedule, build_T, choose_M
 from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
                              PrecisionError)
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
 from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
                             PiecewiseLinearMap, PowerMap, _floor_root, build_mu_d, image_tree,
-                            parse_map, prop1_ratio_series,
-                            prop1_ratio_series_uniform, sandwich_audit,
+                            parse_map, prop1_ratio_series, sandwich_audit,
                             stats_series)
-from moranset.reconstruct import StarState, first_reconstruct
-from moranset.specs import preset
+from moranset.reconstruct import StarState
+from moranset.specs import GapPolicy, MoranSpec, constant, preset
+from test_tree import level_specs
 
 
 def _tree(name, depth, mode="explicit"):
@@ -124,9 +124,14 @@ def test_image_ordering_preserved():
 
 
 def test_image_requires_explicit_tree():
+    # a template holds one parent's cell per stage: only an affine map sends
+    # the other parents, its translates, to translates of the cell's image
     tree = _tree("cantor3", 3, mode="auto")
-    with pytest.raises(DomainError):
-        image_tree(IdentityMap(), tree)
+    assert tree.mode == "template"
+    with pytest.raises(DomainError, match="non-affine map power"):
+        image_tree(PowerMap(Fraction(2)), tree)
+    img = image_tree(IdentityMap(), tree)
+    assert [len(level) for level in img.levels] == [1, 2, 2, 2]
 
 
 def _pl_value(points, x: Fraction) -> Fraction:
@@ -496,8 +501,6 @@ def test_exponent_rounding_to_0_or_1_rejected(d):
     img = image_tree(IdentityMap(), _tree("cantor3", 2))
     with pytest.raises(DomainError, match=f"d={d} rounds to"):
         build_mu_d(img, d)
-    with pytest.raises(DomainError, match=f"d={d} rounds to"):
-        prop1_ratio_series_uniform(first_reconstruct(preset("cantor3"), 2), d, 2)
 
 
 # -- ratio series -----------------------------------------------------------
@@ -511,18 +514,37 @@ def test_negative_control_growth_factor():
     assert rs.growth_rate > 0
 
 
-def test_uniform_closed_form_matches_explicit():
-    tree = _tree("cantor3", 6)
-    img = image_tree(IdentityMap(), tree)
-    rs = prop1_ratio_series(build_mu_d(img, 0.5))
-    rs_u = prop1_ratio_series_uniform(tree.star, 0.5, 6)
-    assert all(abs(a - b) < 1e-12 for a, b in zip(rs.ratios, rs_u.ratios))
+_PAIRS_APART = MoranSpec(
+    constant(4, "n"), constant(Fraction(1, 6), "c"), constant(0, "L"),
+    constant(0, "R"), GapPolicy("weighted", weights=(1, 2, 3)))
+
+
+@given(level_specs().filter(lambda spec: spec.gaps.node_independent),
+       st.integers(2, 4),
+       st.sampled_from(["identity", "affine:3,-1", "affine:1/7,2+affine:5,0"]),
+       st.sampled_from([Fraction(1, 2), Fraction(3, 10)]))
+@example(_PAIRS_APART, 2, "affine:3,-1", Fraction(3, 10))
+@settings(max_examples=60, deadline=None)
+def test_template_ratio_series_equals_explicit(spec, depth, map_text, d):
+    # M = 2 refines a stage of n_k = 4 in two steps, into two pairs whose
+    # lengths differ on weighted gaps (weights 1, 2, 3 in the example), so
+    # the template's cell hangs under the heaviest of unequal masses and
+    # d = 3/10 takes mpmath weights
+    steps = [spec.n(k).bit_length() - 1 for k in range(1, depth + 1)]
+    schedule = Schedule(2, steps, [0, *accumulate(steps)])
+    trees = [build_T(spec, schedule, mode=mode) for mode in ("auto", "explicit")]
+    assert [tree.mode for tree in trees] == ["template", "explicit"]
+    fmap = parse_map(map_text)
+    template, explicit = (prop1_ratio_series(build_mu_d(image_tree(fmap, tree), d))
+                          for tree in trees)
+    assert template == explicit
 
 
 def test_dim1_binary_ratio_series_vs_oracle():
-    star = first_reconstruct(preset("dim1_binary"), 30)
-    rs = prop1_ratio_series_uniform(star, 0.9, 30)
+    rs = prop1_ratio_series(build_mu_d(
+        image_tree(IdentityMap(), _tree("dim1_binary", 30, mode="auto")), 0.9))
     expected = dim1_binary_prop1_log_ratios(0.9, 30)
+    assert len(rs.ratios) == len(expected)
     assert all(abs(math.log(r) - e) < 1e-9
                for r, e in zip(rs.ratios, expected))
     assert rs.growth_rate < 0.02
