@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConditionInapplicableError, DomainError
+from .errors import ConditionInapplicableError, DomainError, PrecisionError
 from .reconstruct import StarState, first_reconstruct
 from .specs import MoranSpec, format_rational
 from .tree import Interval, level_stats, stats_parents
@@ -190,11 +190,18 @@ def check_conditions(spec: MoranSpec, K: int) -> ConditionCert:
 
 def cover_sum(star: StarState, t: float, K: int) -> list[float]:
     """Per level k = 1..K: (number of trimmed intervals) * (trimmed length)^t,
-    the t-sum of the canonical trimmed cover."""
+    the t-sum of the canonical trimmed cover.  A sum past float range raises
+    `PrecisionError`, naming the level and t."""
     if not 0 < t <= 1:
         raise DomainError(f"cover exponent t={t} outside (0, 1]")
-    return [math.exp(log_count + t * log_len)
-            for log_count, log_len in log_series(star, K)]
+    sums = []
+    for k, (log_count, log_len) in enumerate(log_series(star, K), start=1):
+        try:
+            sums.append(math.exp(log_count + t * log_len))
+        except OverflowError:
+            raise PrecisionError(f"level {k}: the cover sum N_k delta*_k^t at "
+                                 f"t={t} is past float range") from None
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import (ConfigError, DomainError, InconsistentSpecError,
                      InvalidSpecError, RuleEvalError)
@@ -215,24 +215,24 @@ class MoranSpec:
         return v
 
     def delta(self, k: int) -> Fraction:
-        """Exact length of every level-k interval (level 0 = initial interval)."""
-        if k not in self._delta:
-            top = max(i for i in self._delta if i <= k)
-            d = self._delta[top]
-            for j in range(top + 1, k + 1):
-                d *= self.c(j)
-                self._delta[j] = d
-        return self._delta[k]
+        """delta_k = |I| c_1...c_k, the exact length of every level-k interval."""
+        return self._running(self._delta, k, self.c)
 
     def count(self, k: int) -> int:
-        """Exact number of level-k intervals."""
-        if k not in self._count:
-            top = max(i for i in self._count if i <= k)
-            n = self._count[top]
-            for j in range(top + 1, k + 1):
-                n *= self.n(j)
-                self._count[j] = n
-        return self._count[k]
+        """N_k = n_1...n_k, the exact number of level-k intervals."""
+        return self._running(self._count, k, self.n)
+
+    def _running(self, values: dict, k: int, rule: Callable):
+        """values[k] for values[j] = values[j - 1] rule(j), stored upward from
+        the nearest stored level; each value is final, so threads may share."""
+        if k < 0:
+            raise DomainError(f"level {k} is out of range: levels start at 0")
+        top = k
+        while top not in values:
+            top -= 1
+        for j in range(top + 1, k + 1):
+            values[j] = values[j - 1] * rule(j)
+        return values[k]
 
     def slack(self, k: int) -> Fraction:
         """Interior gap budget of every level-(k-1) parent: what remains of the

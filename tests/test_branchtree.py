@@ -2,13 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranset.branchtree import balanced_groups, build_T, choose_M, spread_bound
+from moranset.branchtree import (Schedule, balanced_groups, build_T, choose_M,
+                                 spread_bound)
 from moranset.dimension import check_conditions
 from moranset.errors import ConditionInapplicableError, DomainError
 from moranset.qsmap import image_tree, parse_map, stats_series
@@ -180,10 +181,15 @@ def test_image_children_are_one_run_per_parent(name):
 @given(level_specs(), st.booleans(), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_branches_read_sibling_integers(spec, template, depth):
-    # condition B always applies; A does not where an interior gap is zero
-    sched = choose_M(spec, "B", depth)
+    # condition B always applies; A does not where an interior gap is zero.
+    # choose_M picks M >= 3, above every n_k <= 4 drawn, so each of its
+    # stages is one step; M = 2 refines an n_k = 4 stage in two, splitting
+    # its run into balanced groups
+    steps = [spec.n(k).bit_length() - 1 for k in range(1, depth + 1)]
     mode = "auto" if template else "explicit"
-    assert_branches_on_sibling_dens(build_T(spec, sched, mode=mode))
+    for sched in (choose_M(spec, "B", depth),
+                  Schedule(2, steps, [0, *accumulate(steps)])):
+        assert_branches_on_sibling_dens(build_T(spec, sched, mode=mode))
 
 
 def test_branches_hold_integers_only():

@@ -555,6 +555,8 @@ def test_dimension_series_is_scale_free(runner, tmp_path, args, series_of):
     (["branches", "--preset", "skew10", "--depth", "2", "--mode", "template"], 2),
     (["qs", "--depth", "2", "--map", "affine:2,0+power:700"], 12),
     (["qs", "--depth", "2", "--map", "affine:2,0+power:2000"], 12),
+    (["dim", "--depth", "5000", "--t", "0.5"], 12),
+    (["dim", "--preset", "wide10", "--depth", "600", "--t", "0.3"], 12),
 ])
 def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
     # artifacts are written only after the whole computation, and the
@@ -563,6 +565,14 @@ def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
     res = runner.invoke(main, args + preset + ["--out", str(tmp_path)])
     assert res.exit_code == code, res.output
     assert not any(tmp_path.iterdir())
+
+
+def test_cover_sum_past_float_range_names_level_and_t(runner, tmp_path):
+    # N_k delta*_k^t = 10^k 20^(-0.3 k) passes float range at level 506
+    res = runner.invoke(main, ["dim", "--preset", "wide10", "--depth", "600",
+                               "--t", "0.3", "--out", str(tmp_path / "run")])
+    assert res.exit_code == 12, res.output
+    assert "level 506" in res.output and "t=0.3" in res.output
 
 
 def test_explicit_budget_checked_before_any_stage(runner, tmp_path, monkeypatch):

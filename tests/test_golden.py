@@ -40,10 +40,17 @@ COMMANDS = {
     "audit-exhaustive-k1": ["measure-audit", "--t", "0.3", "--k-hi", "1"],
     "audit-sampled": ["measure-audit", "--t", "0.3", "--k-hi", "3",
                       "--mode", "sampled", "--samples", "100", "--threads", "2"],
+    "conditions-deep": ["conditions", "--depth", "600"],
+    "dim-deep": ["dim", "--depth", "600", "--t", "0.7"],
 }
 
 #: The level-4 endpoint pairs of wide10 and skew10 exceed the window budget.
-NARROW = {"audit-exhaustive": ("cantor3", "dim1_binary", "padded2")}
+#: The deep runs pin N_k and delta_k through level 600 where that is quick:
+#: dim1_binary's denominators grow quadratically, and `conditions` on skew10
+#: draws every parent's gaps.
+DEEP = ("cantor3", "padded2", "wide10")
+NARROW = {"audit-exhaustive": ("cantor3", "dim1_binary", "padded2"),
+          "conditions-deep": DEEP, "dim-deep": DEEP}
 
 CASES = [(name, p) for name in COMMANDS
          for p in NARROW.get(name, preset_names())]
@@ -139,6 +146,12 @@ GOLDEN = {
     ('audit-sampled', 'padded2'): (0, {'audit.json': 'c258e35e1b025d5d'}),
     ('audit-sampled', 'skew10'): (0, {'audit.json': '2534583d48238fb9'}),
     ('audit-sampled', 'wide10'): (0, {'audit.json': '2c06991bec8a73a9'}),
+    ('conditions-deep', 'cantor3'): (0, {'conditions.json': '15508645c15a727f'}),
+    ('conditions-deep', 'padded2'): (0, {'conditions.json': 'd9405f910d8bb67a'}),
+    ('conditions-deep', 'wide10'): (0, {'conditions.json': 'd0064c1acbd6e614'}),
+    ('dim-deep', 'cantor3'): (0, {'cover.csv': 'bc33d775613006bf', 'dim.csv': 'dc9d5acd075648a4'}),
+    ('dim-deep', 'padded2'): (0, {'cover.csv': 'd8d414a733d775a2', 'dim.csv': '679f79c0f80f779a'}),
+    ('dim-deep', 'wide10'): (0, {'cover.csv': 'e5b70617d7a79e54', 'dim.csv': '128ac4c1112d6796'}),
 }
 
 

@@ -1,13 +1,16 @@
 """Parameter containers, gap policies, validation, presets, config loading."""
 
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranset.errors import (ConfigError, InconsistentSpecError,
+from moranset.errors import (ConfigError, DomainError, InconsistentSpecError,
                              InvalidSpecError, RuleEvalError)
 from moranset.specs import (WEIGHT_SPAN, GapPolicy, MoranSpec, SequenceRule,
                             constant, format_rational, parse_rational, preset,
@@ -160,6 +163,71 @@ def test_validate_reports_rule_failure_level():
     rep = validate_spec(s, 5)
     assert not rep.ok
     assert "k=3" in rep.error
+
+
+@given(n=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+       c=st.lists(st.integers(6, 40), min_size=1, max_size=4),
+       lo=st.fractions(-2, 2), width=st.fractions(Fraction(1, 9), 3),
+       ks=st.lists(st.integers(0, 30), min_size=1, max_size=12),
+       order=st.sampled_from(["drawn", "ascending", "descending"]))
+@settings(max_examples=80, deadline=None)
+def test_running_products_in_any_access_order(n, c, lo, width, ks, order):
+    # count and delta are the direct products N_k = n_1...n_k and
+    # delta_k = |I| c_1...c_k whichever levels were stored before
+    spec = MoranSpec(SequenceRule("periodic", tuple(n)),
+                     SequenceRule("periodic", tuple(Fraction(1, q) for q in c)),
+                     constant(Fraction(0)), constant(Fraction(0)),
+                     GapPolicy("uniform"), interval=(lo, lo + width))
+    if order != "drawn":
+        ks = sorted(ks, reverse=order == "descending")
+    for k in ks:
+        levels = range(1, k + 1)
+        assert spec.count(k) == math.prod(n[(j - 1) % len(n)] for j in levels)
+        assert spec.delta(k) == width * math.prod(
+            Fraction(1, c[(j - 1) % len(c)]) for j in levels)
+
+
+def test_running_products_name_the_failing_level():
+    s = MoranSpec(SequenceRule("explicit-prefix", (2, 3, 2), name="n"),
+                  constant(Fraction(1, 9)), constant(Fraction(0)),
+                  constant(Fraction(0)), GapPolicy("uniform"))
+    for _ in range(2):
+        with pytest.raises(RuleEvalError, match="k=4"):
+            s.count(6)
+    assert s.count(3) == 12
+    with pytest.raises(DomainError, match="level -1"):
+        s.delta(-1)
+
+
+def test_running_products_filled_from_threads():
+    # four threads switching every microsecond fill one fresh spec's levels;
+    # a fill that is unsafe under threads raises or stores a wrong product,
+    # so every value each thread read is compared, not only the errors
+    levels = range(201)
+    want = [(2 ** k, Fraction(1, 3 ** k)) for k in levels]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            spec = preset("cantor3")
+            errors, seen = [], []
+
+            def fill():
+                try:
+                    seen.append([(spec.count(k), spec.delta(k)) for k in levels])
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=fill) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert seen == [want] * 4
+            assert [(spec.count(k), spec.delta(k)) for k in levels] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_spec_from_config():
