@@ -8,7 +8,7 @@ parametric increasing maps.
 """
 
 from .specs import (GapPolicy, MoranSpec, SequenceRule, constant, preset,
-                    preset_names, presets, spec_from_config, validate_spec)
+                    preset_names, spec_from_config, validate_spec)
 from .tree import LevelSet, Node, build_level, iter_level, level_stats
 from .reconstruct import StarState, first_reconstruct
 from .dimension import (ConditionCert, DimSeries, box_count, check_conditions,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GapPolicy", "MoranSpec", "SequenceRule", "constant", "preset",
-    "preset_names", "presets", "spec_from_config", "validate_spec",
+    "preset_names", "spec_from_config", "validate_spec",
     "LevelSet", "Node", "build_level", "iter_level", "level_stats",
     "StarState", "first_reconstruct",
     "ConditionCert", "DimSeries", "box_count", "check_conditions",

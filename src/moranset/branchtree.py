@@ -207,11 +207,6 @@ class BranchTree:
         return ((parents[i], list(kids)) for i, kids
                 in groupby(self.levels[m + 1], key=attrgetter("parent")))
 
-    def children_per_branch(self, m: int) -> tuple[int, int]:
-        """(max, min) number of level-(m+1) branches inside a level-m branch."""
-        counts = [len(kids) for _, kids in self.families(m)]
-        return max(counts), min(counts)
-
 
 def build_T(spec: MoranSpec, schedule: Schedule, m_max: int | None = None,
             mode: str = "auto", budget: int = DEFAULT_NODE_BUDGET) -> BranchTree:

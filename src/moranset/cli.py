@@ -286,6 +286,17 @@ def measure_audit(spec, out, condition, t_exp, k_lo, k_hi, mode, samples,
     return {"audit.json": _json(audit.to_dict())}, 0 if audit.passed else 1
 
 
+def _mapped(spec, schedule, fmap, d_exp, m_max=None,
+            precision_bits=qsmap.DEFAULT_PRECISION_BITS):
+    """(hierarchy, refinement statistics, `mu_d` ratio series) of `fmap`, in
+    that order; an affine map maps a template hierarchy where one exists."""
+    built = branchtree.build_T(spec, schedule, m_max,
+                               mode="auto" if fmap.affine else "explicit")
+    stats = qsmap.stats_series(built)
+    image = qsmap.image_tree(fmap, built, precision_bits)
+    return built, stats, qsmap.prop1_ratio_series(qsmap.build_mu_d(image, d_exp))
+
+
 @command("qs",
          click.option("--map", "map_text", type=str, default="identity",
                       show_default=True,
@@ -307,12 +318,8 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
     qsmap.check_samples(samples)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
-    built = branchtree.build_T(spec, schedule, m_max,
-                               mode="auto" if fmap.affine else "explicit")
-    stats = qsmap.stats_series(built)
-    image = qsmap.image_tree(fmap, built, precision_bits)
-    mu = qsmap.build_mu_d(image, d_exp)
-    ratios = qsmap.prop1_ratio_series(mu)
+    built, stats, ratios = _mapped(spec, schedule, fmap, d_exp, m_max,
+                                   precision_bits)
     top = built.levels[0][0]
     sandwich = qsmap.sandwich_audit(fmap, (top.lo, top.hi), samples, seed)
     summary = _json({
@@ -345,9 +352,7 @@ def report(spec, out, depth, map_text, d_exp, condition):
     cert = dimension.check_conditions(spec, depth)
     schedule = branchtree.choose_M(spec, condition, depth, cert=cert)
     fmap = qsmap.parse_map(map_text)
-    built = branchtree.build_T(spec, schedule,
-                               mode="auto" if fmap.affine else "explicit")
-    star = built.star
+    built, stats, ratios = _mapped(spec, schedule, fmap, d_exp)
     lemma7 = []
     for k in range(1, depth + 1):
         st = built.branch_stats(schedule.m[k])
@@ -355,15 +360,12 @@ def report(spec, out, depth, map_text, d_exp, condition):
             "k": k,
             "l_Tmk": format_rational(st.total_len),
             "expected": format_rational(
-                Fraction(spec.count(k)) * star.delta_star(k)),
+                Fraction(spec.count(k)) * built.star.delta_star(k)),
         })
-    stats = qsmap.stats_series(built)
     lemma8_ok = all(
         th >= 1 - (schedule.M ** 2 + 1) * b
         for b, th in zip(stats.beta, stats.theta)
         if 1 - (schedule.M ** 2 + 1) * b > 0)
-    image = qsmap.image_tree(fmap, built)
-    ratios = qsmap.prop1_ratio_series(qsmap.build_mu_d(image, d_exp))
     bundle = {
         "spec": spec.name,
         "dim_series": {"s": series.s, "tail_min": series.tail_min},

@@ -190,17 +190,20 @@ def check_conditions(spec: MoranSpec, K: int) -> ConditionCert:
 
 def cover_sum(star: StarState, t: float, K: int) -> list[float]:
     """Per level k = 1..K: (number of trimmed intervals) * (trimmed length)^t,
-    the t-sum of the canonical trimmed cover.  A sum past float range raises
-    `PrecisionError`, naming the level and t."""
+    the t-sum of the canonical trimmed cover.  A sum outside the positive
+    floats raises `PrecisionError`, naming the level and t."""
     if not 0 < t <= 1:
         raise DomainError(f"cover exponent t={t} outside (0, 1]")
     sums = []
     for k, (log_count, log_len) in enumerate(log_series(star, K), start=1):
         try:
-            sums.append(math.exp(log_count + t * log_len))
+            total = math.exp(log_count + t * log_len)
         except OverflowError:
+            total = math.inf
+        if not 0 < total < math.inf:
             raise PrecisionError(f"level {k}: the cover sum N_k delta*_k^t at "
-                                 f"t={t} is past float range") from None
+                                 f"t={t} is outside float range")
+        sums.append(total)
     return sums
 
 

@@ -172,12 +172,9 @@ def frostman_audit(measure: MassMeasure, condition: str, t: float,
             wit = Fraction(wit[0], den), Fraction(wit[1], den), k
         return best, wit, cnt
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(audit_level, levels))
-    else:
-        results = [audit_level(k) for k in levels]
+    from concurrent.futures import ThreadPoolExecutor   # only audits load it
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(audit_level, levels))
     # deterministic reduction in level order; max keeps the first
     # (leftmost, lowest-level) witness among ties
     worst, witness, _ = max(results, key=lambda result: result[0])

@@ -39,7 +39,6 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -425,10 +424,10 @@ class ImageMeasure:
     roots when the length ratios have exact d-th powers, mpmath mantissas at
     `prec + 32` bits otherwise (their cost does not grow with the
     denominator of `d`).  A child's mass is the unreduced
-    integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`, so sibling
-    masses always sum exactly to the parent mass; `masses` reduces the pairs
-    to `Fraction`s on first use.  Template masses are the heaviest
-    translate's, so a template level sums to its stage parent's mass.
+    integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`, kept
+    unreduced in `pairs`, so sibling masses always sum exactly to the parent
+    mass.  Template masses are the heaviest translate's, so a template level
+    sums to its stage parent's mass.
     """
 
     def __init__(self, image: ImageTree, d: Fraction,
@@ -436,11 +435,6 @@ class ImageMeasure:
         self.image = image
         self.d = d
         self.pairs = pairs
-
-    @cached_property
-    def masses(self) -> list[list[Fraction]]:
-        return [[Fraction(num, den) for num, den in level]
-                for level in self.pairs]
 
 
 def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
@@ -585,8 +579,8 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
     One pass over levels 0..m_top: at level m, beta, theta, kappa and chi
     (at m+1) come from `tree.families(m)`, each parent's children being one
     contiguous run of level m+1, and the level ratios at m+1 from
-    `branch_stats` of levels m and m+1 and the trimmed stats of the stage
-    level m+1 lies in, read once per stage."""
+    `branch_stats` of levels m and m+1 and the trimmed gaps between siblings
+    of the stage level m+1 lies in, read once per stage off `tree.stages`."""
     m_top = tree.m_max - 1 if m_top is None else m_top
     if m_top < 1:
         raise DomainError(f"m_max = {m_top + 1} is out of range: refinement "
@@ -602,7 +596,9 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
             nodes = tree.stages[k]
             stage = k
             star_gaps = [nxt.lo - prev.hi for prev, nxt in zip(nodes, nodes[1:])]
-            trimmed = tree.star.stats(k)
+            n_k = tree.spec.n(k)    # gap i - 1 joins two parents where n_k | i
+            siblings = [g for i, g in enumerate(star_gaps, 1) if i % n_k]
+            gap_max, gap_min = max(siblings), min(siblings)
         b, t, kp, c = [], [], [], []
         for br, kids in families:
             gaps = [kids[0].lo - br.lo, br.hi - kids[-1].hi]
@@ -622,8 +618,8 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
         stats.append(cur)
         lam_s.append(cur.max_len / prev.min_len)
         lam_u.append(cur.min_len / prev.max_len)
-        gam_s.append(trimmed.max_gap / prev.min_len)
-        gam_u.append(trimmed.min_gap / prev.max_len)
+        gam_s.append(gap_max / prev.min_len)
+        gam_u.append(gap_min / prev.max_len)
     return QsStats(m_top, beta, theta, kappa, chi,
                    lam_s, lam_u, gam_s, gam_u,
                    [s.total_len for s in stats])
@@ -648,13 +644,16 @@ def sandwich_audit(fmap: QsMap,
     I' inside I: the largest p and smallest q with
     lam * r^q <= |f(I')| / |f(I)| <= 4 * r^p, r = |I'|/|I|, lam = 1.
     The pairs and their images are floats: a domain or a sampled image
-    past float range raises `PrecisionError`, naming the map."""
+    past float range raises `PrecisionError`, naming the map.  An affine
+    map's ratio is r itself, so its exponents are p = q = 1 exactly."""
     check_samples(samples)
     try:
         lo, hi = float(domain[0]), float(domain[1])
     except OverflowError:
         raise PrecisionError(f"map {fmap.describe()}: the sandwich audit's "
                              "domain lies past float range") from None
+    if fmap.affine:
+        return SandwichFit(1.0, 1.0, 1.0, samples)
     rng = random.Random(f"{seed}|pairs")
     p_fit = math.inf
     q_fit = 0.0

@@ -81,12 +81,6 @@ class StarState:
         den *= y.denominator
         return rank(self.spec, k, y.numerator * ld - ln * den, find, den * ld)
 
-    def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
-        """Trimmed interior gaps of parent sigma at level k: each base gap
-        plus the children's trimmed-off boundary gaps L_{k+1} + R_{k+1}."""
-        shift = sum(self.trim(k)[:2])
-        return tuple(g + shift for g in self.spec.interior_gaps(sigma, k))
-
 
 def first_reconstruct(spec: MoranSpec, K: int) -> StarState:
     """Trim levels 0..K.  Level-K trimmed gaps reference the L/R rules at

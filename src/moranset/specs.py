@@ -154,8 +154,8 @@ class GapPolicy:
                       slack: Fraction) -> tuple[Fraction, ...]:
         """The `count` interior gaps of parent `sigma` at level k: the slack
         split exactly in proportion to `gap_weights`.  This is the `Fraction`
-        reference read by the oracle, `StarState.interior_gaps` and the
-        tests; `MoranSpec.child_offsets` reads the weights instead."""
+        reference read by the oracle and the tests; `MoranSpec.child_offsets`
+        reads the weights instead."""
         if count < 1:
             raise InvalidSpecError(f"level {k} has {count + 1} children; need >= 2")
         if slack < 0:
@@ -337,38 +337,29 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
     levels = []
     for k in range(1, K + 1):
         lc = LevelCheck(k)
+        levels.append(lc)
+
+        def check(read, *args):
+            """read(*args), or None with its rejection recorded as a problem."""
+            try:
+                return read(*args)
+            except (InvalidSpecError, InconsistentSpecError) as exc:
+                lc.problems.append(str(exc))
+
         try:
-            try:
-                lc.n = spec.n(k)
-            except InvalidSpecError as exc:
-                lc.problems.append(str(exc))
-            try:
-                lc.c = spec.c(k)
-            except InvalidSpecError as exc:
-                lc.problems.append(str(exc))
+            lc.n, lc.c = check(spec.n, k), check(spec.c, k)
             if lc.n is not None and lc.c is not None and lc.n * lc.c >= 1:
                 lc.problems.append(f"n_{k} * c_{k} = {lc.n * lc.c} >= 1")
-            for label, rule in (("L", spec.L), ("R", spec.R)):
-                try:
-                    rule(k)
-                except InvalidSpecError as exc:
-                    lc.problems.append(str(exc))
+            check(spec.L, k)
+            check(spec.R, k)
             if lc.ok:
-                try:
-                    lc.slack = spec.slack(k)
-                except (InconsistentSpecError, InvalidSpecError) as exc:
-                    # slack(k) needs delta(k-1), which fails if an earlier
-                    # level's c was rejected
-                    lc.problems.append(str(exc))
+                # slack(k) needs delta(k-1), which fails if an earlier
+                # level's c was rejected
+                lc.slack = check(spec.slack, k)
             if lc.ok and spec.gaps.node_independent:
-                try:
-                    spec.gaps.gap_weights((), k, lc.n - 1)
-                except InvalidSpecError as exc:
-                    lc.problems.append(str(exc))
+                check(spec.gaps.gap_weights, (), k, lc.n - 1)
         except RuleEvalError as exc:
-            levels.append(lc)
             return ValidationReport(spec.name, K, levels, error=str(exc))
-        levels.append(lc)
     return ValidationReport(spec.name, K, levels)
 
 
@@ -425,11 +416,6 @@ _PRESETS: dict[str, Callable[..., MoranSpec]] = {
 
 def preset_names() -> list[str]:
     return sorted(_PRESETS)
-
-
-def presets() -> dict[str, MoranSpec]:
-    """All built-in constructions, freshly instantiated."""
-    return {name: fn() for name, fn in _PRESETS.items()}
 
 
 def preset(name: str, **kwargs) -> MoranSpec:

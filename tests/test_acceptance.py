@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from click.testing import CliRunner
@@ -24,6 +25,7 @@ from moranset.qsmap import (IdentityMap, PowerMap, build_mu_d, image_tree,
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import preset
 from moranset.tree import iter_level, level_stats
+from test_qsmap import mu_masses
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -68,18 +70,26 @@ def test_criterion_03_trim_length_identity():
                    "4 uniform-gap constructions, k <= 20")
 
 
+def _first_parent_gaps(spec, star, k):
+    """The first level-(k-1) parent's address and the gaps between its
+    trimmed children, read off the trimmed level `StarState.iter_level`."""
+    kids = list(islice(star.iter_level(k), spec.n(k)))
+    sigma = kids[0].address[:-1]
+    assert all(kid.address[:-1] == sigma for kid in kids)
+    return sigma, tuple(nxt.lo - prev.hi for prev, nxt in zip(kids, kids[1:]))
+
+
 def _identity_suite_node_independent(spec, K):
     """Exact gap/statistic identities between base and trimmed levels."""
     star = first_reconstruct(spec, K)
-    rep = lambda k: (1,) * k
     for k in range(1, K + 1):
         shift = spec.L(k + 1) + spec.R(k + 1)
         base = level_stats(spec, k)
         st = star.stats(k)
-        # per-node gap shift and boundary values
-        gaps = spec.interior_gaps(rep(k - 1), k)
-        sgaps = star.interior_gaps(rep(k - 1), k)
-        assert sgaps == tuple(g + shift for g in gaps)
+        # per-node gap shift: every parent's trimmed gaps are the first's
+        sigma, sgaps = _first_parent_gaps(spec, star, k)
+        assert sgaps == tuple(g + shift for g in spec.interior_gaps(sigma, k))
+        assert (max(sgaps), min(sgaps)) == (st.max_gap, st.min_gap)
         assert st.L == spec.L(k + 1) and st.R == spec.R(k + 1)
         # aggregate identities
         assert st.max_gap == base.max_gap + shift
@@ -91,14 +101,19 @@ def _identity_suite_node_independent(spec, K):
 
 
 def _identity_suite_seeded(spec, K, exact_k, samples, seed):
-    """Exact aggregates at shallow levels, per-address identities sampled
-    beyond the enumeration budget.  The identities are per-address with a
-    level-constant shift, so sampling addresses loses no generality."""
+    """Exact aggregates and the first parent's trimmed gaps at shallow
+    levels; beyond the enumeration budget, sampled parents' trimmed gaps
+    from their child offsets and the level's trim.  The identities are
+    per-address with a level-constant shift, so sampling addresses loses no
+    generality."""
     star = first_reconstruct(spec, K)
     for k in range(1, exact_k + 1):
         shift = spec.L(k + 1) + spec.R(k + 1)
         base = level_stats(spec, k)
         st = star.stats(k)
+        sigma, sgaps = _first_parent_gaps(spec, star, k)
+        assert sgaps == tuple(g + shift for g in spec.interior_gaps(sigma, k))
+        assert st.min_gap <= min(sgaps) and max(sgaps) <= st.max_gap
         assert st.max_gap == base.max_gap + shift
         assert st.min_gap == base.min_gap + shift
         assert st.slack == base.slack + (spec.n(k) - 1) * shift
@@ -106,11 +121,14 @@ def _identity_suite_seeded(spec, K, exact_k, samples, seed):
     rng = random.Random(f"{seed}|identity-suite")
     for k in range(exact_k + 1, K + 1):
         shift = spec.L(k + 1) + spec.R(k + 1)
+        length = star.trim(k)[2]
         for _ in range(samples):
             sigma = tuple(rng.randint(1, spec.n(j)) for j in range(1, k))
-            gaps = spec.interior_gaps(sigma, k)
-            sgaps = star.interior_gaps(sigma, k)
-            assert sgaps == tuple(g + shift for g in gaps)
+            # trimmed child i starts at offset i + L_{k+1} and is `length` long
+            den, offsets = spec.child_offsets(sigma, k)
+            sgaps = tuple(Fraction(b - a, den) - length
+                          for a, b in zip(offsets, offsets[1:]))
+            assert sgaps == tuple(g + shift for g in spec.interior_gaps(sigma, k))
             assert shift <= min(sgaps)
 
 
@@ -141,7 +159,7 @@ def test_criterion_05_refinement_suite():
         ok &= bs.psi_max - bs.psi_min <= 1
         ok &= bs.max_len <= 2 * cert.omega1 * bs.min_len
     for m in range(sched.m[6]):
-        hi, _lo = tree.children_per_branch(m)
+        hi = max(len(kids) for _, kids in tree.families(m))
         limit = sched.M ** 2 if (m + 1) in sched.m else sched.M
         ok &= hi <= limit
     lower = 1 - Fraction(2) * cert.omega1 / sched.M
@@ -202,14 +220,14 @@ def test_criterion_08_measure_mass():
     for text in ("identity", "affine:3,-1", "power:2"):
         img = image_tree(parse_map(text), tree, precision_bits=128)
         mu = build_mu_d(img, 0.7)
-        for masses in mu.masses:
+        for masses in mu_masses(mu):
             total = sum(masses)
             ok &= total == 1 if text != "power:2" else \
                 abs(total - 1) < Fraction(1, 10 ** 20)
     img = image_tree(IdentityMap(), tree)
     for d in (0.3, 0.5, 0.9):
         mu = build_mu_d(img, d)
-        for k, masses in enumerate(mu.masses):
+        for k, masses in enumerate(mu_masses(mu)):
             ok &= all(m == Fraction(1, 2 ** k) for m in masses)
     _report(8, ok, "mass conservation at every level (exact; power map "
                    "within 1e-20 at 128 bits); uniform branch mass 2^-k "

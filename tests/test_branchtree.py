@@ -72,6 +72,12 @@ def test_wide10_intermediate_split():
     assert st1.min_len == 3 * d1 + 2 * a1
 
 
+def _child_counts(tree, m):
+    """(max, min) number of level-(m+1) branches inside a level-m branch."""
+    counts = [len(kids) for _, kids in tree.families(m)]
+    return max(counts), min(counts)
+
+
 def test_wide10_T2_is_trimmed_level_1():
     spec = preset("wide10")
     sched = choose_M(spec, "A", 3)
@@ -80,10 +86,10 @@ def test_wide10_T2_is_trimmed_level_1():
     assert st2.count == 10
     assert st2.total_len == 10 * Fraction(1, 20)
     assert st2.max_len == st2.min_len == Fraction(1, 20)
-    lo, hi = tree.children_per_branch(1)
-    assert lo <= 4 <= 9  # final step lands within M^2
-    assert max(tree.children_per_branch(0)) <= sched.M
-    assert max(tree.children_per_branch(1)) <= sched.M ** 2
+    most, _ = _child_counts(tree, 1)
+    assert most <= 4 <= 9  # final step lands within M^2
+    assert _child_counts(tree, 0)[0] <= sched.M
+    assert _child_counts(tree, 1)[0] <= sched.M ** 2
 
 
 def test_cantor3_levels_equal_trimmed_levels():
@@ -222,7 +228,7 @@ def test_modes_agree(spec):
         assert expl.branch_stats(m) == tmpl.branch_stats(m)
     assert stats_series(expl) == stats_series(tmpl)
     for m in range(top):
-        assert expl.children_per_branch(m) == tmpl.children_per_branch(m)
+        assert _child_counts(expl, m) == _child_counts(tmpl, m)
     assert stats_series(expl, m_top=top) == stats_series(tmpl, m_top=top)
 
 

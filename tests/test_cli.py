@@ -557,6 +557,7 @@ def test_dimension_series_is_scale_free(runner, tmp_path, args, series_of):
     (["qs", "--depth", "2", "--map", "affine:2,0+power:2000"], 12),
     (["dim", "--depth", "5000", "--t", "0.5"], 12),
     (["dim", "--preset", "wide10", "--depth", "600", "--t", "0.3"], 12),
+    (["dim", "--depth", "10000", "--t", "0.7"], 12),
 ])
 def test_failed_run_writes_no_manifest(runner, tmp_path, args, code):
     # artifacts are written only after the whole computation, and the

@@ -4,14 +4,16 @@ Each run writes its artifacts into a fresh directory; every file except
 `manifest.json` (which records the interpreter version) is hashed and the
 digests are compared with values recorded from a known-good build.  The
 exit code is pinned too, so a run that starts failing cannot pass by writing
-nothing.  A refactor that is meant to change no output must leave every
-digest here unchanged.
+nothing.  `validate` writes no file, so its stdout is hashed instead.  A
+refactor that is meant to change no output must leave every digest here
+unchanged.
 
 To re-record after an intended output change, run this file as a script
-(`PYTHONPATH=src python tests/test_golden.py`) and paste the printed table.
+(`PYTHONPATH=src python tests/test_golden.py`) and paste the printed tables.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ COMMANDS = {
     "branches-auto-m2": ["branches", "--depth", "3", "--m-max", "2"],
     "qs-power": ["qs", "--depth", "3", "--map", "power:1/2", "--samples", "200"],
     "qs-pl": ["qs", "--depth", "3", "--map", PL_MAP, "--samples", "200"],
+    "qs-affine": ["qs", "--depth", "3", "--map", "affine:3,-1", "--samples", "200"],
     "report-identity": ["report", "--depth", "3"],
     "report-power": ["report", "--depth", "3", "--qs", "power:2"],
     "audit-exhaustive": ["measure-audit", "--t", "0.3", "--k-hi", "3"],
@@ -70,6 +73,54 @@ def run_digests(name: str, preset: str, out: Path) -> tuple[int, dict[str, str]]
 @pytest.mark.parametrize("name,preset", CASES)
 def test_artifact_digests(name, preset, tmp_path):
     assert run_digests(name, preset, tmp_path) == GOLDEN[name, preset]
+
+
+def _rule(kind, *values):
+    return {"kind": kind, "values": list(values)}
+
+
+def _config(n=_rule("constant", 2), c=_rule("constant", "1/3"),
+            L=_rule("constant", "0"), R=_rule("constant", "0"),
+            gaps={"kind": "uniform"}):
+    return {"n": n, "c": c, "L": L, "R": R, "gaps": gaps}
+
+
+#: `validate` writes no file, so its stdout and exit code are pinned: each
+#: preset at the default depth, and configs that fail each level check.
+VALIDATE_CONFIGS = {
+    "n-one": _config(n=_rule("constant", 1)),
+    "nc-ge-1": _config(n=_rule("constant", 3), c=_rule("constant", "1/2")),
+    "L-negative": _config(L=_rule("periodic", "0", "-1/100")),
+    "LR-past-slack": _config(L=_rule("constant", "1/5"), R=_rule("constant", "1/5")),
+    # n_k = 2 gives one interior gap, weighted 0
+    "weights-zero": _config(n=_rule("periodic", 3, 2), c=_rule("constant", "1/4"),
+                            gaps={"kind": "weighted", "weights": ["0", "1"]}),
+    # c_2 = 0 is rejected, so the slack of level 3, which reads delta_2, fails
+    "c-rejected": _config(c=_rule("periodic", "1/3", "0")),
+    # the prefix ends at level 3, so level 4 aborts with `error`
+    "prefix-short": _config(n=_rule("explicit-prefix", 2, 3, 2)),
+}
+VALIDATE_CASES = [*preset_names(), *VALIDATE_CONFIGS]
+
+
+def validate_digest(case: str, tmp_path: Path) -> tuple[int, str]:
+    """Exit code and stdout sha256 prefix of `validate` on a preset (at the
+    default depth) or a `VALIDATE_CONFIGS` entry (at depth 4)."""
+    if case in VALIDATE_CONFIGS:
+        cfg = tmp_path / f"{case}.json"
+        cfg.write_text(json.dumps(VALIDATE_CONFIGS[case]))
+        args = ["--config", str(cfg), "--depth", "4"]
+    else:
+        args = ["--preset", case]
+    res = CliRunner().invoke(main, ["validate", *args])
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        res.exception
+    return res.exit_code, hashlib.sha256(res.stdout.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_validate_output(case, tmp_path):
+    assert validate_digest(case, tmp_path) == VALIDATE[case]
 
 
 GOLDEN = {
@@ -123,6 +174,11 @@ GOLDEN = {
     ('qs-pl', 'padded2'): (0, {'qs.json': 'b70208deda7c8f62', 'ratio.csv': '09d1dedccd6dea50', 'stats.csv': 'a68443ca8946e0c5'}),
     ('qs-pl', 'skew10'): (0, {'qs.json': 'd855b2ba5b4af854', 'ratio.csv': 'fb522a4a9f78b1d7', 'stats.csv': 'f611421bc6153984'}),
     ('qs-pl', 'wide10'): (0, {'qs.json': '8e1bc9ac82813659', 'ratio.csv': '5854af4ad347e5a2', 'stats.csv': 'e759b712e74d5e10'}),
+    ('qs-affine', 'cantor3'): (0, {'qs.json': '9c1afb9c910a964c', 'ratio.csv': 'c0dced099db342ec', 'stats.csv': '5e84a03c3b3576cf'}),
+    ('qs-affine', 'dim1_binary'): (0, {'qs.json': '6a8eea07536a7264', 'ratio.csv': 'c1ea0ee5d47d4297', 'stats.csv': '816727398d65f5c1'}),
+    ('qs-affine', 'padded2'): (0, {'qs.json': '84c749866e241201', 'ratio.csv': 'd25bb2464868cb72', 'stats.csv': 'a68443ca8946e0c5'}),
+    ('qs-affine', 'skew10'): (0, {'qs.json': '9afcf324956ce0c2', 'ratio.csv': 'ea8327bcad49897d', 'stats.csv': 'f611421bc6153984'}),
+    ('qs-affine', 'wide10'): (0, {'qs.json': 'ead99c3a87335236', 'ratio.csv': 'fa03e8edc1a84543', 'stats.csv': 'e759b712e74d5e10'}),
     ('report-identity', 'cantor3'): (0, {'report.json': 'f7c1d5420af0bed0'}),
     ('report-identity', 'dim1_binary'): (0, {'report.json': '4fc764ae580afa03'}),
     ('report-identity', 'padded2'): (0, {'report.json': 'b267842e7f0603a5'}),
@@ -155,6 +211,22 @@ GOLDEN = {
 }
 
 
+VALIDATE = {
+    'cantor3': (0, '5242e383bb00910e'),
+    'dim1_binary': (0, '10328943c1255695'),
+    'padded2': (0, '0870b256e8913a39'),
+    'skew10': (0, '4772ada9652d6a48'),
+    'wide10': (0, 'f6eaa0fe8c042ddd'),
+    'n-one': (5, '43beea597243664b'),
+    'nc-ge-1': (5, '35189d3b1ea33d69'),
+    'L-negative': (5, 'eaa6074f9d670530'),
+    'LR-past-slack': (5, 'bb3489f59c26d48c'),
+    'weights-zero': (5, '9771d450fa8f3687'),
+    'c-rejected': (5, 'f29418ef2920bf21'),
+    'prefix-short': (5, 'd836ba7e2f9b1441'),
+}
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -162,4 +234,8 @@ if __name__ == "__main__":
         for i, (name, preset) in enumerate(CASES):
             out = Path(tmp) / str(i)
             print(f"    ({name!r}, {preset!r}): {run_digests(name, preset, out)!r},")
+        print("}")
+        print("VALIDATE = {")
+        for case in VALIDATE_CASES:
+            print(f"    {case!r}: {validate_digest(case, Path(tmp))!r},")
         print("}")

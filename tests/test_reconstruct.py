@@ -88,8 +88,11 @@ def test_trimmed_gaps_per_node():
     spec = preset("skew10")
     star = first_reconstruct(spec, 3)
     shift = spec.L(3) + spec.R(3)
-    assert star.interior_gaps((1,), 2) == tuple(
-        g + shift for g in spec.interior_gaps((1,), 2))
+    level = list(star.iter_level(2))
+    for sigma in ((1,), (3,)):
+        kids = [node for node in level if node.address[:-1] == sigma]
+        gaps = tuple(nxt.lo - prev.hi for prev, nxt in zip(kids, kids[1:]))
+        assert gaps == tuple(g + shift for g in spec.interior_gaps(sigma, 2))
 
 
 def test_degenerate_trim_rejected():
