@@ -227,33 +227,48 @@ def box_count(intervals: Iterable[Interval],
     integer numerators and denominator are read as they are.  Cells are
     walked per interval with a running high-water index per width, so each
     cell is counted once; no point sampling, all index arithmetic is exact.
+    An interval walks the widths finest first and stops at the first one
+    where it ends in or before the last counted cell, if every coarser
+    width is a multiple of that one: it then ends at or before that cell's
+    right edge, an edge of every coarser grid, whose cell to the left was
+    counted with it, so it meets no new coarser cell either.  The counts
+    come in the caller's order of widths.
     """
     eps_list = [Fraction(e) for e in epsilons]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise DomainError("cell widths must be positive")
+    order = sorted(range(len(eps_list)), key=eps_list.__getitem__)
+    widths = [eps_list[i] for i in order]
     # x / eps = x * p / q with p, q > 0, so over a common denominator d a
     # cell index is an integer floor division by d * q, whose divisors are
     # remade only when d changes (once per run of a level's nodes)
-    grid = [(e.denominator, e.numerator) for e in eps_list]
-    counts = [0] * len(eps_list)
-    last = [None] * len(eps_list)
+    grid = [(e.denominator, e.numerator,
+             all((w / e).denominator == 1 for w in widths[i + 1:]))
+            for i, e in enumerate(widths)]
+    counts = [0] * len(widths)
+    last = [None] * len(widths)
     den, cells = None, []
     for item in intervals:
         lo_num, hi_num, d = item.lo_num, item.hi_num, item.den
         if d != den:
-            den, cells = d, [(p, d * q) for p, q in grid]
-        for i, (p, dq) in enumerate(cells):
+            den, cells = d, [(p, d * q, stop) for p, q, stop in grid]
+        for i, (p, dq, stop) in enumerate(cells):
             # cells j with j*eps < hi and (j+1)*eps > lo:
             # floor(lo/eps) <= j <= ceil(hi/eps) - 1
             j_lo = (lo_num * p) // dq
             j_hi = -((-hi_num * p) // dq) - 1
             if last[i] is not None:
+                if j_hi <= last[i]:
+                    if stop:
+                        break
+                    continue
                 j_lo = max(j_lo, last[i] + 1)
             if j_hi >= j_lo:
                 counts[i] += j_hi - j_lo + 1
                 last[i] = j_hi
     if den is None:
         raise DomainError("empty interval list")
+    counts = [c for _, c in sorted(zip(order, counts))]
     xs = [-log_fraction(e) for e in eps_list]
     ys = [math.log(c) for c in counts]
     return BoxCountResult(eps_list, counts, fit_slope(xs, ys))

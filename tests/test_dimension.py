@@ -5,14 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranset.dimension import (box_count, check_conditions, cover_sum,
                                 dim_formula_seq, log_fraction, power_ratio)
 from moranset.errors import ConditionInapplicableError, DomainError
 from moranset.oracle import dim1_binary_s, naive_box_count
-from moranset.reconstruct import first_reconstruct
+from moranset.reconstruct import StarState, first_reconstruct
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
-from moranset.tree import Node, iter_level
+from moranset.tree import Node, build_level, iter_level
+from test_tree import level_specs
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -169,6 +172,44 @@ def test_box_count_matches_oracle_random_instances():
         got = box_count(nodes, [eps, eps / 2])
         want = naive_box_count(intervals, eps).value
         assert got.counts[0] == want
+
+
+def test_box_count_stops_only_below_multiples():
+    # 1/16 is a multiple of 1/32 but 2/7 is not: the second interval meets
+    # no new 1/32 cell and no new 1/16 cell, yet a new 2/7 cell
+    nums = [(0, 1129), (1133, 1246), (2400, 2800)]
+    pairs = [(Fraction(lo, 4000), Fraction(hi, 4000)) for lo, hi in nums]
+    nodes = [Node((), lo, hi, 4000) for lo, hi in nums]
+    eps = [Fraction(1, 32), Fraction(1, 16), Fraction(2, 7)]
+    assert [naive_box_count(pairs, e).value for e in eps] == [14, 8, 3]
+    assert box_count(nodes, eps).counts == [14, 8, 3]
+    assert box_count(nodes, eps[::-1]).counts == [3, 8, 14]
+
+
+@st.composite
+def cell_widths(draw):
+    """Distinct widths in shuffled order: the chain 1/b .. 1/b^5, each a
+    multiple of the next finer one, and widths that are multiples of none
+    of them, such as 2/7."""
+    b = draw(st.integers(2, 3))
+    chain = [Fraction(1, b ** j) for j in range(1, 6)]
+    odd = draw(st.lists(st.sampled_from(
+        [Fraction(2, 7), Fraction(1, 6), Fraction(3, 10), Fraction(5, 11)]),
+        min_size=1, max_size=2, unique=True))
+    return draw(st.permutations(chain + odd))
+
+
+@given(level_specs(), st.integers(0, 3), cell_widths())
+@settings(max_examples=100, deadline=None)
+def test_box_count_matches_oracle_on_drawn_levels(spec, k, eps):
+    # plain and trimmed levels with negative origins, touching neighbours
+    # and seeded gaps, against widths that do and do not divide each other
+    if not spec.gaps.node_independent:
+        k = min(k, 2)
+    for nodes in (build_level(spec, k).nodes, StarState(spec, k).level(k).nodes):
+        pairs = [(nd.lo, nd.hi) for nd in nodes]
+        assert box_count(nodes, eps).counts == [
+            naive_box_count(pairs, e).value for e in eps]
 
 
 @pytest.mark.parametrize("num,den,wnum,wden,t", [
