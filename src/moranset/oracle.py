@@ -123,6 +123,127 @@ def exhaustive_mu_sweep(spec: MoranSpec, k: int, t: float) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
+# Branch hierarchy and its refinement statistics
+# ---------------------------------------------------------------------------
+
+def oracle_hierarchy(spec: MoranSpec, M: int, steps: Sequence[int],
+                     m_max: int) -> list[list[tuple[Fraction, Fraction, int, int, int]]]:
+    """Branch levels 0..m_max as `(lo, hi, a, b, parent)`, rebuilt from the
+    trimmed `oracle_level` lists: stage k takes `steps[k-1]` levels, each
+    splitting every run of trimmed level-k indices [a, b) into M groups,
+    group j holding the indices congruent to j mod M in count (so larger
+    groups first), except the stage's last step, which splits every run
+    into single intervals.  The stage's first runs are the n_k children of
+    each trimmed level-(k-1) interval."""
+    (lo, hi), = oracle_level(spec, 0, trimmed=True)
+    levels = [[(lo, hi, 0, 1, 0)]]
+    k = 0
+    while len(levels) <= m_max:
+        k += 1
+        nodes = oracle_level(spec, k, trimmed=True)
+        n = spec.n(k)
+        runs = [(a, a + n) for a in range(0, len(nodes), n)]
+        for t in range(1, steps[k - 1] + 1):
+            if len(levels) > m_max:
+                break
+            level = []
+            for parent, (a, b) in enumerate(runs):
+                q = b - a
+                sizes = ([1] * q if t == steps[k - 1]
+                         else [len(range(j, q, M)) for j in range(M)])
+                for size in sizes:
+                    level.append((nodes[a][0], nodes[a + size - 1][1],
+                                  a, a + size, parent))
+                    a += size
+            levels.append(level)
+            runs = [(a, b) for _, _, a, b, _ in level]
+    return levels
+
+
+@dataclass
+class OracleStats:
+    """`oracle_stats`' series, indexed as `qsmap.QsStats`, and per level
+    `(count, max_len, min_len, total_len, psi_max, psi_min)` as
+    `branchtree.BranchStats`."""
+    beta: list[Fraction]
+    theta: list[Fraction]
+    kappa: list[Fraction | None]
+    chi: list[Fraction]
+    lambda_star: list[Fraction]
+    lambda_under: list[Fraction]
+    gamma_star: list[Fraction]
+    gamma_under: list[Fraction]
+    l_T: list[Fraction]
+    levels: list[tuple[int, Fraction, Fraction, Fraction, int, int]]
+
+
+def oracle_stats(spec: MoranSpec, M: int, steps: Sequence[int], m_max: int,
+                 m_top: int | None = None) -> OracleStats:
+    """The refinement statistics of `oracle_hierarchy` through level m_top
+    (default m_max - 1), each family's children found by their parent
+    index: β the largest gap left in a branch (either end or between
+    children), θ the least share of it its children cover, χ the largest
+    child share, κ the least trimmed gap inside it, all over the branch's
+    length; λ and γ compare a level's lengths and its stage's trimmed
+    sibling gaps with the level above's lengths.  At a milestone m_j
+    (j < len(steps)) each branch is one trimmed interval, so ψ = n_{j+1};
+    elsewhere ψ is the extreme count of trimmed intervals a branch spans."""
+    m_top = m_max - 1 if m_top is None else m_top
+    if not 1 <= m_top < m_max:
+        raise DomainError(f"statistics through level {m_top} need 1 <= "
+                          f"m_top < m_max = {m_max}")
+    levels = oracle_hierarchy(spec, M, steps, m_max)
+    milestones = [0]
+    for s in steps:
+        milestones.append(milestones[-1] + s)
+    per_level = []
+    for m, level in enumerate(levels):
+        lengths = [hi - lo for lo, hi, _, _, _ in level]
+        if m in milestones[:-1]:
+            psi = (spec.n(milestones.index(m) + 1),) * 2
+        else:
+            spans = [b - a for _, _, a, b, _ in level]
+            psi = (max(spans), min(spans))
+        per_level.append((len(level), max(lengths), min(lengths), sum(lengths))
+                         + psi)
+    out = OracleStats(*([] for _ in range(9)), per_level)
+    for m in range(m_top):
+        k = next(j for j in range(1, len(milestones)) if m + 1 <= milestones[j])
+        nodes = oracle_level(spec, k, trimmed=True)
+        n = spec.n(k)
+        siblings = [nodes[i + 1][0] - nodes[i][1] for i in range(len(nodes) - 1)
+                    if (i + 1) % n]
+        kids: dict[int, list] = {}
+        for br in levels[m + 1]:
+            kids.setdefault(br[4], []).append(br)
+        b, t, c, kp = [], [], [], []
+        for p, run in kids.items():
+            lo, hi = levels[m][p][:2]
+            length = hi - lo
+            gaps = [run[0][0] - lo, hi - run[-1][1]]
+            gaps += [y[0] - x[1] for x, y in zip(run, run[1:])]
+            sizes = [y - x for x, y, _, _, _ in run]
+            b.append(max(gaps) / length)
+            t.append(sum(sizes) / length)
+            c.append(max(sizes) / length)
+            first, last = run[0][2], run[-1][3]
+            inner = [nodes[i + 1][0] - nodes[i][1] for i in range(first, last - 1)]
+            if inner:
+                kp.append(min(inner) / length)
+        prev, cur = per_level[m], per_level[m + 1]
+        out.beta.append(max(b))
+        out.theta.append(min(t))
+        out.chi.append(max(c))
+        out.kappa.append(min(kp) if kp else None)
+        out.lambda_star.append(cur[1] / prev[2])
+        out.lambda_under.append(cur[2] / prev[1])
+        out.gamma_star.append(max(siblings) / prev[2])
+        out.gamma_under.append(min(siblings) / prev[1])
+    out.l_T.extend(row[3] for row in per_level[:m_top + 1])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Length-power measure on an image hierarchy
 # ---------------------------------------------------------------------------
 

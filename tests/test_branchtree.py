@@ -12,6 +12,7 @@ from moranset.branchtree import (Schedule, balanced_groups, build_T, choose_M,
                                  spread_bound)
 from moranset.dimension import check_conditions
 from moranset.errors import ConditionInapplicableError, DomainError
+from moranset.oracle import oracle_hierarchy, oracle_stats
 from moranset.qsmap import image_tree, parse_map, stats_series
 from moranset.specs import (GapPolicy, MoranSpec, SequenceRule, constant,
                             preset, preset_names)
@@ -230,6 +231,34 @@ def test_modes_agree(spec):
     for m in range(top):
         assert _child_counts(expl, m) == _child_counts(tmpl, m)
     assert stats_series(expl, m_top=top) == stats_series(tmpl, m_top=top)
+
+
+
+@given(level_specs(), st.booleans(), st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_stats_match_oracle_twins(spec, template, depth):
+    # condition B's schedule refines each stage in one step (M >= 3 > n_k);
+    # M = 2 refines an n_k = 4 stage in two, so families inside a stage
+    # share their parent's denominator and milestone families do not
+    steps = [spec.n(k).bit_length() - 1 for k in range(1, depth + 1)]
+    mode = "auto" if template else "explicit"
+    for sched in (choose_M(spec, "B", depth),
+                  Schedule(2, steps, [0, *accumulate(steps)])):
+        tree = build_T(spec, sched, mode=mode)
+        want = oracle_stats(spec, sched.M, sched.i, sched.m_max)
+        got = stats_series(tree)
+        assert (got.beta, got.theta, got.kappa, got.chi, got.lambda_star,
+                got.lambda_under, got.gamma_star, got.gamma_under, got.l_T) == (
+            want.beta, want.theta, want.kappa, want.chi, want.lambda_star,
+            want.lambda_under, want.gamma_star, want.gamma_under, want.l_T)
+        for m, row in enumerate(want.levels):
+            bs = tree.branch_stats(m)
+            assert (bs.count, bs.max_len, bs.min_len, bs.total_len,
+                    bs.psi_max, bs.psi_min) == row, m
+        if tree.mode == "explicit":
+            assert [[(br.lo, br.hi, br.a, br.b, br.parent) for br in level]
+                    for level in tree.levels] == oracle_hierarchy(
+                        spec, sched.M, sched.i, sched.m_max)
 
 
 @pytest.mark.parametrize("name,built", [("wide10", "template"), ("wide10", "explicit"),

@@ -110,7 +110,8 @@ def test_oracle_stays_independent():
     paths: nothing imports it, and it imports only errors and specs.  Its
     `mu_d` raises `Fraction` lengths by `mpmath.power` and calls nothing the
     fast path's `qsmap` or `dimension` defines (integer lengths, weights,
-    roots, ratios)."""
+    roots, ratios); its hierarchy and statistics twins call nothing that
+    `branchtree`, `qsmap` or `dimension` defines."""
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert any(p.name == "oracle.py" for p in sources)
     importers = [p.name for p in sources
@@ -123,6 +124,16 @@ def test_oracle_stays_independent():
             | _defined_in(PACKAGE_DIR / "dimension.py"))
     assert {"build_mu_d", "_power_weights", "power_ratio"} <= fast
     assert mu_d & fast == set()
+    # the hierarchy and statistics twins rebuild the branches from
+    # `oracle_level` lists and group them by parent index themselves
+    hierarchy = _calls_in(PACKAGE_DIR / "oracle.py", "oracle_hierarchy")
+    stats = _calls_in(PACKAGE_DIR / "oracle.py", "oracle_stats")
+    assert "oracle_level" in hierarchy
+    assert {"oracle_hierarchy", "oracle_level"} <= stats
+    fast |= _defined_in(PACKAGE_DIR / "branchtree.py")
+    assert {"balanced_groups", "refine_stage", "families", "branch_stats",
+            "stats_series", "stage_of"} <= fast
+    assert (hierarchy | stats) & fast == set()
 
 
 def _callers(name: str) -> set[str]:
