@@ -179,11 +179,23 @@ class BranchTree:
         return self.levels if self.mode == "explicit" else None
 
     def branch_stats(self, m: int) -> BranchStats:
+        """Level m's count, length extremes and total, and span extremes;
+        extremes compared by cross-multiplying, totals per denominator."""
         level = self.levels[m]
         # template levels repeat once per trimmed interval of the stage before
         reps = (1 if self.mode == "explicit" or m == 0
                 else self.spec.count(self.schedule.stage_of(m) - 1))
-        lens = [br.length for br in level]
+        first = level[0]
+        top = bottom = (first.hi_num - first.lo_num, first.den)
+        totals: dict[int, int] = {}
+        for den, run in groupby(level, key=attrgetter("den")):
+            lens = [br.hi_num - br.lo_num for br in run]
+            a, b = max(lens), min(lens)
+            if a * top[1] > top[0] * den:
+                top = (a, den)
+            if b * bottom[1] < bottom[0] * den:
+                bottom = (b, den)
+            totals[den] = totals.get(den, 0) + sum(lens)
         milestones = self.schedule.m
         # At a milestone the span resets: psi points at the *next* milestone.
         if m in milestones[:-1]:
@@ -191,8 +203,9 @@ class BranchTree:
         else:
             spans = [br.span for br in level]
             psi_max, psi_min = max(spans), min(spans)
-        return BranchStats(m, reps * len(level), max(lens), min(lens),
-                           reps * sum(lens), psi_max, psi_min)
+        return BranchStats(m, reps * len(level), Fraction(*top), Fraction(*bottom),
+                           reps * sum(Fraction(t, den) for den, t in totals.items()),
+                           psi_max, psi_min)
 
     def families(self, m: int) -> Iterator[tuple[Branch, list[Branch]]]:
         """Each level-m branch that the build refined, with its level-(m+1)

@@ -269,6 +269,10 @@ def box_count(intervals: Iterable[Interval],
     if den is None:
         raise DomainError("empty interval list")
     counts = [c for _, c in sorted(zip(order, counts))]
+    for e, c in zip(eps_list, counts):
+        if not c:
+            raise DomainError(f"cell width {e} counts no cell; the slope fit "
+                              "needs at least one at every width")
     xs = [-log_fraction(e) for e in eps_list]
     ys = [math.log(c) for c in counts]
     return BoxCountResult(eps_list, counts, fit_slope(xs, ys))

@@ -17,6 +17,7 @@ part is increasing (directed rounding; Moore, Kearfott & Cloud,
 the sandwich audit's float samples.  `ImageBranch` extends the package's
 one interval record, `tree.Interval`: it keeps those integers, the two
 numerators over one denominator, and makes `Fraction`s only on read.
+`image_tree` keeps one level of enclosures and encloses each endpoint once.
 
 The length-power measure `mu_d` (`build_mu_d`) is one integer pass.  Each
 parent's sibling lengths are the differences of their numerators over their
@@ -31,6 +32,7 @@ an integer root costs 12 ms at q = 1000).  Masses are unreduced `(num, den)`
 integer pairs, so every level sums to exactly 1 whatever the weights.
 Under an affine map the measure also runs on a template hierarchy: one
 refined cell per stage, hung under the heaviest branch above it.
+`stats_series` reads the integers too; only its extremes become `Fraction`s.
 """
 
 from __future__ import annotations
@@ -376,37 +378,54 @@ def image_tree(fmap: QsMap, tree: BranchTree,
     template tree holds one parent's cell per stage; an affine map sends the
     other parents, its translates, to translates of the cell's image, so the
     image of a template is a template of the image.  Other maps need an
-    explicit tree."""
+    explicit tree.
+
+    A lo on its parent's lo or on the previous branch's hi, or a hi on its
+    parent's hi (exact tests), takes the level above's or the previous box,
+    so `bounds` runs once per distinct reduced endpoint."""
     check_precision_bits(precision_bits)
     if tree.mode != "explicit" and not fmap.affine:
         raise DomainError(f"non-affine map {fmap.describe()} needs an "
                           "explicitly built branch hierarchy")
-    # keyed by the endpoint reduced by one gcd, as `bounds` takes it
-    cache: dict[tuple[int, int], tuple[int, int, int]] = {}
     bounds = fmap.bounds
 
     def enclose(num: int, den: int) -> tuple[int, int, int]:
         g = math.gcd(num, den)
-        key = (num // g, den // g)
-        box = cache.get(key)
-        if box is None:
-            box = cache[key] = bounds(*key, precision_bits)
-        return box
+        return bounds(num // g, den // g, precision_bits)
 
     levels = []
+    above = []                          # (lo box, hi box) per branch above
     for m, branches in enumerate(tree.levels):
-        out = []
+        keep = m < tree.m_max           # the last level's boxes go unread
+        out, boxes = [], []
+        prev = hi_box = None            # the previous branch and its hi box
         for i, br in enumerate(branches):
-            lo, lo_hi, lo_den = enclose(br.lo_num, br.den)
-            hi_lo, hi, den = enclose(br.hi_num, br.den)
-            if lo_hi * den >= hi_lo * lo_den and br.hi_num > br.lo_num:
+            lo_num, hi_num, den = br.lo_num, br.hi_num, br.den
+            par = tree.levels[m - 1][br.parent] if m else None
+            if par is not None and lo_num * par.den == par.lo_num * den:
+                lo_box = above[br.parent][0]
+            elif prev is not None and lo_num * prev.den == prev.hi_num * den:
+                lo_box = hi_box
+            else:
+                lo_box = enclose(lo_num, den)
+            if par is not None and hi_num * par.den == par.hi_num * den:
+                hi_box = above[br.parent][1]
+            else:
+                hi_box = enclose(hi_num, den)
+            prev = br
+            lo, lo_hi, lo_den = lo_box
+            hi_lo, hi, hi_den = hi_box
+            if lo_hi * hi_den >= hi_lo * lo_den and hi_num > lo_num:
                 raise PrecisionError(
                     f"branch {i} at level {m} collapses at "
                     f"{precision_bits} bits; raise the precision")
             exact = lo == lo_hi and hi_lo == hi
-            out.append(ImageBranch(*_over_one_den(lo, lo_den, hi, den),
+            out.append(ImageBranch(*_over_one_den(lo, lo_den, hi, hi_den),
                                    br.parent, exact))
+            if keep:
+                boxes.append((lo_box, hi_box))
         levels.append(out)
+        above = boxes
     return ImageTree(precision_bits, levels)
 
 
@@ -580,7 +599,13 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
     (at m+1) come from `tree.families(m)`, each parent's children being one
     contiguous run of level m+1, and the level ratios at m+1 from
     `branch_stats` of levels m and m+1 and the trimmed gaps between siblings
-    of the stage level m+1 lies in, read once per stage off `tree.stages`."""
+    of the stage level m+1 lies in, read once per stage off `tree.stages`.
+
+    A family's children share one denominator D (its parent's P differs only
+    at a milestone): x over D is x·P / (D·(hi - lo)) of the parent, an end
+    gap over D·P is its own numerator.  Extremes are integer pairs compared
+    by cross-multiplying; every ratio lies in [0, 1], so maxima start at 0
+    and theta at 1."""
     m_top = tree.m_max - 1 if m_top is None else m_top
     if m_top < 1:
         raise DomainError(f"m_max = {m_top + 1} is out of range: refinement "
@@ -592,28 +617,49 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
         families = tree.families(m)     # range-checks m before any stats read
         k = tree.schedule.stage_of(m + 1)
         if k != stage:
-            # the trimmed gaps of the stage whose intervals level m+1 spans
+            # the trimmed gaps of the stage whose intervals level m+1 spans:
+            # star_gaps[i] joins nodes i and i + 1, None between two parents
             nodes = tree.stages[k]
             stage = k
-            star_gaps = [nxt.lo - prev.hi for prev, nxt in zip(nodes, nodes[1:])]
-            n_k = tree.spec.n(k)    # gap i - 1 joins two parents where n_k | i
-            siblings = [g for i, g in enumerate(star_gaps, 1) if i % n_k]
-            gap_max, gap_min = max(siblings), min(siblings)
-        b, t, kp, c = [], [], [], []
+            n_k = tree.spec.n(k)
+            star_gaps: list[int | None] = []
+            gap_max = gap_min = None
+            for a in range(0, len(nodes), n_k):
+                run = nodes[a:a + n_k]
+                gaps = [nxt.lo_num - prev.hi_num for prev, nxt in zip(run, run[1:])]
+                star_gaps += gaps
+                star_gaps.append(None)
+                hi, lo, den = max(gaps), min(gaps), run[0].den
+                if gap_max is None or hi * gap_max[1] > gap_max[0] * den:
+                    gap_max = (hi, den)
+                if gap_min is None or lo * gap_min[1] < gap_min[0] * den:
+                    gap_min = (lo, den)
+            gap_max, gap_min = Fraction(*gap_max), Fraction(*gap_min)
+        b, t, c, kp = (0, 1), (1, 1), (0, 1), None
         for br, kids in families:
-            gaps = [kids[0].lo - br.lo, br.hi - kids[-1].hi]
-            gaps += [nxt.lo - prev.hi for prev, nxt in zip(kids, kids[1:])]
-            lengths = [kid.length for kid in kids]
-            b.append(max(gaps) / br.length)
-            t.append(sum(lengths) / br.length)
-            c.append(max(lengths) / br.length)
+            P, D = br.den, kids[0].den
+            q = D * (br.hi_num - br.lo_num)
+            lens = [kid.hi_num - kid.lo_num for kid in kids]
+            gaps = [nxt.lo_num - prev.hi_num for prev, nxt in zip(kids, kids[1:])]
+            x = max(kids[0].lo_num * P - br.lo_num * D,
+                    br.hi_num * D - kids[-1].hi_num * P, max(gaps, default=0) * P)
+            if x * b[1] > b[0] * q:
+                b = (x, q)
+            x = sum(lens) * P
+            if x * t[1] < t[0] * q:
+                t = (x, q)
+            x = max(lens) * P
+            if x * c[1] > c[0] * q:
+                c = (x, q)
             inner = star_gaps[kids[0].a:kids[-1].b - 1]
             if inner:
-                kp.append(min(inner) / br.length)
-        beta.append(max(b))
-        theta.append(min(t))
-        kappa.append(min(kp, default=None))
-        chi.append(max(c))
+                x = min(inner) * P
+                if kp is None or x * kp[1] < kp[0] * q:
+                    kp = (x, q)
+        beta.append(Fraction(*b))
+        theta.append(Fraction(*t))
+        kappa.append(None if kp is None else Fraction(*kp))
+        chi.append(Fraction(*c))
         prev, cur = stats[-1], tree.branch_stats(m + 1)
         stats.append(cur)
         lam_s.append(cur.max_len / prev.min_len)

@@ -238,9 +238,10 @@ def test_modes_agree(spec):
 @settings(max_examples=40, deadline=None)
 def test_stats_match_oracle_twins(spec, template, depth):
     # condition B's schedule refines each stage in one step (M >= 3 > n_k);
-    # M = 2 refines an n_k = 4 stage in two, so families inside a stage
-    # share their parent's denominator and milestone families do not
-    steps = [spec.n(k).bit_length() - 1 for k in range(1, depth + 1)]
+    # M = 2 refines every n_k >= 3 stage in two, splitting 3 into groups of
+    # 2 and 1, so families inside a stage share their parent's denominator,
+    # milestone families do not, and some families have one child
+    steps = [min(spec.n(k) - 1, 2) for k in range(1, depth + 1)]
     mode = "auto" if template else "explicit"
     for sched in (choose_M(spec, "B", depth),
                   Schedule(2, steps, [0, *accumulate(steps)])):

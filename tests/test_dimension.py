@@ -155,6 +155,12 @@ def test_box_count_errors():
         box_count([Node((), 0, 1, 1)], [])
     with pytest.raises(DomainError):
         box_count([Node((), 0, 1, 1)], [Fraction(1, 10)])
+    # a zero-length interval on a grid line meets no cell at either width
+    with pytest.raises(DomainError, match="cell width 1/2 counts no cell"):
+        box_count([Node((), 0, 0, 1)], [Fraction(1, 2), Fraction(1, 4)])
+    # the width that counts nothing is named, not only the first one given
+    with pytest.raises(DomainError, match="cell width 1/4 counts no cell"):
+        box_count([Node((), 1, 1, 2)], [Fraction(1, 3), Fraction(1, 4)])
 
 
 def test_box_count_matches_oracle_random_instances():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -17,7 +18,7 @@ from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
 from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
-                            PiecewiseLinearMap, PowerMap, _floor_root, build_mu_d, image_tree,
+                            PiecewiseLinearMap, QsMap, PowerMap, _floor_root, build_mu_d, image_tree,
                             parse_map, prop1_ratio_series, sandwich_audit,
                             stats_series)
 from moranset.reconstruct import StarState
@@ -393,6 +394,64 @@ def test_image_branches_hold_integers():
             inexact += not br.exact
     assert inexact > 0
 
+
+
+class _CountingMap(QsMap):
+    """`inner` with every `bounds` call recorded."""
+
+    def __init__(self, inner: QsMap):
+        self.inner = inner
+        self.calls: list[tuple[int, int]] = []
+
+    def bounds(self, num, den, prec):
+        self.calls.append((num, den))
+        return self.inner.bounds(num, den, prec)
+
+
+def _touching3() -> MoranSpec:
+    # weights 0, 1: the first two children of every parent touch, and the
+    # zero boundary gaps put a parent's ends on its first and last child's
+    return MoranSpec(constant(3), constant(Fraction(1, 4)), constant(0),
+                     constant(0), GapPolicy("weighted", weights=(0, 1)),
+                     name="touching3")
+
+
+@pytest.mark.parametrize("name,depth,calls", [
+    ("cantor3", 3, 16), ("wide10", 3, 2000), ("skew10", 4, 20000),
+    ("padded2", 3, 30), ("dim1_binary", 3, 16), ("touching3", 3, 41),
+    ("touching3", 4, 122)])
+def test_image_encloses_each_endpoint_once(name, depth, calls):
+    # an explicit tree's endpoints repeat only as a child's end on its
+    # parent's or as a zero gap's two sides; `image_tree` reuses those
+    # enclosures, so `bounds` sees each reduced endpoint exactly once
+    spec = _touching3() if name == "touching3" else preset(name)
+    sched = choose_M(spec, "B" if name == "touching3" else "A", depth)
+    tree = build_T(spec, sched, mode="explicit")
+    fmap = _CountingMap(parse_map("power:1/2"))
+    image = image_tree(fmap, tree)
+    endpoints = {x for level in tree.levels for br in level for x in (br.lo, br.hi)}
+    assert sorted(fmap.calls) == sorted((x.numerator, x.denominator)
+                                        for x in endpoints)
+    assert len(fmap.calls) == calls
+    want = image_tree(fmap.inner, tree)
+    assert [[(br.lo_num, br.hi_num, br.den, br.parent, br.exact) for br in level]
+            for level in image.levels] == [
+        [(br.lo_num, br.hi_num, br.den, br.parent, br.exact) for br in level]
+        for level in want.levels]
+
+
+def test_image_holds_one_level_of_enclosures():
+    # 20,000 endpoints on skew10 depth 4: a whole-tree table of their
+    # enclosures peaked at 7.8 MB; one level's peaks at about 2.4 MB
+    tree = _tree("skew10", 4)
+    fmap = parse_map("power:1/2")
+    tracemalloc.start()
+    try:
+        image_tree(fmap, tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB"
 
 def test_large_exponent_enclosure_certified():
     tree = _tree("cantor3", 2)
