@@ -177,21 +177,17 @@ class OracleStats:
     levels: list[tuple[int, Fraction, Fraction, Fraction, int, int]]
 
 
-def oracle_stats(spec: MoranSpec, M: int, steps: Sequence[int], m_max: int,
-                 m_top: int | None = None) -> OracleStats:
-    """The refinement statistics of `oracle_hierarchy` through level m_top
-    (default m_max - 1), each family's children found by their parent
-    index: β the largest gap left in a branch (either end or between
-    children), θ the least share of it its children cover, χ the largest
-    child share, κ the least trimmed gap inside it, all over the branch's
-    length; λ and γ compare a level's lengths and its stage's trimmed
-    sibling gaps with the level above's lengths.  At a milestone m_j
-    (j < len(steps)) each branch is one trimmed interval, so ψ = n_{j+1};
-    elsewhere ψ is the extreme count of trimmed intervals a branch spans."""
-    m_top = m_max - 1 if m_top is None else m_top
-    if not 1 <= m_top < m_max:
-        raise DomainError(f"statistics through level {m_top} need 1 <= "
-                          f"m_top < m_max = {m_max}")
+def oracle_stats(spec: MoranSpec, M: int, steps: Sequence[int],
+                 m_max: int) -> OracleStats:
+    """The refinement statistics of `oracle_hierarchy` through level
+    m_max - 1, each family's children found by their parent index: β the
+    largest gap left in a branch (either end or between children), θ the
+    least share of it its children cover, χ the largest child share, κ the
+    least trimmed gap inside it, all over the branch's length; λ and γ
+    compare a level's lengths and its stage's trimmed sibling gaps with the
+    level above's lengths.  At a milestone m_j (j < len(steps)) each branch
+    is one trimmed interval, so ψ = n_{j+1}; elsewhere ψ is the extreme
+    count of trimmed intervals a branch spans."""
     levels = oracle_hierarchy(spec, M, steps, m_max)
     milestones = [0]
     for s in steps:
@@ -207,7 +203,7 @@ def oracle_stats(spec: MoranSpec, M: int, steps: Sequence[int], m_max: int,
         per_level.append((len(level), max(lengths), min(lengths), sum(lengths))
                          + psi)
     out = OracleStats(*([] for _ in range(9)), per_level)
-    for m in range(m_top):
+    for m in range(m_max - 1):
         k = next(j for j in range(1, len(milestones)) if m + 1 <= milestones[j])
         nodes = oracle_level(spec, k, trimmed=True)
         n = spec.n(k)
@@ -239,7 +235,7 @@ def oracle_stats(spec: MoranSpec, M: int, steps: Sequence[int], m_max: int,
         out.lambda_under.append(cur[2] / prev[1])
         out.gamma_star.append(max(siblings) / prev[2])
         out.gamma_under.append(min(siblings) / prev[1])
-    out.l_T.extend(row[3] for row in per_level[:m_top + 1])
+    out.l_T.extend(row[3] for row in per_level[:m_max])
     return out
 
 

@@ -233,7 +233,6 @@ def test_modes_agree(spec):
     assert stats_series(expl, m_top=top) == stats_series(tmpl, m_top=top)
 
 
-
 @given(level_specs(), st.booleans(), st.integers(2, 3))
 @settings(max_examples=40, deadline=None)
 def test_stats_match_oracle_twins(spec, template, depth):

@@ -18,9 +18,9 @@ from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
 from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
-                            PiecewiseLinearMap, QsMap, PowerMap, _floor_root, build_mu_d, image_tree,
-                            parse_map, prop1_ratio_series, sandwich_audit,
-                            stats_series)
+                            PiecewiseLinearMap, PowerMap, QsMap, _floor_root,
+                            build_mu_d, image_tree, parse_map,
+                            prop1_ratio_series, sandwich_audit, stats_series)
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, constant, preset
 from test_tree import level_specs
@@ -395,7 +395,6 @@ def test_image_branches_hold_integers():
     assert inexact > 0
 
 
-
 class _CountingMap(QsMap):
     """`inner` with every `bounds` call recorded."""
 
@@ -452,6 +451,7 @@ def test_image_holds_one_level_of_enclosures():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB"
+
 
 def test_large_exponent_enclosure_certified():
     tree = _tree("cantor3", 2)
