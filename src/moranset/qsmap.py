@@ -23,12 +23,15 @@ The length-power measure `mu_d` (`build_mu_d`) is one integer pass.  Each
 parent's sibling lengths are the differences of their numerators over their
 shared denominator (or over the lcm, where they differ), and their weights
 `a^d` are integers: all 1 for equal siblings, exact integer roots when every
-sibling length ratio has an exact d-th power, and otherwise mpmath mantissas
-at `prec + 32` bits, shifted to one exponent.  That is the module's one
-floating-point step, imported inside `_power_weights`; mpmath stays for it
-because its cost does not grow with the denominator of `d` (tens of µs per
-weight at 160 bits for `d = 1/2` and for a 12-digit denominator alike, where
-an integer root costs 12 ms at q = 1000).  Masses are unreduced `(num, den)`
+sibling length ratio has an exact d-th power, and otherwise mantissas rounded
+to nearest at `prec + 32` bits, shifted to one exponent.  At the default
+`d = 1/2` those are correctly rounded integer square roots (`_sqrt_nearest`),
+the same integers mpmath's correctly rounded `mpf_sqrt` gives.  Any other `d`
+takes mpmath's `a^d`, the module's one floating-point step, imported inside
+`_power_weights`: `exp(d·log a)` is not correctly rounded, so only mpmath
+reproduces its bits, and its cost does not grow with the denominator of `d`
+(tens of µs per weight at 160 bits for a 12-digit denominator, where an
+integer root costs 12 ms at q = 1000).  Masses are unreduced `(num, den)`
 integer pairs, so every level sums to exactly 1 whatever the weights.
 Under an affine map the measure also runs on a template hierarchy: one
 refined cell per stage, hung under the heaviest branch above it.
@@ -59,7 +62,9 @@ DEFAULT_PRECISION_BITS = 128
 #: a floor root at 2^-s.  Past it `PrecisionError`.
 MAX_ROOT_BITS = 1 << 20
 #: Largest `precision_bits`: the `mu_d` weights cost grows faster than
-#: linearly in it (0.9 s for cantor3 depth 3 at 2^14 bits, 10 s at 2^16).
+#: linearly in it.  `qs --preset cantor3 --depth 3 --map power:1/2` takes
+#: 0.40 s at 2^14 bits and 4.9 s at 2^16 at `--d 0.3` (mpmath weights), and
+#: 0.03 s and 0.25 s at the default `d = 1/2` (Python 3.11.7, 2 cores).
 MAX_PRECISION_BITS = 1 << 14
 
 
@@ -117,6 +122,34 @@ def _iroot(n: int, q: int) -> int | None:
     """Exact integer q-th root of n >= 0, or None if n is not a q-th power."""
     r = _floor_root(n, q)
     return r if r ** q == n else None
+
+
+def _sqrt_nearest(a: int, wp: int) -> tuple[int, int]:
+    """`(man, exp)`, `man` odd, with `man·2^exp` the square root of `a >= 1`
+    rounded to nearest at `wp` bits after `a` itself is rounded to nearest,
+    ties to even, at `wp` bits.  These are mpmath's integers for
+    `mpf_pow(from_int(a, wp, round_nearest), 1/2, wp, round_nearest)`, since
+    that is its correctly rounded `mpf_sqrt`."""
+    e = max(a.bit_length() - wp, 0)
+    if e:
+        half = 1 << (e - 1)
+        low = a & ((half << 1) - 1)
+        a >>= e
+        if low > half or (low == half and a & 1):
+            a += 1
+    tz = (a & -a).bit_length() - 1
+    a >>= tz
+    e += tz
+    # a·2^s has 2wp - 1 or 2wp bits and e - s is even, so its floor root r
+    # has wp bits; sqrt(n) > r + 1/2 exactly when n - r² > r (no ties)
+    s = 2 * wp - a.bit_length()
+    s -= (s + e) & 1
+    n = a << s
+    r = math.isqrt(n)
+    if n - r * r > r:
+        r += 1
+    tz = (r & -r).bit_length() - 1
+    return r >> tz, (e - s) // 2 + tz
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +473,13 @@ class ImageMeasure:
     Each parent's sibling lengths are integers over one denominator (the
     branches' own when they share it), and their weights are integers
     (`_power_weights`): all 1 when the siblings are equal, exact integer
-    roots when the length ratios have exact d-th powers, mpmath mantissas at
-    `prec + 32` bits otherwise (their cost does not grow with the
-    denominator of `d`).  A child's mass is the unreduced
-    integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`, kept
-    unreduced in `pairs`, so sibling masses always sum exactly to the parent
-    mass.  Template masses are the heaviest translate's, so a template level
-    sums to its stage parent's mass.
+    roots when the length ratios have exact d-th powers, and otherwise
+    mantissas at `prec + 32` bits: correctly rounded integer square roots
+    at `d = 1/2`, mpmath's `a^d` at any other `d`.  A child's mass is the
+    unreduced integer pair `(pn·w_i, pd·Σw)` of its parent's `(pn, pd)`,
+    kept unreduced in `pairs`, so sibling masses always sum exactly to the
+    parent mass.  Template masses are the heaviest translate's, so a
+    template level sums to its stage parent's mass.
     """
 
     def __init__(self, image: ImageTree, d: Fraction,
@@ -460,8 +493,10 @@ def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
     """Integer weights proportional to `a^d` for the integer sibling lengths
     `a`: `r^p` for `d = p/q` when every length over the lengths' gcd is a
     q-th power `r^q` (exactly when every length ratio has an exact d-th
-    power; all 1 for equal lengths); otherwise mpmath's round-to-nearest
-    `a^d` at `prec + 32` bits, its mantissas shifted to the smallest exponent."""
+    power; all 1 for equal lengths); otherwise `a^d` rounded to nearest at
+    `prec + 32` bits, its mantissas shifted to the smallest exponent: for
+    `d = 1/2` by `_sqrt_nearest`, mpmath's integers without mpmath, and by
+    mpmath's `mpf_pow` for any other `d`."""
     if min(lengths) <= 0:
         raise DegenerateSpecError("zero-length image branch; cannot weight by length")
     g = math.gcd(*lengths)
@@ -475,14 +510,17 @@ def _power_weights(lengths: list[int], d: Fraction, prec: int) -> list[int]:
         roots.append(r ** p)
     else:
         return roots
-    # the one floating-point path; kept off `import moranset`
-    from mpmath.libmp import from_int, mpf_div, mpf_pow, round_nearest
     wp = prec + _GUARD_BITS
-    dd = mpf_div(from_int(p), from_int(q), wp, round_nearest)
-    powers = [mpf_pow(from_int(a, wp, round_nearest), dd, wp, round_nearest)
-              for a in lengths]
-    low = min(exp for _, _, exp, _ in powers)
-    return [man << (exp - low) for _, man, exp, _ in powers]
+    if q == 2:                  # d = 1/2, the one such d in (0, 1)
+        powers = [_sqrt_nearest(a, wp) for a in lengths]
+    else:
+        # the one floating-point path; kept off `import moranset` and `d = 1/2`
+        from mpmath.libmp import from_int, mpf_div, mpf_pow, round_nearest
+        dd = mpf_div(from_int(p), from_int(q), wp, round_nearest)
+        powers = [mpf_pow(from_int(a, wp, round_nearest), dd, wp,
+                          round_nearest)[1:3] for a in lengths]
+    low = min(exp for _, exp in powers)
+    return [man << (exp - low) for man, exp in powers]
 
 
 def build_mu_d(image: ImageTree, d: float | Fraction) -> ImageMeasure:

@@ -122,7 +122,8 @@ def test_oracle_stays_independent():
     assert {"power", "Fraction"} <= mu_d
     fast = (_defined_in(PACKAGE_DIR / "qsmap.py")
             | _defined_in(PACKAGE_DIR / "dimension.py"))
-    assert {"build_mu_d", "_power_weights", "power_ratio"} <= fast
+    assert {"build_mu_d", "_power_weights", "_sqrt_nearest",
+            "power_ratio"} <= fast
     assert mu_d & fast == set()
     # the hierarchy and statistics twins rebuild the branches from
     # `oracle_level` lists and group them by parent index themselves

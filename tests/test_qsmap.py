@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_div, mpf_pow, round_nearest
 
 from moranset.branchtree import BranchTree, Schedule, build_T, choose_M
 from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
@@ -19,7 +20,8 @@ from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
 from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
                             PiecewiseLinearMap, PowerMap, QsMap, _floor_root,
-                            build_mu_d, image_tree, parse_map,
+                            _power_weights, _sqrt_nearest, build_mu_d,
+                            image_tree, parse_map,
                             prop1_ratio_series, sandwich_audit, stats_series)
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, constant, preset
@@ -472,11 +474,70 @@ def test_identity_cantor3_masses_exact(d):
 
 
 def test_unequal_siblings_split():
-    from moranset.qsmap import _power_weights
     w = _power_weights([4, 1], Fraction(1, 2), 128)
     assert w == [2, 1]
     w = _power_weights([1, 1], Fraction(1, 2), 128)
     assert w == [1, 1]
+    # sqrt(2) and 1 at 160 bits, as the mpmath weights were recorded
+    w = _power_weights([2, 1], Fraction(1, 2), 128)
+    assert w == [1033437718471923706666374484006904511252097097915, 2 ** 159]
+
+
+def _mpmath_root(a: int, wp: int) -> tuple[int, int]:
+    """mpmath's `(man, exp)` for the square root of `a` rounded to `wp` bits,
+    the formula `_power_weights` uses for every other `d`."""
+    half = mpf_div(from_int(1), from_int(2), wp, round_nearest)
+    root = mpf_pow(from_int(a, wp, round_nearest), half, wp, round_nearest)
+    return root[1:3]
+
+
+_R53 = (1 << 53) + 1                  # odd, wp + 1 bits at wp = 53
+_R128 = (1 << 128) + (1 << 64) + 3    # odd, wp + 1 bits at wp = 128
+
+
+@given(st.integers(min_value=1, max_value=2 ** 800),
+       st.integers(min_value=1, max_value=300))
+@example(1, 1)
+@example(1, 160)
+@example(2 ** 7, 53)
+@example(2 ** 8, 53)
+@example(2 ** 699, 1)
+@example(2 ** 700, 160)
+@example(2 ** 200 + 2 ** 100 + 1, 53)           # rounded to wp bits first
+# ties at wp bits whose root tells the rounding: odd up, even down
+@example((8816951084454569 << 10) + (1 << 9), 53)
+@example((8250096893649316 << 10) + (1 << 9), 53)
+@example(((1 << 100) + 1) ** 2, 53)             # square, root past wp bits
+@example(_R53 ** 2, 53)
+@example(_R53 ** 2 + 1, 53)
+@example(_R53 ** 2 - 1, 53)
+@example(_R128 ** 2, 128)
+@example(_R128 ** 2 + 1, 128)
+@example(_R128 ** 2 - 1, 128)
+@settings(max_examples=300)
+def test_sqrt_nearest_matches_mpmath(a, wp):
+    man, exp = _sqrt_nearest(a, wp)
+    assert man & 1 and man.bit_length() <= wp
+    assert (man, exp) == _mpmath_root(a, wp)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=2 ** 300), min_size=1,
+                max_size=6),
+       st.integers(min_value=1, max_value=300))
+@example([2, 1], 128)
+@example([3, 12], 53)
+@settings(max_examples=200)
+def test_half_power_weights_match_mpmath(lengths, prec):
+    g = math.gcd(*lengths)
+    reduced = [a // g for a in lengths]
+    roots = [math.isqrt(a) for a in reduced]
+    if all(r * r == a for r, a in zip(roots, reduced)):
+        want = roots
+    else:
+        powers = [_mpmath_root(a, prec + _GUARD_BITS) for a in reduced]
+        low = min(exp for _, exp in powers)
+        want = [man << (exp - low) for man, exp in powers]
+    assert _power_weights(lengths, Fraction(1, 2), prec) == want
 
 
 def _exact_branch(lo: Fraction, hi: Fraction) -> ImageBranch:
