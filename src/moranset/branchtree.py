@@ -113,7 +113,6 @@ class Branch(Interval):
 
 @dataclass
 class BranchStats:
-    m: int
     count: int
     max_len: Fraction
     min_len: Fraction
@@ -203,7 +202,7 @@ class BranchTree:
         else:
             spans = [br.span for br in level]
             psi_max, psi_min = max(spans), min(spans)
-        return BranchStats(m, reps * len(level), Fraction(*top), Fraction(*bottom),
+        return BranchStats(reps * len(level), Fraction(*top), Fraction(*bottom),
                            reps * sum(Fraction(t, den) for den, t in totals.items()),
                            psi_max, psi_min)
 

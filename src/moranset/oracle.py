@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, lt
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, DegenerateSpecError, DomainError
+from .errors import (BudgetExceededError, DegenerateSpecError, DomainError,
+                     InconsistentSpecError)
 from .specs import MoranSpec
 
 MAX_INTERVALS = 10**5
@@ -58,6 +60,20 @@ def naive_box_count(intervals: Iterable[tuple[Fraction, Fraction]],
 # Independent construction + exhaustive window sweep
 # ---------------------------------------------------------------------------
 
+def oracle_gaps(spec: MoranSpec, sigma: tuple[int, ...],
+                k: int) -> tuple[Fraction, ...]:
+    """The n_k - 1 interior gaps of parent sigma at level k: the slack
+    delta_{k-1} - n_k delta_k - L_k - R_k split in `Fraction`s in proportion
+    to the policy's gap weights."""
+    n = spec.n(k)
+    slack = spec.delta(k - 1) - n * spec.delta(k) - spec.L(k) - spec.R(k)
+    if slack < 0:
+        raise InconsistentSpecError(f"negative slack {slack} at level {k}")
+    w = spec.gaps.gap_weights(sigma, k, n - 1)
+    total = sum(w)
+    return tuple(slack * wi / total for wi in w)
+
+
 def oracle_level(spec: MoranSpec, k: int,
                  trimmed: bool = False) -> list[tuple[Fraction, Fraction]]:
     """Level-k intervals rebuilt from the rules by breadth-first expansion."""
@@ -72,7 +88,7 @@ def oracle_level(spec: MoranSpec, k: int,
                 f"(cap {MAX_INTERVALS})")
         nxt = []
         for lo, hi, addr in level:
-            gaps = spec.interior_gaps(addr, depth)
+            gaps = oracle_gaps(spec, addr, depth)
             x = lo + spec.L(depth)
             for j in range(1, n + 1):
                 nxt.append((x, x + d, addr + (j,)))
@@ -120,6 +136,70 @@ def exhaustive_mu_sweep(spec: MoranSpec, k: int, t: float) -> OracleResult:
             if r > worst:
                 worst, witness = r, (pts[i], pts[j])
     return OracleResult((worst, witness), "exhaustive_mu_sweep", checked)
+
+
+# ---------------------------------------------------------------------------
+# Condition certificates and the refinement schedule
+# ---------------------------------------------------------------------------
+
+@dataclass
+class OracleConditions:
+    """`oracle_conditions`' constants, named as `dimension.ConditionCert`'s."""
+    omega1: Fraction | None
+    omega1_witness: int | None
+    omega2: Fraction
+    omega2_witness: int
+    omega3: Fraction
+    omega3_witness: int
+
+
+def oracle_conditions(spec: MoranSpec, K: int) -> OracleConditions:
+    """The three condition constants over levels 1..K, each with the first
+    level that attains it: per level, from every parent's sibling gaps in
+    the `oracle_level` list, ω1 = max gap / min gap (None at any level
+    with a zero gap), ω2 = max gap / (c_1...c_k) and ω3 = n_k min gap /
+    (c_1...c_{k-1}), the gaps as lengths on the initial interval."""
+    ratios: list[list[tuple[int, Fraction | None]]] = [[], [], []]
+    shrink = Fraction(1)
+    for k in range(1, K + 1):
+        level = oracle_level(spec, k)
+        n = spec.n(k)
+        gaps = [level[i + 1][0] - level[i][1]
+                for i in range(len(level) - 1) if (i + 1) % n]
+        widest, narrowest = max(gaps), min(gaps)
+        ratios[0].append((k, widest / narrowest if narrowest else None))
+        ratios[2].append((k, n * narrowest / shrink))
+        shrink *= spec.c(k)
+        ratios[1].append((k, widest / shrink))
+
+    def first(rows, better):
+        k, best = rows[0]
+        for j, r in rows[1:]:
+            if better(r, best):
+                k, best = j, r
+        return best, k
+
+    zero = any(r is None for _, r in ratios[0])
+    return OracleConditions(
+        *((None, None) if zero else first(ratios[0], gt)),
+        *first(ratios[1], gt), *first(ratios[2], lt))
+
+
+def oracle_schedule(spec: MoranSpec, condition: str, omega: Fraction,
+                    K: int) -> tuple[int, list[int]]:
+    """The refinement base M and step counts i_1..i_K for the constant ω of
+    condition A or B (from `oracle_conditions`): M is the least integer
+    above the spread bound 2ω (A) or 2(ω + 1) (B), and i_k is one less than
+    the number of base-M digits of n_k, at least 1."""
+    bound = 2 * omega if condition == "A" else 2 * (omega + 1)
+    M = bound.numerator // bound.denominator + 1
+    steps = []
+    for k in range(1, K + 1):
+        digits, n = 0, spec.n(k)
+        while n:
+            digits, n = digits + 1, n // M
+        steps.append(max(digits - 1, 1))
+    return M, steps
 
 
 # ---------------------------------------------------------------------------

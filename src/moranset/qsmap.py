@@ -52,7 +52,7 @@ from typing import Sequence
 from .branchtree import BranchTree
 from .dimension import fit_slope, power_ratio
 from .errors import (ConfigError, DegenerateSpecError, DomainError,
-                     InvalidSpecError, PrecisionError)
+                     PrecisionError)
 from .tree import Interval
 
 _GUARD_BITS = 32
@@ -197,7 +197,7 @@ class AffineMap(QsMap):
 
     def __post_init__(self):
         if self.a <= 0:
-            raise InvalidSpecError(f"affine slope must be positive, got {self.a}")
+            raise ConfigError(f"affine slope must be positive, got {self.a}")
 
     def bounds(self, num, den, prec):
         (an, ad), (bn, bd) = (self.a.as_integer_ratio(),
@@ -219,7 +219,7 @@ class PowerMap(QsMap):
 
     def __post_init__(self):
         if self.a <= 0:
-            raise InvalidSpecError(f"power exponent must be positive, got {self.a}")
+            raise ConfigError(f"power exponent must be positive, got {self.a}")
 
     def float_eval(self, x):
         return math.copysign(abs(x) ** float(self.a), x) if x else 0.0
@@ -267,11 +267,11 @@ class PiecewiseLinearMap(QsMap):
 
     def __init__(self, points: Sequence[tuple[Fraction, Fraction]]):
         if len(points) < 2:
-            raise InvalidSpecError("piecewise-linear map needs >= 2 breakpoints")
+            raise ConfigError("piecewise-linear map needs >= 2 breakpoints")
         self.points = [(Fraction(x), Fraction(y)) for x, y in points]
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
             if x1 <= x0 or y1 <= y0:
-                raise InvalidSpecError(
+                raise ConfigError(
                     "piecewise-linear breakpoints must be strictly increasing "
                     "in both coordinates")
         self.slopes = [(y1 - y0) / (x1 - x0)
@@ -300,7 +300,7 @@ class CompositionMap(QsMap):
 
     def __init__(self, parts: Sequence[QsMap]):
         if not parts:
-            raise InvalidSpecError("empty composition")
+            raise ConfigError("empty composition")
         self.parts = list(parts)
         self.affine = all(p.affine for p in self.parts)
 
@@ -629,9 +629,9 @@ class QsStats:
                    float(self.l_T[m]))
 
 
-def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
-    """Exact statistic series through level m_top (default: one below the
-    built depth so the refinement at the top level is observable).
+def stats_series(tree: BranchTree) -> QsStats:
+    """Exact statistic series through level m_top = m_max - 1, one below
+    the built depth, so the refinement at the top level is observable.
 
     One pass over levels 0..m_top: at level m, beta, theta, kappa and chi
     (at m+1) come from `tree.families(m)`, each parent's children being one
@@ -644,15 +644,14 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
     gap over D·P is its own numerator.  Extremes are integer pairs compared
     by cross-multiplying; every ratio lies in [0, 1], so maxima start at 0
     and theta at 1."""
-    m_top = tree.m_max - 1 if m_top is None else m_top
+    m_top = tree.m_max - 1
     if m_top < 1:
-        raise DomainError(f"m_max = {m_top + 1} is out of range: refinement "
+        raise DomainError(f"m_max = {tree.m_max} is out of range: refinement "
                           "statistics need m_max >= 2")
     beta, theta, kappa, chi = [], [], [], []
     lam_s, lam_u, gam_s, gam_u = [], [], [], []
     stats, stage = [tree.branch_stats(0)], 0     # level 0 is always built
     for m in range(m_top):
-        families = tree.families(m)     # range-checks m before any stats read
         k = tree.schedule.stage_of(m + 1)
         if k != stage:
             # the trimmed gaps of the stage whose intervals level m+1 spans:
@@ -674,7 +673,7 @@ def stats_series(tree: BranchTree, m_top: int | None = None) -> QsStats:
                     gap_min = (lo, den)
             gap_max, gap_min = Fraction(*gap_max), Fraction(*gap_min)
         b, t, c, kp = (0, 1), (1, 1), (0, 1), None
-        for br, kids in families:
+        for br, kids in tree.families(m):
             P, D = br.den, kids[0].den
             q = D * (br.hi_num - br.lo_num)
             lens = [kid.hi_num - kid.lo_num for kid in kids]
@@ -718,7 +717,6 @@ class SandwichFit:
     p: float
     q: float
     lam: float
-    samples: int
 
 
 def sandwich_audit(fmap: QsMap,
@@ -737,7 +735,7 @@ def sandwich_audit(fmap: QsMap,
         raise PrecisionError(f"map {fmap.describe()}: the sandwich audit's "
                              "domain lies past float range") from None
     if fmap.affine:
-        return SandwichFit(1.0, 1.0, 1.0, samples)
+        return SandwichFit(1.0, 1.0, 1.0)
     rng = random.Random(f"{seed}|pairs")
     p_fit = math.inf
     q_fit = 0.0
@@ -767,5 +765,5 @@ def sandwich_audit(fmap: QsMap,
         p_fit = min(p_fit, math.log(s / 4.0) / math.log(r))
     if n == 0:
         raise DomainError("no valid nested pairs sampled")
-    return SandwichFit(min(p_fit, 1.0), q_fit, 1.0, n)
+    return SandwichFit(min(p_fit, 1.0), q_fit, 1.0)
 

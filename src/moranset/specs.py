@@ -89,7 +89,9 @@ def constant(value, name="rule") -> SequenceRule:
 
 @dataclass(frozen=True)
 class GapPolicy:
-    """Distributes the interior slack of one parent over its interior gaps.
+    """The weights by which one parent's interior slack splits over its
+    interior gaps: `MoranSpec.child_offsets` reads them as integers, and
+    the oracle's `oracle_gaps` splits the `Fraction` slack by them.
 
     Boundary gaps are never produced here; they are always the L/R rules.
     Every kind is a weight vector, and the gaps split the slack in
@@ -149,20 +151,6 @@ class GapPolicy:
                 f"gap weights {', '.join(map(str, w))} for the {count} interior "
                 f"gaps at level {k} sum to zero")
         return w
-
-    def interior_gaps(self, sigma: tuple[int, ...], k: int, count: int,
-                      slack: Fraction) -> tuple[Fraction, ...]:
-        """The `count` interior gaps of parent `sigma` at level k: the slack
-        split exactly in proportion to `gap_weights`.  This is the `Fraction`
-        reference read by the oracle and the tests; `MoranSpec.child_offsets`
-        reads the weights instead."""
-        if count < 1:
-            raise InvalidSpecError(f"level {k} has {count + 1} children; need >= 2")
-        if slack < 0:
-            raise InconsistentSpecError(f"negative slack {slack} at level {k}")
-        w = self.gap_weights(sigma, k, count)
-        total = sum(w)
-        return tuple(slack * wi / total for wi in w)
 
 
 class MoranSpec:
@@ -257,10 +245,6 @@ class MoranSpec:
             self._scalars[k] = den, lo, step, e
         return self._scalars[k]
 
-    def interior_gaps(self, sigma: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
-        """The `Fraction` reference split (see `GapPolicy.interior_gaps`)."""
-        return self.gaps.interior_gaps(sigma, k, self.n(k) - 1, self.slack(k))
-
     def child_offsets(self, sigma: tuple[int, ...],
                       k: int) -> tuple[int, tuple[int, ...]]:
         """Where the n_k children of parent sigma start, relative to its left
@@ -291,9 +275,6 @@ class MoranSpec:
 @dataclass
 class LevelCheck:
     k: int
-    n: int | None = None
-    c: Fraction | None = None
-    slack: Fraction | None = None
     problems: list[str] = field(default_factory=list)
 
     @property
@@ -347,17 +328,17 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
                 lc.problems.append(str(exc))
 
         try:
-            lc.n, lc.c = check(spec.n, k), check(spec.c, k)
-            if lc.n is not None and lc.c is not None and lc.n * lc.c >= 1:
-                lc.problems.append(f"n_{k} * c_{k} = {lc.n * lc.c} >= 1")
+            n, c = check(spec.n, k), check(spec.c, k)
+            if n is not None and c is not None and n * c >= 1:
+                lc.problems.append(f"n_{k} * c_{k} = {n * c} >= 1")
             check(spec.L, k)
             check(spec.R, k)
             if lc.ok:
                 # slack(k) needs delta(k-1), which fails if an earlier
                 # level's c was rejected
-                lc.slack = check(spec.slack, k)
+                check(spec.slack, k)
             if lc.ok and spec.gaps.node_independent:
-                check(spec.gaps.gap_weights, (), k, lc.n - 1)
+                check(spec.gaps.gap_weights, (), k, n - 1)
         except RuleEvalError as exc:
             return ValidationReport(spec.name, K, levels, error=str(exc))
     return ValidationReport(spec.name, K, levels)

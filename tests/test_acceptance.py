@@ -19,7 +19,7 @@ from moranset.cli import main as cli_main
 from moranset.dimension import box_count, check_conditions, dim_formula_seq
 from moranset.measure import MassMeasure, frostman_audit
 from moranset.oracle import (dim1_binary_prop1_log_ratios,
-                             exhaustive_mu_sweep, naive_box_count)
+                             exhaustive_mu_sweep, naive_box_count, oracle_gaps)
 from moranset.qsmap import (IdentityMap, PowerMap, build_mu_d, image_tree,
                             parse_map, prop1_ratio_series, stats_series)
 from moranset.reconstruct import first_reconstruct
@@ -88,7 +88,7 @@ def _identity_suite_node_independent(spec, K):
         st = star.stats(k)
         # per-node gap shift: every parent's trimmed gaps are the first's
         sigma, sgaps = _first_parent_gaps(spec, star, k)
-        assert sgaps == tuple(g + shift for g in spec.interior_gaps(sigma, k))
+        assert sgaps == tuple(g + shift for g in oracle_gaps(spec, sigma, k))
         assert (max(sgaps), min(sgaps)) == (st.max_gap, st.min_gap)
         assert st.L == spec.L(k + 1) and st.R == spec.R(k + 1)
         # aggregate identities
@@ -112,7 +112,7 @@ def _identity_suite_seeded(spec, K, exact_k, samples, seed):
         base = level_stats(spec, k)
         st = star.stats(k)
         sigma, sgaps = _first_parent_gaps(spec, star, k)
-        assert sgaps == tuple(g + shift for g in spec.interior_gaps(sigma, k))
+        assert sgaps == tuple(g + shift for g in oracle_gaps(spec, sigma, k))
         assert st.min_gap <= min(sgaps) and max(sgaps) <= st.max_gap
         assert st.max_gap == base.max_gap + shift
         assert st.min_gap == base.min_gap + shift
@@ -128,7 +128,7 @@ def _identity_suite_seeded(spec, K, exact_k, samples, seed):
             den, offsets = spec.child_offsets(sigma, k)
             sgaps = tuple(Fraction(b - a, den) - length
                           for a, b in zip(offsets, offsets[1:]))
-            assert sgaps == tuple(g + shift for g in spec.interior_gaps(sigma, k))
+            assert sgaps == tuple(g + shift for g in oracle_gaps(spec, sigma, k))
             assert shift <= min(sgaps)
 
 
@@ -259,9 +259,9 @@ def test_criterion_09_ratio_series_controls():
 def test_criterion_10_trend_suite():
     t0 = time.perf_counter()
     spec = preset("dim1_binary")
-    sched = choose_M(spec, "A", 64)
-    tree = build_T(spec, sched, 64, mode="auto")
-    stats = stats_series(tree, 64)
+    sched = choose_M(spec, "A", 65)
+    tree = build_T(spec, sched, 65, mode="auto")
+    stats = stats_series(tree)
     M = sched.M
     refine_ok = all(th >= 1 - (M ** 2 + 1) * b
                     for b, th in zip(stats.beta, stats.theta)

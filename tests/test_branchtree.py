@@ -221,16 +221,14 @@ def test_modes_agree(spec):
     # padded2 and weighted9 have nonzero boundary gaps, so the trimmed
     # children do not start where their trimmed parent does
     sched = choose_M(spec, "A", 4)
-    top = sched.m_max - 1
-    expl = build_T(spec, sched, top, mode="explicit")
-    tmpl = build_T(spec, sched, top, mode="auto")
+    expl = build_T(spec, sched, mode="explicit")
+    tmpl = build_T(spec, sched, mode="auto")
     assert (expl.mode, tmpl.mode) == ("explicit", "template")
-    for m in range(top + 1):
+    for m in range(sched.m_max + 1):
         assert expl.branch_stats(m) == tmpl.branch_stats(m)
-    assert stats_series(expl) == stats_series(tmpl)
-    for m in range(top):
+    for m in range(sched.m_max):
         assert _child_counts(expl, m) == _child_counts(tmpl, m)
-    assert stats_series(expl, m_top=top) == stats_series(tmpl, m_top=top)
+    assert stats_series(expl) == stats_series(tmpl)
 
 
 @given(level_specs(), st.booleans(), st.integers(2, 3))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import moranset
 from moranset import branchtree, dimension, measure
 from moranset.cli import EXIT_CODES, main
+from moranset.errors import MoranError
 from moranset.qsmap import (IdentityMap, build_mu_d, image_tree,
                             prop1_ratio_series)
 from moranset.reconstruct import StarState
@@ -553,6 +554,10 @@ def test_dimension_series_is_scale_free(runner, tmp_path, args, series_of):
     (["qs", "--precision-bits", "0"], 10),
     (["qs", "--samples", "0"], 10),
     (["branches", "--preset", "skew10", "--depth", "2", "--mode", "template"], 2),
+    # a map outside its family is a bad option value, like an unknown family
+    (["qs", "--depth", "2", "--map", "power:0"], 3),
+    (["qs", "--depth", "2", "--map", "affine:-1,0"], 3),
+    (["report", "--depth", "2", "--qs", "pl:0,0;1,0"], 3),
     (["qs", "--depth", "2", "--map", "affine:2,0+power:700"], 12),
     (["qs", "--depth", "2", "--map", "affine:2,0+power:2000"], 12),
     (["dim", "--depth", "5000", "--t", "0.5"], 12),
@@ -662,10 +667,42 @@ def test_failed_audit_verdict_writes_manifest(runner, tmp_path, monkeypatch):
 
 
 _PRESETS = ["cantor3", "dim1_binary", "wide10", "skew10", "padded2"]
-#: Config files the fuzz writes out and reads as spec sources.
-_CONFIGS = {"zero_gap": _ZERO_GAP_CONFIG, "long": _LONG_CONFIG}
-_DEPTH = st.integers(-1, 3)
-_SMALL_DEPTH = st.integers(-1, 2)
+#: Config files the fuzz writes out and reads as spec sources: the two
+#: valid ones above, and near misses of the schema and of the level rules.
+_CONFIGS = {
+    "zero_gap": _ZERO_GAP_CONFIG,
+    "long": _LONG_CONFIG,
+    "n_wrong_type": {**_GOOD_CONFIG, "n": 2},
+    "unknown_key": {**_GOOD_CONFIG, "inteval": {"lo": "0", "hi": "1"}},
+    "zero_weight": {**_GOOD_CONFIG,
+                    "gaps": {"kind": "weighted", "weights": ["0", "1"]}},
+    "nc_ge_1": {**_GOOD_CONFIG, "n": {"kind": "constant", "values": [3]},
+                "c": {"kind": "constant", "values": ["1/2"]}},
+    "short_prefix": {**_GOOD_CONFIG,
+                     "n": {"kind": "explicit-prefix", "values": [2, 3]},
+                     "c": {"kind": "constant", "values": ["1/4"]}},
+    # trimmed level-1 length 1/4 - 1/8 - 1/8 = 0, and negative slack at 2
+    "trimmed_zero": {**_GOOD_CONFIG, "c": {"kind": "constant", "values": ["1/4"]},
+                     "L": {"kind": "constant", "values": ["1/8"]},
+                     "R": {"kind": "constant", "values": ["1/8"]}},
+}
+#: The documented exit codes: a finished run (0, or 1 for a FAIL verdict)
+#: and each error class's own code.  A run that exits with the fallback of
+#: `MoranError` raised an error class that `EXIT_CODES` does not name.
+_DOCUMENTED = {0, 1, *(code for cls, code in EXIT_CODES.items()
+                       if cls is not MoranError)}
+
+
+def _mostly(good: list, bad: list):
+    """One of `good`, or now and then one of `bad`, so that a drawn run
+    holds few bad values and many runs finish."""
+    return st.sampled_from(good * 4 + bad)
+
+
+_DEPTH = _mostly([1, 2, 3], [-1, 0])
+_SMALL_DEPTH = _mostly([1, 2], [-1, 0])
+#: The refinement statistics of `qs` and `report` need depth 2.
+_QS_DEPTH = _mostly([2], [-1, 0, 1])
 _CONDITION = st.sampled_from(["A", "B"])
 # Per subcommand: options always given (the sizes, kept small so that every
 # run is quick), then options given or left at their defaults.
@@ -673,38 +710,43 @@ _SUBCOMMANDS = {
     "validate": ({"--depth": _DEPTH}, {}),
     "build": ({"--depth": _DEPTH},
               {"--budget": st.sampled_from([10, 10**4])}),
-    "dim": ({"--depth": _DEPTH}, {"--t": st.sampled_from([-1, 0.5, 1, 2])}),
+    "dim": ({"--depth": _DEPTH}, {"--t": _mostly([0.5], [-1, 1, 2])}),
     "conditions": ({"--depth": _DEPTH}, {}),
     "reconstruct": ({"--depth": _DEPTH}, {}),
     "branches": ({"--depth": _SMALL_DEPTH},
-                 {"--m-max": st.integers(-1, 4), "--condition": _CONDITION,
+                 {"--m-max": _mostly([1, 2, 3, 4], [-1, 0]),
+                  "--condition": _CONDITION,
                   "--mode": st.sampled_from(["auto", "explicit"])}),
-    "measure-audit": ({"--t": st.sampled_from([-1, 0, 0.3, 0.6, 0.95]),
-                       "--k-hi": st.integers(0, 3),
-                       "--samples": st.integers(0, 20)},
+    "measure-audit": ({"--t": _mostly([0.3, 0.6], [-1, 0, 0.95]),
+                       "--k-hi": _mostly([1, 2, 3], [0]),
+                       "--samples": _mostly(list(range(1, 21)), [0])},
                       {"--condition": st.sampled_from(["A", "B", "C"]),
-                       "--k-lo": st.integers(0, 2),
+                       "--k-lo": _mostly([1, 2], [0]),
                        "--mode": st.sampled_from(["exhaustive", "sampled"]),
-                       "--threads": st.integers(0, 2)}),
-    "qs": ({"--depth": _SMALL_DEPTH, "--samples": st.integers(0, 20)},
-           {"--m-max": st.integers(-1, 3), "--condition": _CONDITION,
-            "--map": st.sampled_from(["identity", "power:2", "power:1/2",
-                                      "affine:3,-1", "pl:0,0;1,2",
-                                      "power:2+affine:3,-1", "affine:-1,0",
-                                      "bogus"]),
-            "--d": st.sampled_from([0.5, 1.0, -1.0])}),
-    "report": ({"--depth": _SMALL_DEPTH},
+                       "--threads": _mostly([1, 2], [0])}),
+    "qs": ({"--depth": _QS_DEPTH,
+            "--samples": _mostly(list(range(1, 21)), [0])},
+           {"--m-max": _mostly([2, 3], [-1, 0, 1]), "--condition": _CONDITION,
+            "--map": _mostly(["identity", "power:2", "power:1/2", "affine:3,-1",
+                              "pl:0,0;1,2", "power:2+affine:3,-1",
+                              "power:1000000"],
+                             ["affine:-1,0", "power:0", "bogus"]),
+            "--d": _mostly([0.5, 0.3], [1.0, -1.0])}),
+    "report": ({"--depth": _QS_DEPTH},
                {"--qs": st.sampled_from(["identity", "power:2"]),
                 "--condition": _CONDITION}),
 }
+#: Spec sources: the presets, the two valid configs and the near misses.
+_SOURCES = _mostly([["--preset", p] for p in _PRESETS]
+                   + [["--config", "zero_gap"], ["--config", "long"]],
+                   [["--config", c] for c in sorted(_CONFIGS)
+                    if c not in ("zero_gap", "long")])
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
-    argv = [command, *draw(st.sampled_from(
-        [["--preset", p] for p in _PRESETS]
-        + [["--config", c] for c in sorted(_CONFIGS)]))]
+    argv = [command, *draw(_SOURCES)]
     always, maybe = _SUBCOMMANDS[command]
     for option, values in always.items():
         argv += [option, str(draw(values))]
@@ -714,20 +756,37 @@ def _argv(draw):
     return argv
 
 
+def _invoke(argv: list[str], out: str) -> tuple[object, dict[str, bytes] | None]:
+    """The result of one in-process run, and the bytes of every file it
+    wrote into `out`, or None if it did not create `out`."""
+    args = argv if argv[0] == "validate" else argv + ["--out", out]
+    res = CliRunner().invoke(main, args)
+    if not Path(out).exists():
+        return res, None
+    return res, {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
 @given(_argv())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=1000, deadline=None, derandomize=True)
 def test_cli_fuzz_exits_with_documented_codes(argv):
-    with tempfile.TemporaryDirectory() as out, \
-            tempfile.TemporaryDirectory() as configs:
+    with tempfile.TemporaryDirectory() as tmp:
         if argv[1] == "--config":
-            cfg = Path(configs, argv[2] + ".json")
+            cfg = Path(tmp, argv[2] + ".json")
             cfg.write_text(json.dumps(_CONFIGS[argv[2]]))
             argv = [argv[0], argv[1], str(cfg), *argv[3:]]
-        args = argv if argv[0] == "validate" else argv + ["--out", out]
-        res = CliRunner().invoke(main, args)
-        left = sorted(p.name for p in Path(out).iterdir())
-    assert res.exception is None or isinstance(res.exception, SystemExit), (
-        f"{argv}: {res.exception!r}")
-    assert res.exit_code in {0, 1, *EXIT_CODES.values()}, (argv, res.output)
-    # only a finished run (a PASS, or a FAIL verdict) writes files
-    assert res.exit_code in {0, 1} or not left, (argv, res.exit_code, left)
+        res, files = _invoke(argv, Path(tmp, "first").as_posix())
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            f"{argv}: {res.exception!r}")
+        assert res.exit_code in _DOCUMENTED, (argv, res.exit_code, res.output)
+        # only a finished run (a PASS, or a FAIL verdict) creates `--out`
+        assert res.exit_code in {0, 1} or files is None, (argv, res.exit_code)
+        if files is not None:
+            # the manifest holds what `_manifest` writes, no timestamp, and
+            # a rerun into a fresh directory writes the same bytes
+            assert set(json.loads(files["manifest.json"])) == {
+                "command", "source", "params", "config_sha256",
+                "package_version", "python_version"}, argv
+            again, rerun = _invoke(argv, Path(tmp, "again").as_posix())
+            assert again.exit_code == res.exit_code, argv
+            assert rerun == files, (argv, [name for name in files
+                                           if rerun.get(name) != files[name]])

@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moranset.branchtree import choose_M
 from moranset.dimension import (box_count, check_conditions, cover_sum,
                                 dim_formula_seq, log_fraction, power_ratio)
 from moranset.errors import ConditionInapplicableError, DomainError
-from moranset.oracle import dim1_binary_s, naive_box_count
+from moranset.oracle import (dim1_binary_s, naive_box_count, oracle_conditions,
+                             oracle_schedule)
 from moranset.reconstruct import StarState, first_reconstruct
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
 from moranset.tree import Node, build_level, iter_level
@@ -83,14 +85,17 @@ def test_condition_a_inapplicable_on_zero_gap():
     assert cert.to_dict()["applicable"] == {"A": False, "B": True, "C": False}
 
 
+_ZERO_GAP_BELOW_LEVEL_ONE = MoranSpec(
+    SequenceRule("periodic", (2, 3)), constant(Fraction(1, 5)),
+    constant(Fraction(0)), constant(Fraction(0)),
+    GapPolicy("weighted", weights=(Fraction(1), Fraction(0))))
+
+
 def test_zero_gap_below_level_one():
     # weights 1, 0 leave a zero gap on the 3-child levels 2 and 4 only:
     # omega1 is undefined although level 1 has a ratio, and the ties of
     # omega2 (levels 1 and 3) and omega3 (levels 2 and 4) go to the first
-    spec = MoranSpec(SequenceRule("periodic", (2, 3)), constant(Fraction(1, 5)),
-                     constant(Fraction(0)), constant(Fraction(0)),
-                     GapPolicy("weighted", weights=(Fraction(1), Fraction(0))))
-    cert = check_conditions(spec, 4)
+    cert = check_conditions(_ZERO_GAP_BELOW_LEVEL_ONE, 4)
     assert (cert.omega1, cert.omega1_witness) == (None, None)
     assert (cert.omega2, cert.omega2_witness) == (3, 1)
     assert (cert.omega3, cert.omega3_witness) == (0, 2)
@@ -109,6 +114,26 @@ def test_certificates_are_tight():
     k3 = cert.omega3_witness
     st3 = level_stats(spec, k3)
     assert spec.n(k3) * st3.min_gap == cert.omega3 * spec.delta(k3 - 1)
+
+
+@given(level_specs(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+@example(_ZERO_GAP_BELOW_LEVEL_ONE, 4)
+@example(preset("skew10"), 2)
+def test_conditions_match_oracle_twin(spec, K):
+    # the constants, their first witnesses and both schedules, against the
+    # twin that reads every parent's gaps off the oracle's level lists
+    cert = check_conditions(spec, K)
+    twin = oracle_conditions(spec, K)
+    assert vars(twin) == {f: v for f, v in vars(cert).items() if f != "K"}
+    for condition, omega in (("A", twin.omega1), ("B", twin.omega2)):
+        if omega is None:
+            with pytest.raises(ConditionInapplicableError):
+                choose_M(spec, condition, K, cert)
+        else:
+            sched = choose_M(spec, condition, K, cert)
+            assert (sched.M, sched.i) == oracle_schedule(spec, condition,
+                                                         omega, K)
 
 
 def test_cover_sums():

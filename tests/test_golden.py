@@ -35,6 +35,8 @@ COMMANDS = {
                              "--mode", "explicit"],
     "branches-auto-m2": ["branches", "--depth", "3", "--m-max", "2"],
     "qs-power": ["qs", "--depth", "3", "--map", "power:1/2", "--samples", "200"],
+    "qs-power-d0.3": ["qs", "--depth", "3", "--map", "power:1/2", "--d", "0.3",
+                      "--samples", "200"],
     "qs-pl": ["qs", "--depth", "3", "--map", PL_MAP, "--samples", "200"],
     "qs-affine": ["qs", "--depth", "3", "--map", "affine:3,-1", "--samples", "200"],
     "report-identity": ["report", "--depth", "3"],
@@ -169,6 +171,11 @@ GOLDEN = {
     ('qs-power', 'padded2'): (0, {'qs.json': '37991102948f89f6', 'ratio.csv': '5c4d73380198eec6', 'stats.csv': 'a68443ca8946e0c5'}),
     ('qs-power', 'skew10'): (0, {'qs.json': '5e0baee43ba59c1a', 'ratio.csv': 'c6bc884c5e411a98', 'stats.csv': 'f611421bc6153984'}),
     ('qs-power', 'wide10'): (0, {'qs.json': '3c45dc82cd6575ae', 'ratio.csv': '5e0933718951307f', 'stats.csv': 'e759b712e74d5e10'}),
+    ('qs-power-d0.3', 'cantor3'): (0, {'qs.json': '1f09daaa58c20c29', 'ratio.csv': '98bae949c6acf492', 'stats.csv': '5e84a03c3b3576cf'}),
+    ('qs-power-d0.3', 'dim1_binary'): (0, {'qs.json': 'd6c29f1d39b14e8e', 'ratio.csv': '746323fde1dda6e3', 'stats.csv': '816727398d65f5c1'}),
+    ('qs-power-d0.3', 'padded2'): (0, {'qs.json': '541edf5473d533ea', 'ratio.csv': 'ee3a51f2c7ad05c9', 'stats.csv': 'a68443ca8946e0c5'}),
+    ('qs-power-d0.3', 'skew10'): (0, {'qs.json': '1ad004be3d862ff1', 'ratio.csv': 'fd23ee76834be407', 'stats.csv': 'f611421bc6153984'}),
+    ('qs-power-d0.3', 'wide10'): (0, {'qs.json': 'e4a36fd49879155c', 'ratio.csv': 'd5534ea9c8cc0f6e', 'stats.csv': 'e759b712e74d5e10'}),
     ('qs-pl', 'cantor3'): (0, {'qs.json': 'e36f172625e9e076', 'ratio.csv': 'b2d7e7b7f42d18fb', 'stats.csv': '5e84a03c3b3576cf'}),
     ('qs-pl', 'dim1_binary'): (0, {'qs.json': 'e8ee0a84f89f8f0b', 'ratio.csv': 'b046fe71d60403b0', 'stats.csv': '816727398d65f5c1'}),
     ('qs-pl', 'padded2'): (0, {'qs.json': 'b70208deda7c8f62', 'ratio.csv': '09d1dedccd6dea50', 'stats.csv': 'a68443ca8946e0c5'}),

@@ -110,8 +110,9 @@ def test_oracle_stays_independent():
     paths: nothing imports it, and it imports only errors and specs.  Its
     `mu_d` raises `Fraction` lengths by `mpmath.power` and calls nothing the
     fast path's `qsmap` or `dimension` defines (integer lengths, weights,
-    roots, ratios); its hierarchy and statistics twins call nothing that
-    `branchtree`, `qsmap` or `dimension` defines."""
+    roots, ratios); its hierarchy, statistics and certificate twins call
+    nothing that `branchtree`, `qsmap`, `dimension` or `tree` defines, nor
+    the spec's own slack or offsets."""
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert any(p.name == "oracle.py" for p in sources)
     importers = [p.name for p in sources
@@ -135,6 +136,16 @@ def test_oracle_stays_independent():
     assert {"balanced_groups", "refine_stage", "families", "branch_stats",
             "stats_series", "stage_of"} <= fast
     assert (hierarchy | stats) & fast == set()
+    # the certificate twin reads each parent's gaps off `oracle_level`
+    # lists, and the schedule twin rebuilds M and the steps itself
+    conditions = _calls_in(PACKAGE_DIR / "oracle.py", "oracle_conditions")
+    schedule = _calls_in(PACKAGE_DIR / "oracle.py", "oracle_schedule")
+    assert "oracle_level" in conditions
+    fast |= _defined_in(PACKAGE_DIR / "tree.py")
+    assert {"check_conditions", "choose_M", "spread_bound", "level_stats",
+            "stats_parents", "slack"} <= fast | _defined_in(PACKAGE_DIR / "specs.py")
+    fast |= {"slack", "_scalars_of", "child_offsets"}
+    assert (conditions | schedule) & fast == set()
 
 
 def _callers(name: str) -> set[str]:
@@ -167,17 +178,18 @@ def _calls_in(path: Path, function: str) -> set[str]:
 def test_tree_alone_places_intervals():
     """Child offsets become intervals in one module: only `tree` builds a
     `Node`, and only it reads `child_offsets` (`tree.rank` included).  Gap
-    weights are split into gaps in `specs` and compared in `tree` only.
-    `child_offsets` reads the weights as integers, never the `Fraction`
-    gaps of `interior_gaps`, so the oracle, which places children by those
-    gaps, shares no split with the fast path."""
+    weights are split into integer offsets in `specs` and compared in
+    `tree`.  The `Fraction` split is the oracle's own: `oracle_gaps` reads
+    the weights and computes the slack itself, never the fast path's
+    `slack`, so the oracle shares no split with the fast path."""
     assert _callers("Node") == {"tree.py"}
     assert _callers("child_offsets") == {"tree.py"}
-    assert _callers("gap_weights") == {"specs.py", "tree.py"}
-    offsets = _calls_in(PACKAGE_DIR / "specs.py", "child_offsets")
-    assert "gap_weights" in offsets
-    assert "interior_gaps" not in offsets
-    assert "interior_gaps" in _calls_in(PACKAGE_DIR / "oracle.py", "oracle_level")
+    assert _callers("gap_weights") == {"specs.py", "tree.py", "oracle.py"}
+    assert "gap_weights" in _calls_in(PACKAGE_DIR / "specs.py", "child_offsets")
+    split = _calls_in(PACKAGE_DIR / "oracle.py", "oracle_gaps")
+    assert "gap_weights" in split
+    assert {"slack", "_scalars_of", "child_offsets"} & split == set()
+    assert "oracle_gaps" in _calls_in(PACKAGE_DIR / "oracle.py", "oracle_level")
 
 
 def test_star_state_alone_trims():

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_int, mpf_div, mpf_pow, round_nearest
 
 from moranset.branchtree import BranchTree, Schedule, build_T, choose_M
-from moranset.errors import (ConfigError, DomainError, InvalidSpecError,
-                             PrecisionError)
+from moranset.errors import ConfigError, DomainError, PrecisionError
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
 from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
@@ -82,13 +81,18 @@ def test_parse_map_families():
 
 
 def test_map_validation():
-    with pytest.raises(InvalidSpecError):
+    # a bad map is a bad --map value, so a configuration error
+    with pytest.raises(ConfigError, match="slope"):
         AffineMap(Fraction(-1), Fraction(0))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ConfigError, match="exponent"):
         PowerMap(Fraction(0))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ConfigError, match="strictly increasing"):
         PiecewiseLinearMap([(Fraction(0), Fraction(0)),
                             (Fraction(1), Fraction(0))])
+    with pytest.raises(ConfigError, match="breakpoints"):
+        PiecewiseLinearMap([(Fraction(0), Fraction(0))])
+    with pytest.raises(ConfigError, match="empty composition"):
+        CompositionMap([])
 
 
 @given(st.fractions(min_value=0, max_value=4), st.fractions(min_value=0, max_value=4))
@@ -680,7 +684,7 @@ def test_dim1_binary_ratio_series_vs_oracle():
 # -- statistics -------------------------------------------------------------
 
 def test_cantor3_stats_values():
-    stats = stats_series(_tree("cantor3", 6, mode="auto"), 5)
+    stats = stats_series(_tree("cantor3", 6, mode="auto"))
     assert all(b == Fraction(1, 3) for b in stats.beta)
     assert all(t == Fraction(2, 3) for t in stats.theta)
     assert all(c == Fraction(1, 3) for c in stats.chi)
@@ -691,7 +695,7 @@ def test_cantor3_stats_values():
 def test_wide10_intermediate_chi_bound():
     spec = preset("wide10")
     tree = _tree("wide10", 3, mode="auto")
-    stats = stats_series(tree, 4)
+    stats = stats_series(tree)
     star = tree.star
     st1 = star.stats(1)
     bound = (4 * star.delta_star(1) + 3 * st1.max_gap) / star.delta_star(0)

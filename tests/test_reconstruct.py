@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from moranset.errors import DegenerateSpecError
+from moranset.oracle import oracle_gaps
 from moranset.reconstruct import first_reconstruct
 from moranset.specs import GapPolicy, MoranSpec, SequenceRule, constant, preset
 from moranset.tree import level_stats
@@ -92,7 +93,7 @@ def test_trimmed_gaps_per_node():
     for sigma in ((1,), (3,)):
         kids = [node for node in level if node.address[:-1] == sigma]
         gaps = tuple(nxt.lo - prev.hi for prev, nxt in zip(kids, kids[1:]))
-        assert gaps == tuple(g + shift for g in spec.interior_gaps(sigma, 2))
+        assert gaps == tuple(g + shift for g in oracle_gaps(spec, sigma, 2))
 
 
 def test_degenerate_trim_rejected():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from moranset.errors import (ConfigError, DomainError, InconsistentSpecError,
                              InvalidSpecError, RuleEvalError)
+from moranset.oracle import oracle_gaps
 from moranset.specs import (WEIGHT_SPAN, GapPolicy, MoranSpec, SequenceRule,
                             constant, format_rational, parse_rational, preset,
                             preset_names, spec_from_config, validate_spec)
@@ -64,12 +65,17 @@ def test_gap_policy_validation():
     assert not GapPolicy("seeded-random", seed=7).node_independent
 
 
+def _spec(n, c, gaps):
+    return MoranSpec(constant(n), constant(c), constant(Fraction(0)),
+                     constant(Fraction(0)), gaps)
+
+
 def test_uniform_and_weighted_gaps_sum_exactly():
-    u = GapPolicy("uniform")
-    gaps = u.interior_gaps((), 1, 9, Fraction(1, 2))
+    # slack 1 - n c = 1/2 at level 1, split by the oracle's reference
+    gaps = oracle_gaps(_spec(10, Fraction(1, 20), GapPolicy("uniform")), (), 1)
     assert gaps == (Fraction(1, 18),) * 9
     w = GapPolicy("weighted", weights=(Fraction(1), Fraction(3)))
-    gaps = w.interior_gaps((), 1, 3, Fraction(1, 2))
+    gaps = oracle_gaps(_spec(4, Fraction(1, 8), w), (), 1)
     assert sum(gaps) == Fraction(1, 2)
     assert gaps[1] == 3 * gaps[0]
 
@@ -79,12 +85,13 @@ def test_uniform_and_weighted_gaps_sum_exactly():
        count=st.integers(1, 12))
 @settings(max_examples=60)
 def test_seeded_gaps_reproducible_and_exact(seed, k, sigma, count):
-    p = GapPolicy("seeded-random", seed=seed)
-    slack = Fraction(3, 7)
-    a = p.interior_gaps(sigma, k, count, slack)
-    b = p.interior_gaps(sigma, k, count, slack)
+    # n c = 4/7 leaves slack 3/7 of each parent, delta_{k-1} long
+    spec = _spec(count + 1, Fraction(4, 7 * (count + 1)),
+                 GapPolicy("seeded-random", seed=seed))
+    a = oracle_gaps(spec, sigma, k)
+    b = oracle_gaps(spec, sigma, k)
     assert a == b
-    assert sum(a) == slack
+    assert sum(a) == spec.slack(k) == Fraction(3, 7) * spec.delta(k - 1)
     assert all(g > 0 for g in a)
 
 
@@ -130,9 +137,11 @@ def test_negative_slack_rejected():
 
 
 def test_validate_pass_and_fail():
-    rep = validate_spec(preset("cantor3"), 10)
+    cantor3 = preset("cantor3")
+    rep = validate_spec(cantor3, 10)
     assert rep.ok
-    assert all(lc.slack == Fraction(1, 3 ** lc.k) for lc in rep.levels)
+    assert [lc.k for lc in rep.levels] == list(range(1, 11))
+    assert all(cantor3.slack(k) == Fraction(1, 3 ** k) for k in range(1, 11))
     bad = MoranSpec(constant(2), constant(Fraction(1, 2)),
                     constant(Fraction(0)), constant(Fraction(0)),
                     GapPolicy("uniform"))
@@ -146,7 +155,7 @@ def test_weights_zero_over_the_used_gaps():
     # uses only the first weight
     policy = GapPolicy("weighted", weights=(Fraction(0), Fraction(1)))
     with pytest.raises(InvalidSpecError, match="level 1 sum to zero"):
-        policy.interior_gaps((), 1, 1, Fraction(1, 3))
+        policy.gap_weights((), 1, 1)
     spec = MoranSpec(constant(2), constant(Fraction(1, 3)),
                      constant(Fraction(0)), constant(Fraction(0)), policy)
     rep = validate_spec(spec, 2)
