@@ -485,6 +485,13 @@ def test_unequal_siblings_split():
     # sqrt(2) and 1 at 160 bits, as the mpmath weights were recorded
     w = _power_weights([2, 1], Fraction(1, 2), 128)
     assert w == [1033437718471923706666374484006904511252097097915, 2 ** 159]
+    # mpmath's a^d off d = 1/2, recorded before any change to this path: no
+    # artifact digest reaches these last bits
+    w = _power_weights([2, 1], Fraction(3, 10), 128)
+    assert w == [899659787947194537264908539491711893990789761697, 2 ** 159]
+    w = _power_weights([3, 2, 1], Fraction(9, 10), 64)
+    assert w == [106477713693440827819239620250, 73922489484648400261770217735,
+                 2 ** 95]
 
 
 def _mpmath_root(a: int, wp: int) -> tuple[int, int]:
