@@ -149,24 +149,22 @@ def refine_stage(runs: list[tuple[int, int]], steps: int, M: int,
 class BranchTree:
     """The interpolated refinement hierarchy.
 
-    `levels[m]` holds the level-m branches (level 0: the trimmed root) and
-    `stages[k]` the trimmed level-k `Node`s that the stage-k branches span,
-    as `iter_level` yields them; in template mode both cover only the first
-    parent of each stage.
+    `levels[m]` holds the level-m branches (level 0: the trimmed root); the
+    milestone level `levels[schedule.m[k]]` holds stage k's trimmed
+    intervals, in order; in template mode each stage covers only its first
+    parent.
     The children of each level-m branch are one contiguous run of
     `levels[m+1]`, runs in parent order; `families(m)` reads them, and every
     per-parent statistic comes from those runs.
     """
 
     def __init__(self, spec: MoranSpec, schedule: Schedule, star: StarState,
-                 mode: str, levels: list[list[Branch]],
-                 stages: dict[int, list[Node]]):
+                 mode: str, levels: list[list[Branch]]):
         self.spec = spec
         self.schedule = schedule
         self.star = star
         self.mode = mode
         self.levels = levels
-        self.stages = stages
 
     @property
     def m_max(self) -> int:
@@ -251,14 +249,13 @@ def build_T(spec: MoranSpec, schedule: Schedule, m_max: int | None = None,
                     f"trimmed intervals (> budget {budget})")
     top, = star.level(0)
     levels = [[Branch(top.lo_num, top.hi_num, top.den, 0, 1, 0)]]
-    stages: dict[int, list[Node]] = {}
     for k in range(1, K + 1):
         # template: the trimmed children of the first parent, one path of
         # the level; explicit: the whole level, its budget checked above
         n_k = spec.n(k)
-        nodes = stages[k] = list(islice(star.iter_level(k), n_k if template else None))
+        nodes = list(islice(star.iter_level(k), n_k if template else None))
         runs = [(a, a + n_k) for a in range(0, len(nodes), n_k)]
         levels += islice(refine_stage(runs, schedule.i[k - 1], schedule.M, nodes),
                          m_max + 1 - len(levels))
     return BranchTree(spec, schedule, star, "template" if template else "explicit",
-                      levels, stages)
+                      levels)

@@ -286,11 +286,11 @@ def measure_audit(spec, out, condition, t_exp, k_lo, k_hi, mode, samples,
     return {"audit.json": _json(audit.to_dict())}, 0 if audit.passed else 1
 
 
-def _mapped(spec, schedule, fmap, d_exp, m_max=None,
+def _mapped(spec, schedule, fmap, d_exp,
             precision_bits=qsmap.DEFAULT_PRECISION_BITS):
     """(hierarchy, refinement statistics, `mu_d` ratio series) of `fmap`, in
     that order; an affine map maps a template hierarchy where one exists."""
-    built = branchtree.build_T(spec, schedule, m_max,
+    built = branchtree.build_T(spec, schedule,
                                mode="auto" if fmap.affine else "explicit")
     stats = qsmap.stats_series(built)
     image = qsmap.image_tree(fmap, built, precision_bits)
@@ -303,14 +303,13 @@ def _mapped(spec, schedule, fmap, d_exp, m_max=None,
                       help="Map family, e.g. power:2 or affine:3,-1."),
          click.option("--d", "d_exp", type=float, default=0.5, show_default=True),
          click.option("--depth", type=int, default=6, show_default=True),
-         click.option("--m-max", type=int, default=None),
          click.option("--condition", type=click.Choice(["A", "B"]), default="A",
                       show_default=True),
          click.option("--precision-bits", type=int,
                       default=qsmap.DEFAULT_PRECISION_BITS, show_default=True),
          click.option("--samples", type=int, default=2000, show_default=True),
          click.option("--seed", type=int, default=0, show_default=True))
-def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
+def qs(spec, out, map_text, d_exp, depth, condition, precision_bits,
        samples, seed):
     """Map the branch hierarchy and audit the image-side quantities."""
     qsmap.check_length_power(d_exp)
@@ -318,8 +317,7 @@ def qs(spec, out, map_text, d_exp, depth, m_max, condition, precision_bits,
     qsmap.check_samples(samples)
     fmap = qsmap.parse_map(map_text)
     schedule = branchtree.choose_M(spec, condition, depth)
-    built, stats, ratios = _mapped(spec, schedule, fmap, d_exp, m_max,
-                                   precision_bits)
+    built, stats, ratios = _mapped(spec, schedule, fmap, d_exp, precision_bits)
     top = built.levels[0][0]
     sandwich = qsmap.sandwich_audit(fmap, (top.lo, top.hi), samples, seed)
     summary = _json({

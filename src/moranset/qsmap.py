@@ -637,7 +637,8 @@ def stats_series(tree: BranchTree) -> QsStats:
     (at m+1) come from `tree.families(m)`, each parent's children being one
     contiguous run of level m+1, and the level ratios at m+1 from
     `branch_stats` of levels m and m+1 and the trimmed gaps between siblings
-    of the stage level m+1 lies in, read once per stage off `tree.stages`.
+    of the stage level m+1 lies in, read once per stage off its milestone
+    level, so a tree that ends inside a stage raises `DomainError`.
 
     A family's children share one denominator D (its parent's P differs only
     at a milestone): x over D is x·P / (D·(hi - lo)) of the parent, an end
@@ -645,29 +646,26 @@ def stats_series(tree: BranchTree) -> QsStats:
     by cross-multiplying; every ratio lies in [0, 1], so maxima start at 0
     and theta at 1."""
     m_top = tree.m_max - 1
-    if m_top < 1:
+    if m_top < 1 or tree.m_max not in tree.schedule.m:
         raise DomainError(f"m_max = {tree.m_max} is out of range: refinement "
-                          "statistics need m_max >= 2")
+                          f"statistics need a milestone m_max >= 2 (milestones "
+                          f"{tree.schedule.m})")
     beta, theta, kappa, chi = [], [], [], []
     lam_s, lam_u, gam_s, gam_u = [], [], [], []
     stats, stage = [tree.branch_stats(0)], 0     # level 0 is always built
     for m in range(m_top):
         k = tree.schedule.stage_of(m + 1)
         if k != stage:
-            # the trimmed gaps of the stage whose intervals level m+1 spans:
-            # star_gaps[i] joins nodes i and i + 1, None between two parents
-            nodes = tree.stages[k]
-            stage = k
-            n_k = tree.spec.n(k)
-            star_gaps: list[int | None] = []
-            gap_max = gap_min = None
+            # the trimmed gaps of the stage whose intervals level m+1 spans,
+            # off its milestone level: star_gaps[i] joins nodes i and i + 1,
+            # read only inside one parent's n_k siblings, which share a den
+            nodes, stage, n_k = tree.levels[tree.schedule.m[k]], k, tree.spec.n(k)
+            star_gaps = [y.lo_num - x.hi_num for x, y in zip(nodes, nodes[1:])]
+            gap_max, gap_min = (0, 1), None
             for a in range(0, len(nodes), n_k):
-                run = nodes[a:a + n_k]
-                gaps = [nxt.lo_num - prev.hi_num for prev, nxt in zip(run, run[1:])]
-                star_gaps += gaps
-                star_gaps.append(None)
-                hi, lo, den = max(gaps), min(gaps), run[0].den
-                if gap_max is None or hi * gap_max[1] > gap_max[0] * den:
+                gaps, den = star_gaps[a:a + n_k - 1], nodes[a].den
+                hi, lo = max(gaps), min(gaps)
+                if hi * gap_max[1] > gap_max[0] * den:
                     gap_max = (hi, den)
                 if gap_min is None or lo * gap_min[1] < gap_min[0] * den:
                     gap_min = (lo, den)

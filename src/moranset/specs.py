@@ -310,8 +310,9 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
     """Check the structural constraints on every level up to K.
 
     Per level: n_k >= 2 integer, n_k c_k < 1, L_k, R_k >= 0, slack e_k >= 0,
-    and (for node-independent policies) gap weights with a positive sum.  Rule
-    evaluation failures abort with a structured error naming the level.
+    and (for node-independent policies) gap weights with a positive sum; and
+    delta_K - L_{K+1} - R_{K+1} > 0 (level k+1's slack implies it below K).
+    Rule evaluation failures abort with a structured error naming the level.
     """
     if K < 1:
         raise DomainError(f"depth {K} is out of range: validation needs depth >= 1")
@@ -339,6 +340,11 @@ def validate_spec(spec: MoranSpec, K: int) -> ValidationReport:
                 check(spec.slack, k)
             if lc.ok and spec.gaps.node_independent:
                 check(spec.gaps.gap_weights, (), k, n - 1)
+            if lc.ok and k == K:
+                L, R = check(spec.L, K + 1), check(spec.R, K + 1)
+                if lc.ok and spec.delta(K) - L - R <= 0:
+                    lc.problems.append(f"trimmed length at level {K} is "
+                                       f"{spec.delta(K) - L - R} <= 0")
         except RuleEvalError as exc:
             return ValidationReport(spec.name, K, levels, error=str(exc))
     return ValidationReport(spec.name, K, levels)

@@ -106,11 +106,12 @@ def test_cantor3_levels_equal_trimmed_levels():
 
 def test_template_stages_at_depth_40():
     # the template stages come from the streamed trimmed level, whose
-    # first n_k intervals cost one path even where the level has 2^40
+    # first n_k intervals cost one path even where the level has 2^40;
+    # stage 40's milestone level holds them as branches
     spec = preset("cantor3")
     sched = choose_M(spec, "A", 40)
     tree = build_T(spec, sched, 40, mode="auto")
-    first, second = tree.stages[40]
+    first, second = tree.levels[sched.m[40]]
     assert (first.lo, first.hi) == (0, Fraction(1, 3 ** 40))
     assert (second.lo, second.hi) == (Fraction(2, 3 ** 40), Fraction(1, 3 ** 39))
 
@@ -139,16 +140,18 @@ def assert_sibling_runs(levels) -> None:
 def assert_branches_on_sibling_dens(tree) -> None:
     """Each run of siblings in a stage shares one denominator, and every
     branch holds its first node's `lo_num` and its last node's `hi_num`
-    over it."""
+    over it, the nodes read off the trimmed level."""
     top, = tree.star.level(0)
     (root,), *levels = tree.levels
     assert (root.lo, root.hi) == (top.lo, top.hi)
-    for k, nodes in tree.stages.items():
+    trimmed = {k: list(tree.star.iter_level(k))
+               for k in range(1, tree.schedule.stage_of(tree.m_max) + 1)}
+    for k, nodes in trimmed.items():
         n_k = tree.spec.n(k)
         for a in range(0, len(nodes), n_k):
             assert len({nd.den for nd in nodes[a:a + n_k]}) == 1, (k, a)
     for m, level in enumerate(levels, 1):
-        nodes = tree.stages[tree.schedule.stage_of(m)]
+        nodes = trimmed[tree.schedule.stage_of(m)]
         for br in level:
             assert Fraction(br.lo_num, br.den) == nodes[br.a].lo, (m, br)
             assert Fraction(br.hi_num, br.den) == nodes[br.b - 1].hi, (m, br)
@@ -200,8 +203,10 @@ def test_branches_read_sibling_integers(spec, template, depth):
 
 
 def test_branches_hold_integers_only():
-    # an explicit tree keeps its stages' nodes and each branch's integers,
-    # no Fraction: 410 bytes held per branch, 529 with Fraction endpoints
+    # an explicit tree keeps each branch's integers and nothing per stage
+    # besides its branches, no Fraction: 285 bytes held per branch (410 with
+    # a second copy of every stage's trimmed nodes, 529 with Fraction
+    # endpoints as well)
     spec = preset("skew10")
     sched = choose_M(spec, "A", 4)
     tracemalloc.start()
@@ -211,7 +216,7 @@ def test_branches_hold_integers_only():
     finally:
         tracemalloc.stop()
     branches = sum(len(level) for level in tree.levels)
-    assert held / branches < 470, f"{held / branches:.0f} bytes per branch"
+    assert held / branches < 330, f"{held / branches:.0f} bytes per branch"
 
 
 @pytest.mark.parametrize("spec", [
@@ -262,8 +267,8 @@ def test_stats_match_oracle_twins(spec, template, depth):
 @pytest.mark.parametrize("name,built", [("wide10", "template"), ("wide10", "explicit"),
                                         ("skew10", "explicit")])
 def test_build_holds_levels_through_m_max(name, built):
-    # every m_max, milestone or mid-stage, builds levels 0..m_max and the
-    # trimmed stages they span, the same as the full hierarchy's
+    # every m_max, milestone or mid-stage, builds levels 0..m_max, the
+    # same as the full hierarchy's
     spec = preset(name)
     sched = choose_M(spec, "A", 3)
     mode = "auto" if built == "template" else "explicit"
@@ -272,7 +277,6 @@ def test_build_holds_levels_through_m_max(name, built):
     for m_max in range(1, sched.m_max + 1):
         tree = build_T(spec, sched, m_max, mode=mode)
         assert len(tree.levels) == tree.m_max + 1 == m_max + 1
-        assert list(tree.stages) == list(range(1, sched.stage_of(m_max) + 1))
         for m in range(m_max + 1):
             assert tree.branch_stats(m) == full.branch_stats(m)
 
@@ -328,7 +332,7 @@ def test_build_defaults_to_the_schedule_top(name):
     sched = choose_M(spec, "A", 2)
 
     def fields(tree):
-        return (tree.mode, tree.stages, [
+        return (tree.mode, [
             [(br.lo_num, br.hi_num, br.den, br.a, br.b, br.parent) for br in level]
             for level in tree.levels])
     assert fields(build_T(spec, sched)) == fields(build_T(spec, sched, sched.m_max))

@@ -70,6 +70,43 @@ def test_validate_reports_slack_after_rejected_contraction(runner, tmp_path):
     assert report["levels"][2]["problems"] == ["c_2 = 0; need a positive rational"]
 
 
+def test_validate_checks_the_trim_of_the_last_level(runner, tmp_path):
+    # L_2 + R_2 = 1/4 = delta_1 leaves the trimmed level 1 empty, as every
+    # subcommand that trims level 1 finds; validate reads L_2 and R_2 too
+    cfg = tmp_path / "trim0.json"
+    cfg.write_text(json.dumps({
+        "n": {"kind": "constant", "values": [2]},
+        "c": {"kind": "constant", "values": ["1/4"]},
+        "L": {"kind": "constant", "values": ["1/8"]},
+        "R": {"kind": "constant", "values": ["1/8"]},
+        "gaps": {"kind": "uniform"}}))
+    res = runner.invoke(main, ["validate", "--config", str(cfg), "--depth", "1"])
+    assert res.exit_code == 5, res.output
+    report = json.loads(res.output)
+    assert report["error"] is None
+    assert report["levels"] == [{"k": 1, "ok": False, "problems": [
+        "trimmed length at level 1 is 0 <= 0"]}]
+    res = runner.invoke(main, ["reconstruct", "--config", str(cfg), "--depth",
+                               "1", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 8
+    assert "trimmed length at level 1 is 0 <= 0" in res.output
+
+
+def test_validate_reads_the_rules_one_level_past_depth(runner, tmp_path):
+    # the trim of level 3 reads L_4 and R_4, past a three-entry prefix
+    cfg = tmp_path / "prefix3.json"
+    cfg.write_text(json.dumps({**_GOOD_CONFIG,
+                               "L": {"kind": "explicit-prefix",
+                                     "values": ["0", "0", "0"]}}))
+    res = runner.invoke(main, ["validate", "--config", str(cfg), "--depth", "3"])
+    assert res.exit_code == 5, res.output
+    report = json.loads(res.output)
+    assert report["error"] is not None
+    assert all(lv["ok"] for lv in report["levels"])
+    res = runner.invoke(main, ["validate", "--config", str(cfg), "--depth", "2"])
+    assert res.exit_code == 0, res.output
+
+
 def test_spec_source_is_exclusive(runner, tmp_path):
     res = runner.invoke(main, ["validate"])
     assert res.exit_code == 3
@@ -337,7 +374,7 @@ def test_sampled_audit_thread_independent(runner, tmp_path):
     (["qs", "--depth", "2", "--precision-bits", "0"], "precision 0"),
     (["qs", "--depth", "2", "--samples", "0"], "sample count 0"),
     (["validate", "--depth", "0"], "depth 0"),
-    (["qs", "--depth", "2", "--m-max", "1"], "m_max = 1"),
+    (["qs", "--depth", "1"], "m_max = 1"),
     (["reconstruct", "--depth", "0"], "depth 0"),
     (["qs", "--depth", "2", "--precision-bits", "16385"], "precision 16385"),
     (["qs", "--depth", "3", "--map", "power:1/2", "--d", "1e-13"],
@@ -726,7 +763,7 @@ _SUBCOMMANDS = {
                        "--threads": _mostly([1, 2], [0])}),
     "qs": ({"--depth": _QS_DEPTH,
             "--samples": _mostly(list(range(1, 21)), [0])},
-           {"--m-max": _mostly([2, 3], [-1, 0, 1]), "--condition": _CONDITION,
+           {"--condition": _CONDITION,
             "--map": _mostly(["identity", "power:2", "power:1/2", "affine:3,-1",
                               "pl:0,0;1,2", "power:2+affine:3,-1",
                               "power:1000000"],

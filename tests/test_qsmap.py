@@ -1,5 +1,6 @@
 """Map families, image hierarchies, length-power measures, statistics."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -18,9 +19,9 @@ from moranset.errors import ConfigError, DomainError, PrecisionError
 from moranset.oracle import dim1_binary_prop1_log_ratios, oracle_mu_d
 from moranset.qsmap import (_GUARD_BITS, AffineMap, CompositionMap,
                             IdentityMap, ImageBranch, ImageTree,
-                            PiecewiseLinearMap, PowerMap, QsMap, _floor_root,
-                            _power_weights, _sqrt_nearest, build_mu_d,
-                            image_tree, parse_map,
+                            PiecewiseLinearMap, PowerMap, QsMap, QsStats,
+                            _floor_root, _power_weights, _sqrt_nearest,
+                            build_mu_d, image_tree, parse_map,
                             prop1_ratio_series, sandwich_audit, stats_series)
 from moranset.reconstruct import StarState
 from moranset.specs import GapPolicy, MoranSpec, constant, preset
@@ -722,8 +723,8 @@ def test_refinement_length_bound():
 
 
 def test_stats_series_reads_each_level_once(monkeypatch):
-    # wide10 stages refine in two steps: the trimmed gaps come from the
-    # stage nodes the tree holds, so no trimmed-stats read (on seeded gaps
+    # wide10 stages refine in two steps: the trimmed gaps come from each
+    # stage's milestone level, so no trimmed-stats read (on seeded gaps
     # each read enumerates the stage's parents again), and one branch_stats
     # per level
     tree = _tree("wide10", 3)
@@ -737,6 +738,36 @@ def test_stats_series_reads_each_level_once(monkeypatch):
     assert tree.schedule.i == [2, 2, 2]
     assert reads == {"star": [], "branch": list(range(6))}
     assert stats.m_top == 5
+
+
+def test_stats_series_needs_a_milestone():
+    # wide10's stages refine in two steps, so a tree built to level 3 ends
+    # inside stage 2, whose trimmed gaps only milestone level 4 holds
+    spec = preset("wide10")
+    sched = choose_M(spec, "A", 3)
+    assert sched.m == [0, 2, 4, 6]
+    with pytest.raises(DomainError, match=r"m_max = 3 is out of range: .* "
+                       r"milestone m_max >= 2 \(milestones \[0, 2, 4, 6\]\)"):
+        stats_series(build_T(spec, sched, 3))
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("wide10", "auto"), ("wide10", "explicit"), ("skew10", "explicit"),
+    ("cantor3", "auto"), ("padded2", "explicit")])
+def test_stats_series_at_each_milestone_is_a_prefix(name, mode):
+    # a tree built to milestone m_k holds the full tree's levels 0..m_k, so
+    # each of its series is the full tree's, cut at m_top = m_k - 1
+    spec = preset(name)
+    sched = choose_M(spec, "A", 3)
+    full = stats_series(build_T(spec, sched, mode=mode))
+    series = [f.name for f in dataclasses.fields(QsStats) if f.name != "m_top"]
+    for m_k in (m for m in sched.m if m >= 2):
+        got = stats_series(build_T(spec, sched, m_k, mode=mode))
+        assert got.m_top == m_k - 1
+        for name in series:
+            got_list, full_list = getattr(got, name), getattr(full, name)
+            assert len(got_list) == m_k - (name != "l_T"), (m_k, name)
+            assert got_list == full_list[:len(got_list)], (m_k, name)
 
 
 # -- sampling audits --------------------------------------------------------
