@@ -203,10 +203,8 @@ def test_branches_read_sibling_integers(spec, template, depth):
 
 
 def test_branches_hold_integers_only():
-    # an explicit tree keeps each branch's integers and nothing per stage
-    # besides its branches, no Fraction: 285 bytes held per branch (410 with
-    # a second copy of every stage's trimmed nodes, 529 with Fraction
-    # endpoints as well)
+    # an explicit tree keeps each branch's integers, no Fraction and no
+    # second copy of a stage's trimmed nodes: 285 bytes held per branch
     spec = preset("skew10")
     sched = choose_M(spec, "A", 4)
     tracemalloc.start()

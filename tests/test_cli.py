@@ -71,15 +71,11 @@ def test_validate_reports_slack_after_rejected_contraction(runner, tmp_path):
 
 
 def test_validate_checks_the_trim_of_the_last_level(runner, tmp_path):
-    # L_2 + R_2 = 1/4 = delta_1 leaves the trimmed level 1 empty, as every
-    # subcommand that trims level 1 finds; validate reads L_2 and R_2 too
+    # trimmed_zero's L_2 + R_2 = 1/4 = delta_1 leaves the trimmed level 1
+    # empty, as every subcommand that trims level 1 finds; validate reads
+    # L_2 and R_2 too
     cfg = tmp_path / "trim0.json"
-    cfg.write_text(json.dumps({
-        "n": {"kind": "constant", "values": [2]},
-        "c": {"kind": "constant", "values": ["1/4"]},
-        "L": {"kind": "constant", "values": ["1/8"]},
-        "R": {"kind": "constant", "values": ["1/8"]},
-        "gaps": {"kind": "uniform"}}))
+    cfg.write_text(json.dumps(_CONFIGS["trimmed_zero"]))
     res = runner.invoke(main, ["validate", "--config", str(cfg), "--depth", "1"])
     assert res.exit_code == 5, res.output
     report = json.loads(res.output)

@@ -764,10 +764,10 @@ def test_stats_series_at_each_milestone_is_a_prefix(name, mode):
     for m_k in (m for m in sched.m if m >= 2):
         got = stats_series(build_T(spec, sched, m_k, mode=mode))
         assert got.m_top == m_k - 1
-        for name in series:
-            got_list, full_list = getattr(got, name), getattr(full, name)
-            assert len(got_list) == m_k - (name != "l_T"), (m_k, name)
-            assert got_list == full_list[:len(got_list)], (m_k, name)
+        for field in series:
+            got_list, full_list = getattr(got, field), getattr(full, field)
+            assert len(got_list) == m_k - (field != "l_T"), (m_k, field)
+            assert got_list == full_list[:len(got_list)], (m_k, field)
 
 
 # -- sampling audits --------------------------------------------------------
