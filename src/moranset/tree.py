@@ -18,8 +18,9 @@ numerator and the offsets of the intervals below it, whose addresses are
 the head's plus one tail shared by every run; a seeded level's heads are
 the level above, read from the same kernel.  `iter_level` and `LevelSet`
 make each `Node` from a run as it is read; `export_level` writes the runs
-without making any.  `rank` is the one descent of the offsets along one
-path.  No other module reads the offsets.
+without making any.  `rank` is the one descent of the offsets, one path
+per query, for a batch of queries that shares the table and, on seeded
+gaps, each parent's draw.  No other module reads the offsets.
 """
 
 from __future__ import annotations
@@ -203,45 +204,62 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
     return tail, runs()
 
 
-def rank(spec: MoranSpec, k: int, y: Fraction, find, den: int = 1) -> int:
-    """`find(xs, y / den)` (`bisect_right` or `bisect_left`) for the sorted
-    list xs of level-k left endpoints, y an int or a `Fraction`, by one
-    root-to-leaf descent: each level bisects the rest of the query, past
-    the left endpoint of the parent it is in, against that parent's child
-    offsets and subtracts the one it passes; the children left of it at
-    level j add N_k / N_j each.
+def rank(spec: MoranSpec, k: int, ys: Iterable[Fraction], find,
+         den: int = 1) -> list[int]:
+    """[find(xs, y / den) for y in ys] (`find` `bisect_right` or
+    `bisect_left`) for the sorted list xs of level-k left endpoints, each y
+    an int or a `Fraction`, by one root-to-leaf descent per query: each
+    level bisects the rest of the query, past the left endpoint of the
+    parent it is in, against that parent's child offsets and subtracts the
+    one it passes; the children left of it at level j add N_k / N_j each.
+    A batch of queries shares what the descent reads.
 
     Node-independent offsets are the table `_prescaled`, integers over M,
-    so the query is rounded once, floor(y M) for `bisect_right` (x <= y iff
-    x M <= floor(y M)) or ceil(y M) for `bisect_left`, and every level is
-    one bisect and one subtraction on integers.  A seeded parent's own
-    offsets are nums / d, so the rest stays exact, r = rn / rd, and each
-    level bisects nums against r d by cross-multiplying: num <= r d iff
-    num rd <= rn d."""
-    yn, yd = y.numerator, y.denominator * den
+    read once per call, so each query is rounded once, floor(y M) for
+    `bisect_right` (x <= y iff x M <= floor(y M)) or ceil(y M) for
+    `bisect_left`, and every level is one bisect and one subtraction on
+    integers.  A seeded parent's own offsets are nums / d, so the rest
+    stays exact, r = rn / rd, and each level bisects nums against r d by
+    cross-multiplying: num <= r d iff num rd <= rn d.  Each seeded parent
+    a call's queries pass through is drawn once per call."""
+    ranks = []
     if spec.gaps.node_independent:
         m, lo, levels = _prescaled(spec, k)
-        ym = yn * m
-        r, total = (-(-ym // yd) if find is bisect_left else ym // yd) - lo, 0
-        for nums, weight in levels:
-            i = find(nums, r)
-            if i == 0:
-                return total
-            total += (i - 1) * weight
-            r -= nums[i - 1]
-        return total + find((0,), r)
+        up = find is bisect_left
+        for y in ys:
+            ym, yd = y.numerator * m, y.denominator * den
+            r, total = (-(-ym // yd) if up else ym // yd) - lo, 0
+            for nums, weight in levels:
+                i = find(nums, r)
+                if i == 0:
+                    break
+                total += (i - 1) * weight
+                r -= nums[i - 1]
+            else:
+                total += find((0,), r)
+            ranks.append(total)
+        return ranks
     ln, ld = spec.interval[0].as_integer_ratio()
-    rn, rd, sigma, total = yn * ld - ln * yd, yd * ld, (), 0
-    for j in range(1, k + 1):
-        d, nums = spec.child_offsets(sigma, j)
-        x = rn * d
-        i = find(nums, x, key=lambda num: num * rd)
-        if i == 0:
-            return total
-        total += (i - 1) * (spec.count(k) // spec.count(j))
-        rn, rd = x - nums[i - 1] * rd, rd * d
-        sigma += (i,)
-    return total + find((0,), rn)
+    weights = [spec.count(k) // spec.count(j) for j in range(k + 1)]
+    drawn = {}                  # parent address -> its child offsets
+    for y in ys:
+        yd = y.denominator * den
+        rn, rd, sigma, total = y.numerator * ld - ln * yd, yd * ld, (), 0
+        for j in range(1, k + 1):
+            if sigma not in drawn:
+                drawn[sigma] = spec.child_offsets(sigma, j)
+            d, nums = drawn[sigma]
+            x = rn * d
+            i = find(nums, x, key=lambda num: num * rd)
+            if i == 0:
+                break
+            total += (i - 1) * weights[j]
+            rn, rd = x - nums[i - 1] * rd, rd * d
+            sigma += (i,)
+        else:
+            total += find((0,), rn)
+        ranks.append(total)
+    return ranks
 
 
 @lru_cache(maxsize=256)

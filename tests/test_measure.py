@@ -4,7 +4,9 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 import types
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +22,7 @@ from moranset.dimension import check_conditions, dim_formula_seq, power_ratio
 from moranset.oracle import (cantor3_frostman_single_interval,
                              exhaustive_mu_sweep, oracle_level, oracle_mu)
 from moranset.reconstruct import first_reconstruct
-from moranset.specs import preset, preset_names
+from moranset.specs import MoranSpec, preset, preset_names
 from test_tree import level_specs
 
 
@@ -248,31 +250,41 @@ def test_audit_report_shape():
     assert set(d["witness"]) == {"a", "b", "k"}
 
 
-def _fraction_stream(spec, t, levels, samples, seed, stream=random.Random):
-    """The sampled audit as its `Fraction` draws define it: per level k, the
-    stream `random.Random(f"{seed}|{k}")` gives u then v per window, of
-    width w = d*_{k+1} + (d*_k - d*_{k+1}) u and left end hull_lo +
-    (hull length - w) v, each measured by the oracle's linear scan over
-    its own trimmed level k+1.  Returns (worst ratio, witness, windows)."""
+def _fraction_windows(spec, k, samples, seed, stream=random.Random):
+    """The sampled level-k windows (a, b) as their `Fraction` draws define
+    them: the stream `random.Random(f"{seed}|{k}")` gives u then v per
+    window, of width w = d*_{k+1} + (d*_k - d*_{k+1}) u and left end
+    hull_lo + (hull length - w) v, the trimmed lengths read off the
+    oracle's levels."""
     span = 2**30
-    best, witness, count = -1.0, None, 0
     hull_lo, hull_hi = spec.interval
+    lo, hi = oracle_level(spec, k + 1, trimmed=True)[0]
+    lo_w = hi - lo
+    lo, hi = oracle_level(spec, k, trimmed=True)[0]
+    hi_w = hi - lo
+    rng = stream(f"{seed}|{k}")
+    for _ in range(samples):
+        width = lo_w + (hi_w - lo_w) * Fraction(rng.randrange(span), span)
+        a = hull_lo + (hull_hi - hull_lo - width) * Fraction(
+            rng.randrange(span), span)
+        yield a, a + width
+
+
+def _fraction_stream(spec, t, levels, samples, seed, stream=random.Random):
+    """The sampled audit as its `Fraction` draws define it, each window of
+    `_fraction_windows` measured by the oracle's linear scan over its own
+    trimmed level k+1.  Returns (worst ratio, witness, windows)."""
+    best, witness, count = -1.0, None, 0
     for k in levels:
         stars = oracle_level(spec, k + 1, trimmed=True)
-        lo_w = stars[0][1] - stars[0][0]
-        top = oracle_level(spec, k, trimmed=True)[0]
-        hi_w = top[1] - top[0]
-        rng = stream(f"{seed}|{k}")
-        for _ in range(samples):
-            width = lo_w + (hi_w - lo_w) * Fraction(rng.randrange(span), span)
-            a = hull_lo + (hull_hi - hull_lo - width) * Fraction(
-                rng.randrange(span), span)
-            mu = oracle_mu(stars, a, a + width)
+        for a, b in _fraction_windows(spec, k, samples, seed, stream):
+            mu = oracle_mu(stars, a, b)
+            width = b - a
             ratio = power_ratio(mu.numerator, mu.denominator,
                                 width.numerator, width.denominator, t)
             count += 1
             if ratio > best:
-                best, witness = ratio, (a, a + width, k)
+                best, witness = ratio, (a, b, k)
     return max(best, 0.0), witness, count
 
 
@@ -293,6 +305,22 @@ def test_sampled_audit_is_the_fraction_stream(name, threads):
     levels = range(audit.k0, k_hi + 1)
     assert (audit.worst_ratio, audit.witness, audit.windows) == \
         _fraction_stream(spec, t, levels, 60, 11)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunks", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_sampled_audit_is_the_fraction_stream_across_chunks(chunks, threads):
+    # the windows are ranked `_CHUNK` at a time: counts just below, at and
+    # past a chunk's end keep the stream's order and lose no window
+    spec = preset("cantor3")
+    samples = chunks[0] * measure._CHUNK + chunks[1]
+    audit = frostman_audit(MassMeasure(first_reconstruct(spec, 4)), "A", 0.6,
+                           (1, 2), mode="sampled", samples=samples, seed=5,
+                           threads=threads)
+    levels = range(audit.k0, 3)
+    assert audit.windows == samples * len(levels)
+    assert (audit.worst_ratio, audit.witness, audit.windows) == \
+        _fraction_stream(spec, 0.6, levels, samples, 5)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -344,6 +372,72 @@ def test_sampled_audit_counts_windows_touching_endpoints(monkeypatch):
     assert (audit.worst_ratio, audit.witness, audit.windows) == \
         _fraction_stream(spec, 0.6, [1], 5, 2, _Touching)
     assert audit.witness == (Fraction(1, 9), Fraction(2, 9), 1)
+
+
+def _visited(spec, levels, y, find):
+    """The (parent, level j) pairs a rank descent of y passes below the
+    levels 0..K-1 (`levels`, their left endpoints): the root at j = 1, then
+    at each j the level-(j-1) interval the query is in, as its index, so
+    long as it is a child of the one above.  `find` as in `tree.rank`."""
+    seen, parent = {(0, 1)}, 0
+    for j in range(1, len(levels)):
+        i = find(levels[j], y) - 1
+        if i < 0 or i // spec.n(j) != parent:
+            break
+        parent = i
+        seen.add((i, j + 1))
+    return seen
+
+
+def test_sampled_audit_draws_each_seeded_parent_once_per_call(monkeypatch):
+    # a chunk's right ends share one rank call and its left ends another,
+    # and a call draws the child offsets of each seeded parent it passes
+    # once: no more draws than the distinct (parent, level) pairs that each
+    # call's queries pass, found here on the oracle's levels
+    spec = preset("skew10")
+    star = first_reconstruct(spec, 5)
+    cert = check_conditions(spec, 4)
+    draws = []
+    offsets = MoranSpec.child_offsets
+
+    def counted(self, sigma, j):
+        draws.append((sigma, j))
+        return offsets(self, sigma, j)
+    monkeypatch.setattr(MoranSpec, "child_offsets", counted)
+    audit = frostman_audit(MassMeasure(star), "A", 0.3, (1, 3), mode="sampled",
+                           samples=200, seed=0, cert=cert)
+    monkeypatch.undo()
+    bound = 0
+    for k in range(audit.k0, 4):
+        shift, reach = star.trim(k + 1)[0], star.delta_star(k + 1)
+        levels = [[lo for lo, _ in oracle_level(spec, j)] for j in range(k + 1)]
+        windows = list(_fraction_windows(spec, k, 200, 0))
+        for at in range(0, len(windows), measure._CHUNK):
+            chunk = windows[at:at + measure._CHUNK]
+            for find, ys in ((bisect_right, [b for _, b in chunk]),
+                             (bisect_left, [a - reach for a, _ in chunk])):
+                bound += len(set().union(*(_visited(spec, levels, y - shift, find)
+                                           for y in ys)))
+    assert audit.windows == 200 * (4 - audit.k0)
+    assert 0 < len(draws) <= bound
+
+
+def test_sampled_audit_memory_is_bounded_by_the_chunk():
+    # the windows are drawn and ranked a chunk at a time, so sixteen
+    # chunks of samples peak below twice what one chunk does
+    spec = preset("cantor3")
+    cert = check_conditions(spec, 3)
+
+    def peak(samples):
+        star = first_reconstruct(spec, 3)
+        tracemalloc.start()
+        frostman_audit(MassMeasure(star), "A", 0.6, (1, 2), mode="sampled",
+                       samples=samples, seed=0, cert=cert)
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return top
+    peak(measure._CHUNK)                # imports and caches, once
+    assert peak(16 * measure._CHUNK) < 2 * peak(measure._CHUNK)
 
 
 def test_sampled_audit_builds_no_fraction_per_window(monkeypatch):

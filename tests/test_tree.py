@@ -483,6 +483,8 @@ SKEW = "skew10"
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_bisect(source, data):
+    # one batch of 0-20 queries per level: duplicates, endpoints and points
+    # outside the hull share one call and each gets its own rank
     if source == SKEW:
         spec, k = preset(SKEW), data.draw(st.integers(0, 2), label="k")
     else:
@@ -491,17 +493,21 @@ def test_rank_matches_bisect(source, data):
     for trimmed in (False, True):
         level = oracle_level(spec, k, trimmed=trimmed)
         los, his = [lo for lo, _ in level], [hi for _, hi in level]
-        y = data.draw(_rank_query(los, his, spec.interval), label="y")
+        ys = data.draw(st.lists(_rank_query(los, his, spec.interval),
+                                max_size=20), label="ys")
+        ys += data.draw(st.lists(st.sampled_from(ys), max_size=3), label="dups") \
+            if ys else []
+        # the den form: ints over one denominator, as the sampled audit
+        # passes them, and Fractions over one
+        den = 3 * lcm(1, *(y.denominator for y in ys))
         for find in (bisect_left, bisect_right):
-            want = find(los, y)
-            if trimmed:
-                star = StarState(spec, k)
-                assert star.rank(k, y, find) == want
-                assert star.rank(k, y.numerator * 3, find, y.denominator * 3) == want
-            else:
-                assert tree.rank(spec, k, y, find) == want
-                assert tree.rank(spec, k, y.numerator * 6, find,
-                                 y.denominator * 6) == want
+            want = [find(los, y) for y in ys]
+            rank = (StarState(spec, k).rank if trimmed
+                    else lambda *args: tree.rank(spec, *args))
+            assert rank(k, ys, find) == want
+            assert rank(k, [y.numerator * (den // y.denominator) for y in ys],
+                        find, den) == want
+            assert rank(k, [y * 6 for y in ys], find, 6) == want
 
 
 def test_seeded_rank_widens_its_denominator():
@@ -517,15 +523,16 @@ def test_seeded_rank_widens_its_denominator():
 
 def test_rank_reads_prescaled_offsets(monkeypatch):
     # node-independent offsets are scaled once per spec and depth: a
-    # descent through 12 levels takes no lcm and reads no child offsets
+    # batch of 104 queries descending 12 levels takes no lcm and reads no
+    # child offsets
     spec = preset("padded2")
     queries = [Fraction(i, 97) for i in range(-3, 101)]
-    want = [tree.rank(spec, 12, y, find) for y in queries
-            for find in (bisect_left, bisect_right)]
+    want = {find: [tree.rank(spec, 12, [y], find)[0] for y in queries]
+            for find in (bisect_left, bisect_right)}
 
     def no_call(*args):
         raise AssertionError("the descent rescaled its offsets")
     monkeypatch.setattr(tree, "lcm", no_call)
     monkeypatch.setattr(spec, "child_offsets", no_call)
-    assert [tree.rank(spec, 12, y, find) for y in queries
-            for find in (bisect_left, bisect_right)] == want
+    for find in (bisect_left, bisect_right):
+        assert tree.rank(spec, 12, queries, find) == want[find]
