@@ -318,7 +318,6 @@ def test_sampled_audit_is_the_fraction_stream_across_chunks(chunks, threads):
                            (1, 2), mode="sampled", samples=samples, seed=5,
                            threads=threads)
     levels = range(audit.k0, 3)
-    assert audit.windows == samples * len(levels)
     assert (audit.worst_ratio, audit.witness, audit.windows) == \
         _fraction_stream(spec, 0.6, levels, samples, 5)
 
