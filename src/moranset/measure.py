@@ -224,9 +224,10 @@ def _draws(star: StarState, k: int, samples: int, seed: int):
     end hull_lo + (hull length - w) v, with lo_w = delta*_{k+1}, hi_w =
     delta*_k and u, v multiples of 2^-30 in [0, 1).  Over den = E 2^60, E
     the lcm of those four rationals' denominators, all are integers.  The
-    windows are drawn `_CHUNK` at a time, u then v per window, and each
-    chunk's masses are two batched integer rank descents at level k+1, one
-    for its right ends and one for its left ends."""
+    windows are drawn `_CHUNK` at a time, u then v per window, each as
+    `randrange(2^30)` draws it, and each chunk's masses are two batched
+    integer rank descents at level k+1, one for its right ends and one for
+    its left ends."""
     lo_w, hi_w = star.delta_star(k + 1), star.delta_star(k)
     hull_lo, hull_hi = star.spec.interval
     e = lcm(*(x.denominator for x in (lo_w, hi_w, hull_lo, hull_hi)))
@@ -234,16 +235,24 @@ def _draws(star: StarState, k: int, samples: int, seed: int):
                                     for x in (lo_w, hi_w, hull_lo, hull_hi))
     bits = _SAMPLE_BITS
     den, reach = e << 2 * bits, lo_w << 2 * bits    # reach: delta*_{k+1} den
-    rng = random.Random(f"{seed}|{k}")
+    # randrange(_SAMPLE_SPAN)'s own draw: getrandbits under its rejection
+    # loop, without its per-call overhead
+    draw = random.Random(f"{seed}|{k}").getrandbits
 
     def windows():
         for at in range(0, samples, _CHUNK):
             los, his = [], []
             for _ in range(min(_CHUNK, samples - at)):
+                u = draw(bits + 1)
+                while u >= _SAMPLE_SPAN:
+                    u = draw(bits + 1)
+                v = draw(bits + 1)
+                while v >= _SAMPLE_SPAN:
+                    v = draw(bits + 1)
                 # the width over E 2^30, the ends over E 2^60
-                width = (lo_w << bits) + (hi_w - lo_w) * rng.randrange(_SAMPLE_SPAN)
+                width = (lo_w << bits) + (hi_w - lo_w) * u
                 span = ((hull_hi - hull_lo) << bits) - width
-                a = (hull_lo << 2 * bits) + span * rng.randrange(_SAMPLE_SPAN)
+                a = (hull_lo << 2 * bits) + span * v
                 los.append(a)
                 his.append(a + (width << bits))
             starts = star.rank(k + 1, his, bisect_right, den)

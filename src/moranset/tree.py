@@ -11,16 +11,21 @@ constructions.
 A left endpoint is the initial lo plus one integer child offset per level
 (`MoranSpec.child_offsets`).  Under `uniform` and `weighted` gaps every
 parent of a level has the same offsets, and `_prescaled` is their one
-table, per spec and depth, over one denominator.  One kernel, `_runs`,
-yields a level as runs, one per head some levels above k: the head's
-address, a denominator, the common span, the head's left-endpoint
-numerator and the offsets of the intervals below it, whose addresses are
-the head's plus one tail shared by every run; a seeded level's heads are
-the level above, read from the same kernel.  `iter_level` and `LevelSet`
-make each `Node` from a run as it is read; `export_level` writes the runs
-without making any.  `rank` is the one descent of the offsets, one path
-per query, for a batch of queries that shares the table and, on seeded
-gaps, each parent's draw.  No other module reads the offsets.
+table, per spec and depth, over one denominator.  `_split` divides a level
+into heads, the intervals of some level h above k, and a tail, the levels
+h+1..k below each head; under `uniform` and `weighted` gaps the tail's
+sorted offsets are the same below every head, and `_tail` holds them once
+per spec and depth.  One kernel, `_runs`, yields a level as runs, one per
+head: the head's address, a denominator, the common span, the head's
+left-endpoint numerator and the offsets of the intervals below it, whose
+addresses are the head's plus one tail shared by every run; a seeded
+level's heads are the level above, read from the same kernel.
+`iter_level` and `LevelSet` make each `Node` from a run as it is read;
+`export_level` writes the runs without making any.  `rank` is the one
+descent of the offsets, for a batch of queries that shares the table and,
+on seeded gaps, each parent's draw: a query walks the head levels, one
+bisect each, and ends in one bisect of the tail.  No other module reads
+the offsets.
 """
 
 from __future__ import annotations
@@ -153,36 +158,45 @@ def _nodes(tail: list[Address], runs: Iterable[tuple]) -> Iterator[Node]:
             yield Node(head + address, lo, lo + span, den)
 
 
-#: Fewest intervals in a node-independent tail of `_runs`.
+#: Fewest intervals in a node-independent tail: the levels below each head
+#: that `_runs` yields as one run and `rank` finds a query in by one bisect.
 _TAIL = 2**10
+
+
+def _split(spec: MoranSpec, k: int) -> int:
+    """The level h of a level-k run's heads: the level above (0 at k = 0)
+    on seeded gaps, else the deepest h < k whose tail, levels h+1..k below
+    one head, holds at least `_TAIL` intervals, or 0 when none does."""
+    h = max(k - 1, 0)
+    while spec.gaps.node_independent and h and spec.count(k) < _TAIL * spec.count(h):
+        h -= 1
+    return h
 
 
 def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
           ) -> tuple[list[Address], Iterator[tuple]]:
-    """The level's tail addresses and, lazily, one run per level-h head:
-    (head address, den, span, base, offsets), whose i-th interval is
-    [base + offsets[i], base + offsets[i] + span] / den at head + tail[i].
+    """The level's tail addresses and, lazily, one run per level-h head
+    (h = `_split(spec, k)`): (head address, den, span, base, offsets), whose
+    i-th interval is [base + offsets[i], base + offsets[i] + span] / den at
+    head + tail[i].
 
-    Node-independent gaps (and k = 0) read the one offset table,
-    `_prescaled(spec, k)`: the tail is the trailing levels whose count
-    first reaches `_TAIL`, its offsets are sums of table entries, each head
-    adds up its own entries, and the level has one denominator,
-    lcm(M, origin's, length's).  Seeded gaps take level k alone as the
-    tail, below each level-(k-1) parent that `iter_level` streams with the
-    same left trim, from the parent's own child offsets."""
+    Node-independent gaps (and k = 0) read the offset table
+    `_prescaled(spec, k)` and its cached tail `_tail(spec, k)`: each head
+    adds up its own table entries, and the level has one denominator,
+    lcm(M, origin's, length's), to which the tail is scaled when it is not
+    M.  Seeded gaps take level k alone as the tail, below each level-(k-1)
+    parent that `iter_level` streams with the same left trim, from the
+    parent's own child offsets."""
     if k < 0:
         raise DomainError(f"depth {k} is out of range: levels start at depth 0")
     lo_pad, hi_pad = shrink
     origin = spec.interval[0] + lo_pad
     length = spec.delta(k) - lo_pad - hi_pad
-    shared = spec.gaps.node_independent or k == 0
-    h = max(k - 1, 0)
-    while shared and h and spec.count(k) < _TAIL * spec.count(h):
-        h -= 1
+    h = _split(spec, k)
     tail = list(product(*(range(1, spec.n(j) + 1) for j in range(h + 1, k + 1))))
 
     def runs() -> Iterator[tuple]:      # apart, so bad arguments raise at once
-        if not shared:
+        if not (spec.gaps.node_independent or k == 0):
             for parent in iter_level(spec, h, (lo_pad, 0)):
                 d, kids = spec.child_offsets(parent.address, k)
                 m = lcm(parent.den, d, length.denominator)
@@ -191,14 +205,16 @@ def _runs(spec: MoranSpec, k: int, shrink: tuple[Fraction, Fraction]
                        [kid * (m // d) for kid in kids])
             return
         m, _, table = _prescaled(spec, k)
+        _, offsets = _tail(spec, k)
         den = lcm(m, origin.denominator, length.denominator)
-        levels = [[num * (den // m) for num in nums] for nums, _ in table]
-        offsets = [0]
-        for nums in levels[h:]:
-            offsets = [off + num for off in offsets for num in nums]
+        heads = [nums for nums, _ in table[:h]]
+        if den != m:
+            scale = den // m
+            heads = [[num * scale for num in nums] for nums in heads]
+            offsets = [off * scale for off in offsets]
         span = length.numerator * (den // length.denominator)
         base = origin.numerator * (den // origin.denominator)
-        for head, nums in zip(iter_addresses(spec, h), product(*levels[:h])):
+        for head, nums in zip(iter_addresses(spec, h), product(*heads)):
             yield head, den, span, base + sum(nums), offsets
 
     return tail, runs()
@@ -208,35 +224,39 @@ def rank(spec: MoranSpec, k: int, ys: Iterable[Fraction], find,
          den: int = 1) -> list[int]:
     """[find(xs, y / den) for y in ys] (`find` `bisect_right` or
     `bisect_left`) for the sorted list xs of level-k left endpoints, each y
-    an int or a `Fraction`, by one root-to-leaf descent per query: each
-    level bisects the rest of the query, past the left endpoint of the
-    parent it is in, against that parent's child offsets and subtracts the
-    one it passes; the children left of it at level j add N_k / N_j each.
-    A batch of queries shares what the descent reads.
+    an int or a `Fraction`, by one descent per query: each level bisects
+    the rest of the query, past the left endpoint of the parent it is in,
+    against that parent's child offsets and subtracts the one it passes;
+    the children left of it at level j add N_k / N_j each.  A batch of
+    queries shares what the descent reads.
 
-    Node-independent offsets are the table `_prescaled`, integers over M,
-    read once per call, so each query is rounded once, floor(y M) for
-    `bisect_right` (x <= y iff x M <= floor(y M)) or ceil(y M) for
-    `bisect_left`, and every level is one bisect and one subtraction on
-    integers.  A seeded parent's own offsets are nums / d, so the rest
-    stays exact, r = rn / rd, and each level bisects nums against r d by
+    Node-independent offsets are the table `_prescaled` and its tail
+    `_tail`, integers over M, read once per call, so each query is rounded
+    once, floor(y M) for `bisect_right` (x <= y iff x M <= floor(y M)) or
+    ceil(y M) for `bisect_left`; it walks only the h = `_split(spec, k)`
+    head levels, one bisect and one subtraction on integers each, and its
+    rest below the head is one bisect of the tail's sorted offsets.  A
+    seeded parent's own offsets are nums / d, so the rest stays exact,
+    r = rn / rd, and each of the k levels bisects nums against r d by
     cross-multiplying: num <= r d iff num rd <= rn d.  Each seeded parent
     a call's queries pass through is drawn once per call."""
     ranks = []
     if spec.gaps.node_independent:
         m, lo, levels = _prescaled(spec, k)
+        h, tail = _tail(spec, k)
+        heads = levels[:h]
         up = find is bisect_left
         for y in ys:
             ym, yd = y.numerator * m, y.denominator * den
             r, total = (-(-ym // yd) if up else ym // yd) - lo, 0
-            for nums, weight in levels:
+            for nums, weight in heads:
                 i = find(nums, r)
                 if i == 0:
                     break
                 total += (i - 1) * weight
                 r -= nums[i - 1]
             else:
-                total += find((0,), r)
+                total += find(tail, r)
             ranks.append(total)
         return ranks
     ln, ld = spec.interval[0].as_integer_ratio()
@@ -268,7 +288,7 @@ def _prescaled(spec: MoranSpec, k: int) -> tuple[int, int, tuple]:
     child offsets of levels 1..k, the same for every parent of a level
     under node-independent gaps, as numerators over M, the lcm of their
     denominators.  The one table of node-independent offsets: `rank`
-    descends it, `_runs` sums it.  Cached per spec and depth (a race
+    descends its head levels, `_tail` sums the rest.  Cached per spec and depth (a race
     computes one entry twice, so threads may share them)."""
     offsets = [spec.child_offsets((), j) for j in range(1, k + 1)]
     lo = spec.interval[0]
@@ -277,6 +297,22 @@ def _prescaled(spec: MoranSpec, k: int) -> tuple[int, int, tuple]:
             tuple((tuple(num * (m // d) for num in nums),
                    spec.count(k) // spec.count(j))
                   for j, (d, nums) in enumerate(offsets, 1)))
+
+
+@lru_cache(maxsize=16)
+def _tail(spec: MoranSpec, k: int) -> tuple[int, tuple[int, ...]]:
+    """(h, offsets): h = `_split(spec, k)` and the sorted left-endpoint
+    offsets, over the M of `_prescaled(spec, k)`, of the intervals of
+    levels h+1..k below any level-h head, sums of that table's entries.
+    `_runs` yields it, over the level's denominator, as every run's
+    offsets, and `rank` finds in it by one bisect.  Cached per spec and
+    depth like `_prescaled`; a tail holds fewer than `_TAIL` n_{h+1}
+    integers, so the bound of 16 keeps a few MB alive at most."""
+    h = _split(spec, k)
+    offsets = [0]
+    for nums, _ in _prescaled(spec, k)[2][h:]:
+        offsets = [off + num for off in offsets for num in nums]
+    return h, tuple(offsets)
 
 
 def build_level(spec: MoranSpec, k: int, budget: int = DEFAULT_NODE_BUDGET,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moranset import measure
+from moranset import measure, tree
 from moranset.errors import DomainError, RegimeError
 from moranset.measure import (MassMeasure, bound_constant, frostman_audit,
                               mu_window, threshold_level)
@@ -349,7 +349,9 @@ def test_sampled_audit_is_the_fraction_stream_drawn(spec, k_hi, seed, threads):
 class _Touching:
     """A `random.Random` stand-in whose first draws (u, v) = (0, 1/8) put
     cantor3's level-1 window on [1/9, 2/9], a right end and a left end of
-    level 2, and (0, 0) on [0, 1/9]; the seeded stream follows."""
+    level 2, and (0, 0) on [0, 1/9]; the seeded stream follows.  The audit
+    draws by `getrandbits` and the oracle `_fraction_stream` by
+    `randrange`, so the two draws are checked to give one stream."""
     script = [0, 2**27, 0, 0]
 
     def __init__(self, seed):
@@ -359,6 +361,10 @@ class _Touching:
     def randrange(self, n):
         value = next(self.draws, None)
         return self.rest.randrange(n) if value is None else value
+
+    def getrandbits(self, k):
+        value = next(self.draws, None)
+        return self.rest.getrandbits(k) if value is None else value
 
 
 def test_sampled_audit_counts_windows_touching_endpoints(monkeypatch):
@@ -437,6 +443,28 @@ def test_sampled_audit_memory_is_bounded_by_the_chunk():
         return top
     peak(measure._CHUNK)                # imports and caches, once
     assert peak(16 * measure._CHUNK) < 2 * peak(measure._CHUNK)
+
+
+def test_sampled_audit_builds_each_tail_once(monkeypatch):
+    # the windows of an audited level k share one cached tail of level
+    # k+1, built once per spec and depth for all its chunks' rank calls,
+    # from either thread
+    spec = preset("cantor3")
+    mm = MassMeasure(first_reconstruct(spec, 9))
+    cert = check_conditions(spec, 8)
+    built = []
+    split = tree._split
+
+    def counted(spec, k):
+        built.append((spec, k))
+        return split(spec, k)
+    monkeypatch.setattr(tree, "_split", counted)
+    audit = frostman_audit(mm, "A", 0.6, (1, 7), mode="sampled", samples=800,
+                           seed=0, cert=cert, threads=2)
+    monkeypatch.undo()
+    assert audit.windows == 800 * (8 - audit.k0)
+    assert sorted(built, key=lambda key: key[1]) == \
+        [(spec, k + 1) for k in range(audit.k0, 8)]
 
 
 def test_sampled_audit_builds_no_fraction_per_window(monkeypatch):

@@ -536,3 +536,51 @@ def test_rank_reads_prescaled_offsets(monkeypatch):
     monkeypatch.setattr(spec, "child_offsets", no_call)
     for find in (bisect_left, bisect_right):
         assert tree.rank(spec, 12, queries, find) == want[find]
+
+
+def _weighted6() -> MoranSpec:
+    """n = 6 under a periodic contraction 1/12, 1/10, no boundary gaps and
+    unequal weighted interior gaps, the shape of the benchmark's
+    `weighted6`."""
+    return MoranSpec(constant(6), SequenceRule("periodic", (Fraction(1, 12),
+                                                            Fraction(1, 10))),
+                     constant(Fraction(0)), constant(Fraction(0)),
+                     GapPolicy("weighted", weights=tuple(map(Fraction, (2, 1, 4, 3, 1)))),
+                     name="weighted6")
+
+
+class _Unread:
+    """A table level that fails when a rank descent bisects it."""
+
+    def __len__(self):
+        raise AssertionError("a rank walked a level of its tail")
+
+    __getitem__ = __len__
+
+
+@pytest.mark.parametrize("name, k, h", [("cantor3", 13, 3), ("padded2", 12, 2),
+                                        ("weighted6", 5, 1)])
+def test_rank_walks_head_levels_then_one_tail_bisect(monkeypatch, name, k, h):
+    # deep enough that the tail starts below level h >= 1: a query bisects
+    # the h head levels of the table, then the cached tail, and no level
+    # under the heads; ranks as `find` over the oracle's level, trimmed or not
+    spec = _weighted6() if name == "weighted6" else preset(name)
+    assert tree._split(spec, k) == h >= 1
+    assert tree._tail(spec, k)[0] == h
+    m, lo, levels = tree._prescaled(spec, k)
+    unread = (m, lo, levels[:h] + tuple((_Unread(), w) for _, w in levels[h:]))
+    hull_lo, hull_hi = spec.interval
+    for trimmed in (False, True):
+        level = oracle_level(spec, k, trimmed=trimmed)
+        los = [lo for lo, _ in level]
+        ys = [hull_lo - 1, hull_lo, hull_hi, hull_hi + 1]
+        for (a, b), (c, _) in islice(zip(level, level[1:]), 0, None,
+                                     len(level) // 300):
+            step = (b - a) / 1000
+            ys += [a, a - step, a + step, b, (b + c) / 2, c - step]
+        rank = (StarState(spec, k).rank if trimmed
+                else lambda *args: tree.rank(spec, *args))
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "_prescaled", lambda *args: unread)
+            for find in (bisect_left, bisect_right):
+                assert rank(k, ys, find) == [find(los, y) for y in ys]
