@@ -299,15 +299,16 @@ def _prescaled(spec: MoranSpec, k: int) -> tuple[int, int, tuple]:
                   for j, (d, nums) in enumerate(offsets, 1)))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
 def _tail(spec: MoranSpec, k: int) -> tuple[int, tuple[int, ...]]:
     """(h, offsets): h = `_split(spec, k)` and the sorted left-endpoint
     offsets, over the M of `_prescaled(spec, k)`, of the intervals of
     levels h+1..k below any level-h head, sums of that table's entries.
     `_runs` yields it, over the level's denominator, as every run's
     offsets, and `rank` finds in it by one bisect.  Cached per spec and
-    depth like `_prescaled`; a tail holds fewer than `_TAIL` n_{h+1}
-    integers, so the bound of 16 keeps a few MB alive at most."""
+    depth like `_prescaled`: a tail holds fewer than `_TAIL` n_{h+1}
+    integers (10^4 on `wide10`, 0.36 MB), and 8 tails cover an audit's
+    levels ranked at once by up to 8 threads."""
     h = _split(spec, k)
     offsets = [0]
     for nums, _ in _prescaled(spec, k)[2][h:]:

@@ -552,7 +552,7 @@ def _weighted6() -> MoranSpec:
 class _Unread:
     """A table level that fails when a rank descent bisects it."""
 
-    def __len__(self):
+    def __len__(self, *index):
         raise AssertionError("a rank walked a level of its tail")
 
     __getitem__ = __len__
