@@ -455,9 +455,9 @@ def test_sampled_audit_builds_each_tail_once(monkeypatch):
     built = []
     split = tree._split
 
-    def counted(spec, k):
-        built.append((spec, k))
-        return split(spec, k)
+    def counted(*key):
+        built.append(key)
+        return split(*key)
     monkeypatch.setattr(tree, "_split", counted)
     audit = frostman_audit(mm, "A", 0.6, (1, 7), mode="sampled", samples=800,
                            seed=0, cert=cert, threads=2)

@@ -567,8 +567,8 @@ def test_rank_walks_head_levels_then_one_tail_bisect(monkeypatch, name, k, h):
     spec = _weighted6() if name == "weighted6" else preset(name)
     assert tree._split(spec, k) == h >= 1
     assert tree._tail(spec, k)[0] == h
-    m, lo, levels = tree._prescaled(spec, k)
-    unread = (m, lo, levels[:h] + tuple((_Unread(), w) for _, w in levels[h:]))
+    m, origin, levels = tree._prescaled(spec, k)
+    unread = (m, origin, levels[:h] + tuple((_Unread(), w) for _, w in levels[h:]))
     hull_lo, hull_hi = spec.interval
     for trimmed in (False, True):
         level = oracle_level(spec, k, trimmed=trimmed)
